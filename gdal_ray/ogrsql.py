@@ -31,6 +31,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from gdal_ray.stages.partition import map_partitions
+
 # ------------------------------------------------------------ tokenizer
 _TOKEN_RE = re.compile(
     r"""
@@ -1823,27 +1825,12 @@ def _compile_setop(u: SetOp, tables: dict):
     return ds
 
 
-_DISTINCT_PARTS = 8
-
-
-def _row_hash_mod(t: pa.Table, names: list, mod: int) -> np.ndarray:
-    """Deterministic per-row 64-bit hash of the named columns mod
-    ``mod`` (pandas hash_pandas_object — fixed seed, process-stable;
-    the dtype drift of the pandas VIEW is value-deterministic, so
-    identical rows land in identical partitions)."""
-    import pandas as pd
-
-    h = pd.util.hash_pandas_object(
-        t.select(names).to_pandas(), index=False).to_numpy()
-    return (h % mod).astype(np.int64)
-
-
 def _distinct_flagged(ds, names: list):
     """distinct(rows with __dd) ∪all (rows without): per-batch local
-    Arrow group_by dedup of the flagged subset, hash(row)%P shuffle,
-    one Arrow group_by per partition.  Arrow group_by treats nulls as
-    equal (SQL DISTINCT semantics); output dtypes never round-trip
-    through pandas (the pandas hash is used for PARTITIONING only)."""
+    Arrow group_by dedup of the flagged subset, a row-hash partition
+    shuffle (``stages.partition``), one Arrow group_by per partition.
+    Arrow group_by treats nulls as equal (SQL DISTINCT semantics);
+    output dtypes never round-trip through pandas."""
 
     def local(t: pa.Table) -> pa.Table:
         mask = t["__dd"].combine_chunks() if isinstance(
@@ -1855,44 +1842,28 @@ def _distinct_flagged(ds, names: list):
         rest = t.filter(pc.invert(mask)).select(names)
         rest = rest.append_column("__dd", pa.array(
             np.full(rest.num_rows, False)))
-        out = pa.concat_tables([ft, rest],
-                               promote_options="permissive")
-        return out.append_column("__part", pa.array(
-            _row_hash_mod(out, names, _DISTINCT_PARTS)))
-
-    def combine(g: pa.Table) -> pa.Table:
-        mask = g["__dd"].combine_chunks() if isinstance(
-            g["__dd"], pa.ChunkedArray) else g["__dd"]
-        ft = g.filter(mask).select(names)
-        ft = ft.group_by(names).aggregate([]).select(names)
-        rest = g.filter(pc.invert(mask)).select(names)
         return pa.concat_tables([ft, rest],
                                 promote_options="permissive")
 
-    return ds.map_batches(local, batch_format="pyarrow") \
-        .groupby("__part", num_partitions=_DISTINCT_PARTS) \
-        .map_groups(combine, batch_format="pyarrow")
+    def combine(g: pa.Table) -> pa.Table:
+        return local(g).select(names)
+
+    return map_partitions(ds.map_batches(local, batch_format="pyarrow"),
+                          names, combine, batch_format="pyarrow")
 
 
 def _distinct_rows(ds):
     """Distinct over all output columns — per-batch local Arrow
-    group_by dedup, hash(row)%P 64-bit-key shuffle, one Arrow
-    group_by per partition (no driver set; the shuffle ships 64-bit
-    partition ids + surviving rows, not all-columns group keys)."""
+    group_by dedup, a row-hash partition shuffle
+    (``stages.partition``), one Arrow group_by per partition (no
+    driver set)."""
     names = ds.schema().names
 
-    def local(t: pa.Table) -> pa.Table:
-        d = t.select(names).group_by(names).aggregate([]).select(names)
-        return d.append_column("__part", pa.array(
-            _row_hash_mod(d, names, _DISTINCT_PARTS)))
+    def dedup(t: pa.Table) -> pa.Table:
+        return t.select(names).group_by(names).aggregate([]).select(names)
 
-    def combine(g: pa.Table) -> pa.Table:
-        return g.select(names).group_by(names).aggregate([]) \
-            .select(names)
-
-    return ds.map_batches(local, batch_format="pyarrow") \
-        .groupby("__part", num_partitions=_DISTINCT_PARTS) \
-        .map_groups(combine, batch_format="pyarrow")
+    return map_partitions(ds.map_batches(dedup, batch_format="pyarrow"),
+                          names, dedup, batch_format="pyarrow")
 
 
 def _row_to_ds(row: dict):

@@ -36,6 +36,7 @@ import pyarrow as pa
 
 from gdal_ray.geom import wkb as gwkb
 from gdal_ray.mvt import _fields, _read_varint
+from gdal_ray.stages.partition import map_partitions
 
 MEMBER_NODE, MEMBER_WAY, MEMBER_RELATION = 0, 1, 2
 
@@ -324,59 +325,46 @@ def _build_lines_partition(t: pa.Table) -> pa.Table:
                      "geometry": pa.array(geoms, pa.binary())})
 
 
-def _exploded_way_nodes(elements, num_partitions: int = 8):
-    """(way_id, seq, id, lon, lat) Dataset: vectorized explode of the
-    way refs hash-joined against the node table — the corpus-scale
-    path (no node table on any single machine)."""
+def _exploded_way_nodes(elements, way_meta=None):
+    """(way_id, seq, id, lon, lat) Dataset: the vectorized explode of
+    the way refs joined to the node table on ``id`` — one scan of the
+    elements, then one Arrow join per coarse id partition
+    (``stages.partition``), so no node table sits on any single
+    machine. Refs whose node is absent (a partial extract) drop out.
+    ``way_meta(batch)`` → (way_id, extra columns), one row per way of
+    the batch, fans out onto each of that way's refs."""
     import pyarrow.compute as pc
 
-    def only_nodes(t: pa.Table) -> pa.Table:
-        return t.filter(pc.equal(t["kind"], 0)) \
-            .select(["id", "lon", "lat"])
+    def refs_and_nodes(t: pa.Table) -> pa.Table:
+        refs = _explode_way_refs(t)
+        if way_meta is not None:
+            refs = refs.join(way_meta(t), "way_id", join_type="inner")
+        nodes = t.filter(pc.equal(t["kind"], 0)).select(["id", "lon", "lat"])
+        return pa.concat_tables([refs, nodes], promote_options="default")
 
-    nodes = elements.map_batches(only_nodes, batch_format="pyarrow")
-    refs = elements.map_batches(_explode_way_refs, batch_format="pyarrow")
-    return refs.join(nodes, join_type="inner", on=("id",),
-                     num_partitions=num_partitions)
+    def join(t: pa.Table) -> pa.Table:
+        is_ref = pc.is_valid(t["way_id"])
+        nodes = t.filter(pc.invert(is_ref)).select(["id", "lon", "lat"])
+        return t.filter(is_ref).drop_columns(["lon", "lat"]) \
+            .join(nodes, "id", join_type="inner")
 
-
-def _add_way_part(num_partitions: int):
-    """Coarse ``hash(way_id) % P`` partition column (Fibonacci
-    multiplicative hash in uint64; coarse so ``map_groups`` fires ONE
-    vectorized callback per partition, not per way)."""
-    def add_part(t: pa.Table) -> pa.Table:
-        w = t["way_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        part = (w * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(64 - 8)
-        return t.append_column(
-            "part",
-            pa.array((part % np.uint64(num_partitions)).astype(np.int64),
-                     pa.int64()))
-
-    return add_part
+    return map_partitions(
+        elements.map_batches(refs_and_nodes, batch_format="pyarrow"),
+        "id", join, batch_format="pyarrow")
 
 
-def assemble_way_lines(elements, num_partitions: int = 8):
+def assemble_way_lines(elements):
     """Distributed way-geometry assembly over the elements Dataset:
-    vectorized explode (way, seq, ref) → hash-join against the node
-    table → coarse ``hash(way_id) % P`` partitions → ONE lexsort +
-    ``np.split`` assembly per partition (the repo's coarse-partition
-    -combine pattern; a per-way ``map_groups`` would be ~10⁹ Python
-    calls at planet scale). Measured round 5 on a 200k-node / 20k-way
-    synthetic shard at 8 CPUs: assembly stage 19.4 s → 0.83 s (~23×)
-    vs the round-4 per-way pandas ``map_groups``; end-to-end 24 s →
-    5.1 s. The corpus-scale path (no node table on any single
-    machine); the layer builder below uses the broadcast dict for
-    fixture-sized inputs.
-
-    NOTE: empty hash partitions surface as zero-column blocks from
-    ``map_groups`` (harmless to consume/write, but do NOT feed this
-    Dataset into ``Dataset.join`` — join the metadata BEFORE the
-    grouped assembly, as ``assemble_way_geometries`` does)."""
-    parted = _exploded_way_nodes(elements, num_partitions).map_batches(
-        _add_way_part(num_partitions), batch_format="pyarrow")
-    return parted.groupby("part", num_partitions=num_partitions).map_groups(
-        lambda g: _build_lines_partition(g.drop_columns(["part"])),
-        batch_format="pyarrow")
+    vectorized explode (way, seq, ref) → join against the node table
+    → coarse way_id partitions (``stages.partition``) → ONE lexsort +
+    ``np.split`` assembly per partition. Measured round 5 on a
+    200k-node / 20k-way synthetic shard at 8 CPUs: assembly stage
+    19.4 s → 0.83 s (~23×) vs the round-4 per-way pandas
+    ``map_groups``; end-to-end 24 s → 5.1 s. The corpus-scale path
+    (no node table on any single machine); the layer builder below
+    uses the broadcast dict for fixture-sized inputs."""
+    return map_partitions(_exploded_way_nodes(elements), "way_id",
+                          _build_lines_partition, batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------
@@ -783,14 +771,13 @@ def write_osm_pbf(path: str, elements: dict, compress: bool = True,
     vsi_write_bytes(path, b"".join(chunks))
 
 
-def assemble_way_geometries(elements, num_partitions: int = 8):
-    """Distributed way GEOMETRIES: the exploded refs⋈nodes table is
-    hash-joined against the way tag table (is_area flags) BEFORE the
-    grouped assembly, so closed ways satisfying the closed-ways-are
-    -polygons rule emit POLYGON WKB (everything else LINESTRING) in
-    the same single coarse-partition pass. All Dataset ops — two
-    distributed hash joins + one grouped combine; no node table on
-    any single machine. The per-batch kernels are Arrow/numpy
+def assemble_way_geometries(elements):
+    """Distributed way GEOMETRIES: each way's is_area flag rides on
+    its exploded refs through the refs⋈nodes join, so closed ways
+    satisfying the closed-ways-are-polygons rule emit POLYGON WKB
+    (everything else LINESTRING) in the same single coarse-partition
+    assembly pass. Two coarse-partition passes; no node table on any
+    single machine. The per-batch kernels are Arrow/numpy
     throughout (r5): the closed/area flags come from list-flatten +
     parent-index tag scans, and the LINESTRING→POLYGON rewrite is a
     header splice on the WKB bytes of the (small) area subset only."""
@@ -838,22 +825,11 @@ def assemble_way_geometries(elements, num_partitions: int = 8):
             is_area[kparent[hit]] = True
         is_area &= closed
         return pa.table({
-            "osm_id": _pc.cast(t["id"], pa.int64()),
+            "way_id": _pc.cast(t["id"], pa.int64()),
             "is_area": pa.array(is_area),
         })
 
-    meta = elements.map_batches(way_meta, batch_format="pyarrow") \
-        .rename_columns({"osm_id": "way_id"})
-    exploded = _exploded_way_nodes(elements, num_partitions)
-    # meta join BEFORE the grouped assembly (one row per way fans out
-    # to its refs) — map_groups output must not feed another join
-    joined = exploded.join(meta, join_type="inner", on=("way_id",),
-                           num_partitions=num_partitions)
-    parted = joined.map_batches(_add_way_part(num_partitions),
-                                batch_format="pyarrow")
-
     def build_part(t: pa.Table) -> pa.Table:
-        t = t.drop_columns(["part"])
         lines = _build_lines_partition(t)
         if lines.num_rows == 0:
             return pa.table({
@@ -888,5 +864,5 @@ def assemble_way_geometries(elements, num_partitions: int = 8):
             "geometry": pa.array(list(geoms), pa.binary()),
         })
 
-    return parted.groupby("part", num_partitions=num_partitions) \
-        .map_groups(build_part, batch_format="pyarrow")
+    return map_partitions(_exploded_way_nodes(elements, way_meta),
+                          "way_id", build_part, batch_format="pyarrow")

@@ -26,6 +26,8 @@ import pyarrow.compute as pc
 import ray.data as rd
 from ray.data.aggregate import Count, Max, Mean, Min, Sum
 
+from gdal_ray.stages.partition import map_partitions
+
 
 def _read(sf_dir: str, table: str, columns=None) -> rd.Dataset:
     return rd.read_parquet(f"{sf_dir}/{table}.parquet", columns=columns)
@@ -179,13 +181,11 @@ def q_join_orders_customer(sf_dir: str):
     # Money sums in INT CENTS (the lineitem_agg pattern): integer
     # addition is associative, so the result is bit-exact under any
     # partial-sum grouping — float sums would drift by summation order.
-    # COARSE co-partitioning for the final combine (the asof-join
-    # lesson): shuffle on hash(key) % 8 so map_groups runs ~8
-    # vectorized pandas combines instead of Ray's sort-based per-key
-    # aggregate — measured 2.5 -> 1.3 s at sf0.1 for identical output
-    # (integer sums are associative, so still bit-exact).
+    # The final combine runs on coarse hash partitions
+    # (stages.partition) instead of Ray's sort-based per-key aggregate
+    # — measured 2.5 -> 1.3 s at sf0.1 for identical output (integer
+    # sums are associative, so still bit-exact).
     def partial(t: pa.Table) -> pa.Table:
-        import pandas as pd
         import pyarrow.compute as pc
 
         cents = pc.cast(
@@ -194,23 +194,17 @@ def q_join_orders_customer(sf_dir: str):
         g = pa.table({"o_custkey": t["o_custkey"], "c": cents}).group_by(
             "o_custkey"
         ).aggregate([("c", "sum"), ([], "count_all")])
-        g = g.rename_columns(["o_custkey", "s", "n"])
-        h = pd.util.hash_pandas_object(
-            g["o_custkey"].to_pandas(), index=False).to_numpy()
-        return g.append_column("__part", pa.array((h % 8).astype("int64")))
+        return g.rename_columns(["o_custkey", "s", "n"])
 
     parts = orders.map_batches(partial, batch_format="pyarrow")
 
     def combine(g):
-        import pandas as pd  # noqa: F401
-
         agg = g.groupby("o_custkey", sort=False).agg(
             cents=("s", "sum"), n_orders=("n", "sum")).reset_index()
         agg["sum_spent"] = agg["cents"].astype("float64") / 100.0
         return agg.drop(columns="cents")
 
-    per_cust = parts.groupby("__part", num_partitions=8).map_groups(
-        combine, batch_format="pandas")
+    per_cust = map_partitions(parts, "o_custkey", combine)
     cust = pq.read_table(f"{sf_dir}/customer.parquet",
                          columns=["c_custkey", "c_mktsegment"])
     joined = broadcast_hash_join(per_cust, cust, "o_custkey", "c_custkey")
@@ -393,21 +387,14 @@ def q_dedup_exact(sf_dir: str):
 
     ds = _read(sf_dir, "documents", columns=["doc_id", "text"])
 
-    # per-batch partial min + coarse hash(fp)%8 co-partition: ~8
-    # vectorized pandas combines instead of a per-key sort-based
-    # aggregate; integer MIN is order-independent, so exactness is
-    # unconditional
+    # per-batch partial min, then one pandas combine per coarse hash
+    # partition instead of a per-key sort-based aggregate; integer MIN
+    # is order-independent, so exactness is unconditional
     def partial(t: pa.Table) -> pa.Table:
-        import pandas as pd
-
         t = fingerprint64(t)
         g = t.select(["fingerprint", "doc_id"]).group_by(
             "fingerprint").aggregate([("doc_id", "min")])
-        g = g.rename_columns(["fingerprint", "doc_id"])
-        h = pd.util.hash_pandas_object(
-            g["fingerprint"].to_pandas(), index=False).to_numpy()
-        return g.append_column(
-            "__part", pa.array((h % 8).astype("int64")))
+        return g.rename_columns(["fingerprint", "doc_id"])
 
     parts = ds.map_batches(partial, batch_format="pyarrow")
 
@@ -416,8 +403,7 @@ def q_dedup_exact(sf_dir: str):
             .reset_index(name="keep_doc_id")
         return out[["keep_doc_id"]]
 
-    return parts.groupby("__part", num_partitions=8).map_groups(
-        combine, batch_format="pandas")
+    return map_partitions(parts, "fingerprint", combine)
 
 
 SQL_DEDUP_EXACT = """
@@ -430,25 +416,26 @@ SELECT MIN(doc_id) AS keep_doc_id FROM documents GROUP BY text
 
 def q_events_sessions(sf_dir: str):
     """Session windows per user (30-min inactivity gap): the
-    streaming-shaped workload as groupby(key).map_groups over
-    ts-sorted groups (the engine is batch — §2.11 — ordering is an
-    explicit sort inside the group, deterministic via (ts, event_id))."""
+    streaming-shaped workload as one vectorized sessionization per
+    coarse user partition (the engine is batch — §2.11 — ordering is
+    an explicit sort, deterministic via (user_id, ts, event_id))."""
     import pandas as pd
 
     ds = _read(sf_dir, "events", columns=["event_id", "ts", "user_id", "value"])
 
     def sessionize(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["ts", "event_id"])
-        gap = g["ts"].diff() > pd.Timedelta(minutes=30)
-        sid = gap.cumsum().astype("int64")
+        g = g.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
+        # a session ends at a gap > 30 min; a new user starts afresh
+        same_user = g["user_id"].eq(g["user_id"].shift())
+        gap = same_user & (g["ts"].diff() > pd.Timedelta(minutes=30))
+        sid = gap.astype("int64").groupby(g["user_id"]).cumsum()
         # 2-dp values summed as int64 cents: order-independent, matches
         # the oracle bit-for-bit (float sums drift ~1e-14 with order)
         cents = (g["value"] * 100).round().astype("int64")
         out = (
             g.assign(session_idx=sid, value_c=cents)
-            .groupby("session_idx")
+            .groupby(["user_id", "session_idx"], sort=False)
             .agg(
-                user_id=("user_id", "first"),
                 n_events=("event_id", "count"),
                 cents_sum=("value_c", "sum"),
                 session_start=("ts", "min"),
@@ -458,7 +445,7 @@ def q_events_sessions(sf_dir: str):
         out["sum_value"] = out["cents_sum"].astype("float64") / 100.0
         return out[["user_id", "session_idx", "n_events", "sum_value", "session_start"]]
 
-    return ds.groupby("user_id", num_partitions=8).map_groups(sessionize, batch_format="pandas")
+    return map_partitions(ds, "user_id", sessionize)
 
 
 SQL_EVENTS_SESSIONS = """

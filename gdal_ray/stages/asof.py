@@ -4,10 +4,9 @@ operator for the training-pipeline surface).
 
 Semantics (ASOF JOIN ... MATCH backward): for each left row, the
 single right row with the same key and the greatest right-ts ≤
-left-ts. Shape per the guide: co-partition both sides by key
-(groupby), sort within the group, and merge with
-``pandas.merge_asof`` — a composition of groupby + map_groups, no raw
-actors.
+left-ts. Shape: co-partition both sides by key
+(``stages.partition.map_partitions``), then one
+``pandas.merge_asof(by=key)`` per partition — no raw actors.
 """
 
 from __future__ import annotations
@@ -15,6 +14,8 @@ from __future__ import annotations
 import pandas as pd
 import pyarrow as pa
 import ray.data as rd
+
+from gdal_ray.stages.partition import map_partitions
 
 
 def range_join(
@@ -71,73 +72,15 @@ def range_join(
     return left.map_batches(probe, batch_format="pyarrow")
 
 
-def asof_join(
-    left: rd.Dataset,
-    right: rd.Dataset,
-    key: str,
-    ts: str,
-    right_cols: list[str],
-    suffix: str = "_r",
-    num_partitions: int = 8,
-    left_schema: pa.Schema | None = None,
-    right_schema: pa.Schema | None = None,
-):
-    """Backward as-of join on (key, ts).
-
-    Both sides are tagged and unioned, then ONE groupby(key) shuffle
-    co-locates each key's rows; the per-group merge sorts by ts and
-    applies merge_asof. Right columns arrive suffixed when colliding.
-
-    ``left_schema``/``right_schema``: pass when known — ``.schema()``
-    on a transformed Dataset triggers a limit-1 probe execution
-    (~1 s fixed cost each).
-    """
-    lt = left.map_batches(
-        lambda t: t.append_column("__side", pa.array([0] * t.num_rows, pa.int8())),
-        batch_format="pyarrow",
-    )
-    rt = right.map_batches(
-        lambda t: t.append_column("__side", pa.array([1] * t.num_rows, pa.int8())),
-        batch_format="pyarrow",
-    )
-    # align schemas for the union: missing columns become nulls
-    lbase0 = left_schema if left_schema is not None else left.schema().base_schema
-    rbase0 = right_schema if right_schema is not None else right.schema().base_schema
-    lcols = set(lbase0.names)
-    rcols = set(rbase0.names)
-
-    def pad(missing):
-        def f(t: pa.Table) -> pa.Table:
-            for c, typ in missing:
-                t = t.append_column(c, pa.nulls(t.num_rows, typ))
-            return t
-
-        return f
-
-    lschema = {f.name: f.type for f in lbase0}
-    rschema = {f.name: f.type for f in rbase0}
-    lt = lt.map_batches(
-        pad([(c, rschema[c]) for c in sorted(rcols - lcols)]),
-        batch_format="pyarrow",
-    )
-    rt = rt.map_batches(
-        pad([(c, lschema[c]) for c in sorted(lcols - rcols)]),
-        batch_format="pyarrow",
-    )
-    both = lt.union(rt)
-    return asof_join_union(both, key, ts, right_cols, suffix,
-                           num_partitions, lbase0, rbase0)
-
-
 def asof_join_union(
     both: rd.Dataset,
     key: str,
     ts: str,
     right_cols: list[str],
     suffix: str = "_r",
-    num_partitions: int = 8,
-    left_schema: pa.Schema | None = None,
-    right_schema: pa.Schema | None = None,
+    *,
+    left_schema: pa.Schema,
+    right_schema: pa.Schema,
 ):
     """As-of join over a PRE-TAGGED union: ``both`` already carries
     every left+right column (missing side columns null-padded) plus
@@ -145,17 +88,14 @@ def asof_join_union(
     derive from ONE source (self-as-of: events vs their own marks) —
     the caller emits the union in a single scan instead of Ray
     executing the shared read twice, once per union branch."""
-    lbase0, rbase0 = left_schema, right_schema
-    lcols = set(lbase0.names)
+    lcols = set(left_schema.names)
 
-    # canonical output schema: every group block must agree (empty
+    # canonical output schema: every partition block must agree (empty
     # groups otherwise degrade int columns to float64 via pandas NaN)
-    lbase = lbase0
-    rbase = rbase0
-    fields = [lbase.field(c) for c in lbase.names]
+    fields = [left_schema.field(c) for c in left_schema.names]
     for c in right_cols:
         out_name = c + suffix if c in lcols else c
-        fields.append(pa.field(out_name, rbase.field(c).type))
+        fields.append(pa.field(out_name, right_schema.field(c).type))
     target = pa.schema(fields)
 
     def merge(g: pd.DataFrame) -> pa.Table:
@@ -183,27 +123,4 @@ def asof_join_union(
             cols.append(col)
         return pa.table(dict(zip(target.names, cols)))
 
-    # COARSE co-partitioning: shuffle on hash(key) % num_partitions,
-    # not on the raw key — map_groups fires its callback once per
-    # group, and per-KEY groups mean thousands of ~1 ms pandas calls
-    # (measured: the dominant cost at sf0.1, 6k users). One partition
-    # = one vectorized merge_asof(by=key) over every key it holds —
-    # identical semantics (merge_asof partitions by `by` internally,
-    # in C), ~num_partitions Python calls total. Skewed keys spread no
-    # worse than the raw-key groupby: one key still lives in one
-    # partition (the merge needs that), but small keys batch together.
-    def add_part(t: pa.Table) -> pa.Table:
-        h = pd.util.hash_pandas_object(
-            t[key].to_pandas(), index=False
-        ).to_numpy()
-        return t.append_column(
-            "__part", pa.array((h % num_partitions).astype("int64")))
-
-    both = both.map_batches(add_part, batch_format="pyarrow")
-
-    def merge_partition(g: pd.DataFrame) -> pa.Table:
-        return merge(g.drop(columns="__part"))
-
-    return both.groupby("__part", num_partitions=num_partitions).map_groups(
-        merge_partition, batch_format="pandas"
-    )
+    return map_partitions(both, key, merge)

@@ -21,6 +21,8 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from gdal_ray.stages.partition import map_partitions
+
 # 64-bit FNV-style rolling polynomial base/mod (fixed seeds)
 _P = np.uint64(1099511628211)
 _MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -291,7 +293,6 @@ def jaccard_ngram_pairs(
     id_col: str = "doc_id",
     k: int = 4,
     threshold: float = 0.5,
-    num_partitions: int = 16,
 ):
     """EXACT all-pairs distinct-k-gram Jaccard via a distributed
     inverted gram index — the classic set-similarity-join shape
@@ -302,26 +303,23 @@ def jaccard_ngram_pairs(
     reference exposes through SQLITE_HAS_SPELLFIX (ogrsqlitevfs role)
     — re-expressed as a corpus-scale pair join.
 
-    Three stages, each the repo's coarse-partition-combine shape:
+    Three stages, the last two on coarse hash partitions
+    (``stages.partition.map_partitions``):
 
     1. ``map_batches``: per-doc distinct gram hashes (vectorized
        sliding-window rolling hash) flattened to (gram, doc, size)
-       postings; partition key = gram % P (the gram IS already a
-       hash).
+       postings.
     2. one vectorized pair expansion per gram partition: lexsort by
        (gram, doc), run-length boundaries, triu-index expansion —
-       emits (a, b, sa, sb) with a < b by construction; partition key
-       = pair hash % P.
-    3. one vectorized combine per pair partition: rows per (a, b) =
+       emits (a, b, sa, sb) with a < b by construction.
+    3. one vectorized combine per (a, b) partition: rows per (a, b) =
        |grams(a) ∩ grams(b)|; Jaccard = ix / (sa + sb - ix); filter.
 
     Scale contract: exact all-pairs is inherently O(Σ_g df(g)²) pair
     rows — hot grams (stopword shingles) dominate.  This is the
     algorithm's cost, not an implementation artifact; at web scale
     use ``near_duplicates`` (MinHash-LSH) and reserve this operator
-    for exact audits / oracle-grade comparisons on bounded corpora.
-    Pair hashes collide only as partition skew, never as wrong
-    results (the combine groups on the real (a, b) values)."""
+    for exact audits / oracle-grade comparisons on bounded corpora."""
 
     def postings(t: pa.Table) -> pa.Table:
         ids = t[id_col].to_numpy(zero_copy_only=False)
@@ -338,7 +336,6 @@ def jaccard_ngram_pairs(
         return pa.table({
             "g": pa.array(g.astype(np.int64)),  # arrow-friendly view
             "d": pa.array(d), "s": pa.array(s),
-            "__part": pa.array((g % num_partitions).astype(np.int64)),
         })
 
     posts = ds.map_batches(postings, batch_format="pyarrow")
@@ -351,7 +348,6 @@ def jaccard_ngram_pairs(
             return pa.table({
                 "a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
                 "sa": pa.array([], pa.int64()), "sb": pa.array([], pa.int64()),
-                "__part": pa.array([], pa.int64()),
             })
         order = np.lexsort((d, g))
         g, d, s = g[order], d[order], s[order]
@@ -366,15 +362,12 @@ def jaccard_ngram_pairs(
         off = np.arange(int(cum[-1])) - np.repeat(cum[:-1], rep)
         b_idx = a_idx + 1 + off
         a, b = d[a_idx], d[b_idx]  # a < b: sorted by (g, d), distinct
-        ph = (a * np.int64(1000003) + b) % num_partitions
         return pa.table({
             "a": pa.array(a), "b": pa.array(b),
             "sa": pa.array(s[a_idx]), "sb": pa.array(s[b_idx]),
-            "__part": pa.array(ph.astype(np.int64)),
         })
 
-    pairs = posts.groupby("__part", num_partitions=num_partitions) \
-        .map_groups(expand, batch_format="pyarrow")
+    pairs = map_partitions(posts, "g", expand, batch_format="pyarrow")
 
     def combine(t: pa.Table) -> pa.Table:
         a = t["a"].to_numpy(zero_copy_only=False)
@@ -399,8 +392,8 @@ def jaccard_ngram_pairs(
             "jaccard": pa.array(jac[keep], pa.float64()),
         })
 
-    return pairs.groupby("__part", num_partitions=num_partitions) \
-        .map_groups(combine, batch_format="pyarrow")
+    return map_partitions(pairs, ["a", "b"], combine,
+                          batch_format="pyarrow")
 
 
 def connected_components(pairs_ds, max_iters: int = 10, num_partitions: int | None = None):
@@ -476,63 +469,46 @@ def connected_components(pairs_ds, max_iters: int = 10, num_partitions: int | No
     return labels
 
 
-def dedup_paragraphs(ds, text_col: str = "text", id_col: str = "doc_id",
-                     num_partitions: int = 8):
+def dedup_paragraphs(ds, text_col: str = "text", id_col: str = "doc_id"):
     """Cross-document paragraph-level exact dedup (the C4/CCNet
     recipe: a paragraph repeated anywhere in the corpus survives only
     at its FIRST occurrence, ordered by (doc id, paragraph index);
     empty paragraphs always survive — they are structure, not
     content; a document whose every paragraph is removed drops out of
-    the corpus).
+    the corpus; a null text is one empty paragraph).
 
-    Shape: explode to (id, idx, paragraph) → groupby(paragraph fp)
-    keeps the minimal (id, idx) per fingerprint → groupby(id)
-    reassembles surviving paragraphs in order. Two key-hash shuffles,
-    no driver-side state; the paragraph text rides the shuffle once
-    per stage (at corpus scale, shuffle fp+ids only and rejoin against
-    the exploded table to halve the exchange)."""
+    Shape: Arrow-native explode to (id, idx, paragraph) → partitions
+    on the paragraph text keep each paragraph's minimal (id, idx) →
+    partitions on the id reassemble the survivors in order. Two
+    ``stages.partition`` shuffles, one vectorized pandas pass per
+    partition, no driver-side state; the paragraph text rides both
+    shuffles (at corpus scale, shuffle a fingerprint + ids only and
+    rejoin against the exploded table to halve the exchange)."""
     import pandas as pd
-
-    from gdal_ray.stages.sketch import hash_any
+    import pyarrow.compute as pc
 
     def explode(t: pa.Table) -> pa.Table:
-        ids, idxs, pars = [], [], []
-        for did, text in zip(t[id_col].to_pylist(),
-                             t[text_col].to_pylist()):
-            for i, par in enumerate((text or "").split("\n")):
-                ids.append(did)
-                idxs.append(i)
-                pars.append(par)
-        out = pa.table({
-            id_col: pa.array(ids, pa.int64()),
-            "__idx": pa.array(idxs, pa.int64()),
-            "__par": pa.array(pars, pa.string()),
+        text = t[text_col]
+        if isinstance(text, pa.ChunkedArray):
+            text = text.combine_chunks()
+        pars = pc.split_pattern(pc.fill_null(text, ""), "\n")
+        parent = pc.list_parent_indices(pars).to_numpy()
+        starts = pars.offsets.to_numpy() - pars.offsets[0].as_py()
+        return pa.table({
+            id_col: t[id_col].take(parent),
+            "__idx": np.arange(len(parent)) - starts[parent],
+            "__par": pc.list_flatten(pars),
         })
-        fp = hash_any(out["__par"]).astype(np.int64)
-        return out.append_column("__fp", pa.array(fp))
-
-    pars = ds.map_batches(explode, batch_format="pyarrow")
 
     def keep_first(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([id_col, "__idx"], kind="mergesort")
-        keep = np.zeros(len(g), dtype=bool)
-        seen: set = set()
-        for i, par in enumerate(g["__par"]):
-            if par == "" or par not in seen:
-                keep[i] = True
-                if par != "":
-                    seen.add(par)
-        return g[keep]
-
-    winners = pars.groupby("__fp", num_partitions=num_partitions) \
-        .map_groups(keep_first, batch_format="pandas")
+        return g[(g["__par"] == "") | ~g["__par"].duplicated()]
 
     def reassemble(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("__idx", kind="mergesort")
-        return pd.DataFrame({
-            id_col: [g[id_col].iloc[0]],
-            text_col: ["\n".join(g["__par"])],
-        })
+        g = g.sort_values([id_col, "__idx"], kind="mergesort")
+        return g.groupby(id_col, sort=False)["__par"].agg("\n".join) \
+            .reset_index().rename(columns={"__par": text_col})
 
-    return winners.groupby(id_col, num_partitions=num_partitions) \
-        .map_groups(reassemble, batch_format="pandas")
+    pars = ds.map_batches(explode, batch_format="pyarrow")
+    winners = map_partitions(pars, "__par", keep_first)
+    return map_partitions(winners, id_col, reassemble)

@@ -358,7 +358,7 @@ def decode_wav(payload: bytes):
     else:
         raise NotImplementedError(
             f"WAV codec {audio_fmt:#x} (PCM/IEEE-float/A-law/mu-law/"
-            f"IMA-ADPCM supported)"
+            f"IMA/MS-ADPCM supported)"
         )
     if dt is None:
         raise NotImplementedError(f"WAV: {bits}-bit samples")

@@ -8,18 +8,17 @@ match ANSI ``F(...) OVER (PARTITION BY key ORDER BY ts)`` with
 deterministic (order key, tiebreak column) ordering — DuckDB-verified
 in tests.
 
-Shape (the asof-join lesson, stages/asof.py): shuffle once on
-``hash(key) % num_partitions`` — NOT the raw key, so ``map_groups``
-fires ~num_partitions vectorized pandas calls instead of one per key
-— then compute every requested function with pandas grouped
-transforms inside the partition. One all-to-all total; a key lives
-entirely in one partition, small keys batch together.
+Shape: one ``stages.partition.map_partitions`` shuffle on the
+partition key, then every requested function as pandas grouped
+transforms over the whole partition.
 """
 
 from __future__ import annotations
 
 import pandas as pd
 import pyarrow as pa
+
+from gdal_ray.stages.partition import map_partitions
 
 #: supported spec entries: name -> (callable(groupby, col, arg), needs_col)
 _FUNCS = frozenset(
@@ -29,8 +28,7 @@ _FUNCS = frozenset(
 
 
 def window(ds, key, order_by, funcs: list[tuple],
-           tiebreak: str | None = None, num_partitions: int = 8,
-           descending=False):
+           tiebreak: str | None = None, descending=False):
     """Apply window functions over ``PARTITION BY key ORDER BY
     order_by [, tiebreak]``.
 
@@ -53,20 +51,12 @@ def window(ds, key, order_by, funcs: list[tuple],
     descs = ([descending] * len(orders) if isinstance(descending, bool)
              else list(descending))
 
-    def add_part(t: pa.Table) -> pa.Table:
-        h = pd.util.hash_pandas_object(
-            t.select(keys).to_pandas(), index=False).to_numpy()
-        return t.append_column(
-            "__part", pa.array((h % num_partitions).astype("int64")))
-
-    ds = ds.map_batches(add_part, batch_format="pyarrow")
-
     sort_cols = keys + orders + ([tiebreak] if tiebreak else [])
     ascending = ([True] * len(keys) + [not d for d in descs]
                  + ([True] if tiebreak else []))
 
     def apply(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns="__part").sort_values(
+        g = g.sort_values(
             sort_cols, ascending=ascending,
             kind="mergesort").reset_index(drop=True)
         grp = g.groupby(keys, sort=False)
@@ -91,9 +81,7 @@ def window(ds, key, order_by, funcs: list[tuple],
                 g[out] = grp[col].cummin()
         return g
 
-    out = ds.groupby("__part", num_partitions=num_partitions).map_groups(
-        apply, batch_format="pandas"
-    )
+    out = map_partitions(ds, keys, apply)
 
     def fix_nulls(t: pa.Table) -> pa.Table:
         # pandas shift() emits NaN for null — restore Arrow nulls so

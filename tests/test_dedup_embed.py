@@ -71,7 +71,7 @@ class TestMinHash:
         sh = [dedup.char_shingle_hashes(x, 4) for x in texts]
         for thr in (0.1, 0.3, 0.5):
             pairs = dedup.jaccard_ngram_pairs(
-                ds, threshold=thr, num_partitions=4).to_pandas()
+                ds, threshold=thr).to_pandas()
             got = {(r.a, r.b): r.jaccard for r in pairs.itertuples()}
             expected = {}
             for i in range(len(texts)):
@@ -88,8 +88,7 @@ class TestMinHash:
 
         one = pa.table({"doc_id": pa.array([7], pa.int64()),
                         "text": pa.array(["lonely"], pa.string())})
-        out = dedup.jaccard_ngram_pairs(
-            rd.from_arrow(one), num_partitions=2).to_pandas()
+        out = dedup.jaccard_ngram_pairs(rd.from_arrow(one)).to_pandas()
         # zero pairs; Ray 2.49 drops the schema of an all-empty
         # groupby output (zero-column empty blocks), so only the
         # row-count contract is asserted here

@@ -2,7 +2,9 @@
 (autotest/ogr/ogr_dxf.py) by extracting its check_feature_geometry
 expected-WKT strings directly from the test source."""
 
+import functools
 import math
+import os
 import re
 
 import numpy as np
@@ -16,11 +18,18 @@ from gdal_ray.geom import wkt as gwkt
 DATA = "/root/reference/autotest/ogr/data/dxf"
 AUTOTEST = "/root/reference/autotest/ogr/ogr_dxf.py"
 
-_SRC = open(AUTOTEST).read()
+pytestmark = pytest.mark.skipif(not os.path.exists(AUTOTEST),
+                                reason="GDAL autotest checkout absent")
+
+
+@functools.lru_cache(maxsize=None)
+def _src():
+    with open(AUTOTEST) as f:
+        return f.read()
 
 
 def _func_body(name):
-    m = re.search(rf"\ndef {name}\(.*?\):\n(.*?)(?=\ndef |\Z)", _SRC, re.S)
+    m = re.search(rf"\ndef {name}\(.*?\):\n(.*?)(?=\ndef |\Z)", _src(), re.S)
     return m.group(1)
 
 

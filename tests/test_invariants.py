@@ -294,14 +294,19 @@ class TestParagraphDedup:
         from gdal_ray.stages.dedup import dedup_paragraphs
 
         docs = pa.table({
-            "doc_id": pa.array([1, 2, 3], pa.int64()),
+            "doc_id": pa.array(range(1, 15), pa.int64()),
             "text": [
                 "alpha\nshared boilerplate\nbeta",
                 "shared boilerplate\ngamma\n\ndelta",
                 "gamma\nshared boilerplate\nalpha",
-            ],
+                None,
+                "\n\n",
+                "alpha\n\nbeta",
+            ] + [f"hot footer\nbody {i}" for i in range(7, 15)],
         })
-        out = dedup_paragraphs(rd.from_arrow(docs)).to_pandas() \
+        # two blocks: the null sits in a different batch from most rows
+        out = dedup_paragraphs(
+            rd.from_arrow([docs.slice(0, 4), docs.slice(4)])).to_pandas() \
             .set_index("doc_id")["text"].to_dict()
         # first occurrences: doc1 keeps everything; doc2 loses the
         # boilerplate but keeps gamma + the empty line; doc3 loses
@@ -309,6 +314,16 @@ class TestParagraphDedup:
         assert out[1] == "alpha\nshared boilerplate\nbeta"
         assert out[2] == "gamma\n\ndelta"
         assert 3 not in out
+        # a null text is one empty paragraph; empty paragraphs always
+        # survive, so doc5 keeps its three and doc6 keeps only its
+        # empty line
+        assert out[4] == ""
+        assert out[5] == "\n\n"
+        assert out[6] == ""
+        # the hot paragraph (8 of 14 docs) survives only in doc7
+        assert out[7] == "hot footer\nbody 7"
+        assert all(out[i] == f"body {i}" for i in range(8, 15))
+        assert len(out) == 13
 
     def test_oracle_over_documents(self, ray_session):
         import duckdb

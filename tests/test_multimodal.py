@@ -166,7 +166,7 @@ class TestWavDecodeStage:
 
         from gdal_ray.stages.multimodal import decode_wav
 
-        fmt = struct.pack("<HHIIHH", 2, 1, 8000, 8000, 1, 4)  # ADPCM
+        fmt = struct.pack("<HHIIHH", 0x55, 1, 8000, 8000, 1, 0)  # MP3
         body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
                 + b"data" + struct.pack("<I", 4) + b"\0\0\0\0")
         blob = b"RIFF" + struct.pack("<I", len(body)) + body

@@ -129,6 +129,61 @@ class TestRayPaths:
         assert got[6] == "LINESTRING (2 49, 3 49, 3 50, 2 50, 2 49)"
 
 
+class TestSyntheticAssembly:
+    """The distributed way assembly equals the single-process layer
+    builder on a file written by ``write_osm_pbf`` (no reference
+    fixtures needed)."""
+
+    def test_assembly_matches_osm_layers(self, ray_session, tmp_path):
+        from gdal_ray.geom import wkb as gwkb
+        from gdal_ray.osmpbf import (
+            assemble_way_geometries,
+            assemble_way_lines,
+            write_osm_pbf,
+        )
+
+        nodes = [(i, 2.0 + 0.5 * (i % 3), 49.0 + 0.25 * i, [], [])
+                 for i in range(1, 9)]
+        ways = [
+            (10, [1, 2, 3], ["highway"], ["residential"]),
+            # closed + area=yes: a polygon
+            (11, [4, 5, 6, 7, 4], ["area", "name"], ["yes", "plaza"]),
+            # ref 900 is absent from the file: skipped, order kept
+            (12, [2, 900, 3, 8], ["highway"], ["track"]),
+            # closed but not an area way: stays a line
+            (13, [5, 6, 7, 5], ["highway"], ["service"]),
+        ]
+        p = str(tmp_path / "synthetic.osm.pbf")
+        write_osm_pbf(p, {"nodes": nodes, "ways": ways, "relations": []},
+                      elements_per_blob=3)
+
+        layers = osm_layers(p)
+        want_lines = {int(r["osm_id"]): r["geometry"]
+                      for r in layers["lines"].to_pylist()}
+        want_polys = {int(r["osm_way_id"]): r["geometry"]
+                      for r in layers["multipolygons"].to_pylist()
+                      if r["osm_way_id"] is not None}
+        assert set(want_lines) == {10, 12, 13}
+        assert set(want_polys) == {11}
+
+        ds = read_osm_elements(p)
+        lines = {int(r["osm_id"]): r["geometry"]
+                 for r in assemble_way_lines(ds).to_pandas()
+                 .to_dict("records")}
+        geoms = {int(r["osm_id"]): (bool(r["is_polygon"]), r["geometry"])
+                 for r in assemble_way_geometries(ds).to_pandas()
+                 .to_dict("records")}
+        assert set(lines) == set(geoms) == {10, 11, 12, 13}
+        for wid, wkb in want_lines.items():
+            assert lines[wid] == wkb
+            assert geoms[wid] == (False, wkb)
+        (ring,) = gwkb.polygon_rings(want_polys[11])
+        assert geoms[11][0] is True
+        (got,) = gwkb.polygon_rings(geoms[11][1])
+        assert np.array_equal(got, ring)
+        assert np.array_equal(gwkb.parse(lines[11])["coords"], ring)
+
+
 class TestCLI:
     def test_pipeline_read_osm_layer(self, tmp_path):
         import glob
