@@ -31,7 +31,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from gdal_ray.stages.partition import map_partitions
+from gdal_ray.stages.partition import join_partitions, map_partitions
 
 # ------------------------------------------------------------ tokenizer
 _TOKEN_RE = re.compile(
@@ -147,11 +147,11 @@ class ExistsSubquery:
 @dataclass
 class InSubquery:
     """``col [NOT] IN (SELECT one_col FROM …)`` — compiled to a
-    distributed semi / anti join (stages/join.py), never a driver
-    value set.  Only legal as a top-level AND conjunct of WHERE.
-    Contract: the subquery column is null-free (anti-join semantics;
-    SQL's three-valued NOT-IN-with-NULL is intentionally not
-    reproduced — same stance as the reference's swq evaluator)."""
+    distributed semi / anti join (``stages.partition.join_partitions``),
+    never a driver value set.  Only legal as a top-level AND conjunct
+    of WHERE.  NULLs follow SQL's three-valued logic: a NULL never
+    matches, and ``NOT IN`` keeps no row when the subquery holds a
+    NULL, and drops a NULL left key unless the subquery is empty."""
 
     operand: object          # must resolve to a plain column
     select: object           # Select
@@ -1332,8 +1332,9 @@ def _compile_windows(ds, sel):
 def execute(sql: str, tables: dict):
     """Run a SELECT over Ray Datasets: ``tables`` maps name →
     ray.data.Dataset. Returns a Dataset. Single-equality INNER/LEFT
-    JOINs are compiled onto Dataset.join (hash join); non-key column
-    names must be distinct across the joined tables.
+    JOINs are compiled onto ``stages.partition.join_partitions`` (hash
+    join); non-key column names must be distinct across the joined
+    tables.
 
     Round 5: ``WITH name AS (SELECT …)`` CTEs, FROM/JOIN subqueries
     (each compiles recursively to a Dataset sub-plan — a CTE is just
@@ -1380,15 +1381,7 @@ def _compile(sel: Select, tables: dict):
         rc = rcol.split(".")[-1]
         if lc not in ds.schema().names:
             lc, rc = rc, lc
-        ds = ds.join(
-            right, join_type=kind, num_partitions=4, on=(lc,),
-            right_on=(rc,),
-        )
-        # hash joins must compose (chained JOINs / IN-subqueries):
-        # coalesce away the zero-column empty-partition blocks
-        from gdal_ray.stages.join import join_compose_safe
-
-        ds = join_compose_safe(ds, 4)
+        ds = join_partitions(ds, right, lc, rc, kind)
     if sel.joins or sel.table_alias or isinstance(sel.table, Select):
         sel.columns = [(_strip_quals(e), a) for e, a in sel.columns]
         if sel.where is not None:
@@ -1416,16 +1409,7 @@ def _compile(sel: Select, tables: dict):
             if not isinstance(conj.operand, Col):
                 raise ValueError(
                     "IN (SELECT …) left side must be a plain column")
-            from gdal_ray.stages.join import anti_join_ds, semi_join_ds
-
-            sub = _compile(conj.select, tables)
-            sub_cols = sub.schema().names
-            if len(sub_cols) != 1:
-                raise ValueError(
-                    "IN (SELECT …) subquery must produce one column")
-            key = conj.operand.name.split(".")[-1]
-            fn = anti_join_ds if conj.negated else semi_join_ds
-            ds = fn(ds, sub, key, right_key=sub_cols[0])
+            ds = _compile_in(ds, conj, tables)
         if not plain:
             sel.where = None
         else:
@@ -1644,6 +1628,37 @@ def _resolve_scalar_subqueries(node, tables: dict):
     return node
 
 
+def _compile_in(ds, conj: InSubquery, tables: dict):
+    """[NOT] IN conjunct → semi/anti join on the subquery's one
+    column, named from its select list (an all-empty sub-plan has no
+    schema to ask).  NOT IN is SQL's three-valued test: one NULL in
+    the subquery leaves no row, and a NULL left key survives only an
+    empty subquery — so the subquery is checkpointed and its per-batch
+    row / NULL counts gate the anti join at compile time (O(batches)
+    driver work, the documented eager step of the EXISTS gate)."""
+    cols = conj.select.columns
+    if len(cols) != 1 or (isinstance(cols[0][0], Col)
+                          and cols[0][0].name == "*"):
+        raise ValueError("IN (SELECT …) subquery must produce one column")
+    sub = _compile(conj.select, tables)
+    e, alias = conj.select.columns[0]
+    col = alias or _expr_name(e, 0)
+    key = conj.operand.name.split(".")[-1]
+    if not conj.negated:
+        return join_partitions(ds, sub, key, col, "left_semi")
+    sub = sub.materialize()
+    counts = sub.map_batches(
+        lambda t: pa.table({"n": [t.num_rows], "nulls": [t[col].null_count]}),
+        batch_format="pyarrow").take_all()
+    if not sum(r["n"] for r in counts):
+        return ds
+    if sum(r["nulls"] for r in counts):
+        return ds.limit(0)
+    ds = ds.map_batches(lambda t: t.filter(pc.is_valid(t[key])),
+                        batch_format="pyarrow")
+    return join_partitions(ds, sub, key, col, "left_anti")
+
+
 def _compile_exists(ds, conj: ExistsSubquery, tables: dict):
     """[NOT] EXISTS conjunct → semi/anti join on the single correlated
     equality (see ``ExistsSubquery``).  The correlation conjunct is
@@ -1652,8 +1667,6 @@ def _compile_exists(ds, conj: ExistsSubquery, tables: dict):
     alias/table qualifier, or by schema membership when unqualified).
     Uncorrelated EXISTS gates on ``limit(1).count()`` at compile time
     (O(1) driver work, documented eager step)."""
-    from gdal_ray.stages.join import anti_join_ds, semi_join_ds
-
     sub = conj.select
     if not isinstance(sub.table, str) or sub.table not in tables:
         raise ValueError("EXISTS subquery must select FROM a known table")
@@ -1697,8 +1710,8 @@ def _compile_exists(ds, conj: ExistsSubquery, tables: dict):
     keysel = Select(columns=[(Col(inner_col), None)], table=sub.table,
                     table_alias=sub.table_alias, where=inner_where)
     right = _compile(keysel, tables)
-    fn = anti_join_ds if conj.negated else semi_join_ds
-    return fn(ds, right, outer_col, right_key=inner_col)
+    return join_partitions(ds, right, outer_col, inner_col,
+                           "left_anti" if conj.negated else "left_semi")
 
 
 def _contains_in_subquery(node) -> bool:

@@ -11,9 +11,8 @@ Each stage is a ``map_batches`` transform or one keyed shuffle;
 nothing materializes on the driver except the (small, bounded)
 benchmark hash set.  The near-dup drop set in particular stays
 distributed end-to-end: verified pairs project to ``max(a, b)`` per
-batch, de-duplicate inside the anti join's build side, and survivors
-are selected with a hash-partitioned ``Dataset.join(left_anti)`` —
-at 100 TB the pair table is O(corpus) rows and never touches the
+batch, and survivors are selected with a hash-partitioned left anti
+join (``stages.partition.join_partitions``) — at 100 TB the pair table is O(corpus) rows and never touches the
 driver. ``curate()`` returns the curated Dataset plus a per-stage
 row ledger so tests (and operators at 100 TB) can see exactly where
 documents were dropped.
@@ -32,7 +31,6 @@ def curate(
     max_top2gram_frac: float = 0.20,
     jaccard_threshold: float = 0.8,
     count_stages: bool = True,
-    join_meta: str = "shuffle",
     pages=None,
 ):
     """documents → synthesized pages (url/warc_ts/html) → curated
@@ -51,6 +49,7 @@ def curate(
     )
     from gdal_ray.stages.dedup import dedup_paragraphs
     from gdal_ray.stages.html import HtmlTextExtractor, synthesize_html_batch
+    from gdal_ray.stages.partition import join_partitions
     from gdal_ray.stages.text import (
         LanguageID,
         quality_score,
@@ -129,46 +128,33 @@ def curate(
                     decontaminate(docs, idx, mode="drop"))
 
     # 6. cross-document paragraph dedup (keeps doc_id + text), then
-    #    re-attach the metadata columns by doc_id.
-    #    join_meta="shuffle" (default) = distributed hash join — the
-    #    corpus-scale shape; "broadcast" funnels the metadata table to
-    #    the driver and ships it once — faster on fixture-sized runs,
-    #    a driver materialization at scale.
+    #    re-attach the metadata columns by doc_id with a distributed
+    #    hash join.
+    #
+    # Checkpoint the corpus in the (distributed, spillable) object
+    # store at each fan-out to TWO consumers: here the paragraph-dedup
+    # branch and the metadata branch; after the join the near-dup
+    # candidate branch and the anti join's probe side. Without a
+    # checkpoint both lineages re-execute the shared prefix inside ONE
+    # streaming topology (a diamond), doubling the work and stacking
+    # enough shuffle operators to starve a 1-CPU budget outright (the
+    # union of the two branches stalls). A materialize is the
+    # multi-consumer checkpoint shape, not a driver collect: blocks
+    # stay sharded across the cluster and spill to disk at 100 TB.
+    docs = docs.materialize()
     deduped = dedup_paragraphs(
         docs.select_columns(["doc_id", "text"]))
-    meta = docs.drop_columns(["text"])
-    if join_meta == "broadcast":
-        from gdal_ray.stages.join import broadcast_hash_join
-
-        meta_tbl = pa.concat_tables(
-            meta.iter_batches(batch_format="pyarrow", batch_size=None))
-        joined = broadcast_hash_join(deduped, meta_tbl,
-                                     "doc_id", "doc_id")
-    else:
-        joined = deduped.join(meta, join_type="inner", on=("doc_id",),
-                              num_partitions=4)
-    docs = note("after_paragraph_dedup", joined)
-
-    # Checkpoint the deduped corpus in the (distributed, spillable)
-    # object store before it fans out to TWO consumers — the near-dup
-    # candidate branch and the anti join's probe side. Without this,
-    # both lineages re-execute the paragraph-dedup join inside ONE
-    # streaming topology (a diamond), doubling the work and — with
-    # the near-dup shuffles — stacking enough hash-shuffle operators
-    # to starve a small CPU budget outright (observed deadlock at 4
-    # CPUs). A materialize here is the multi-consumer checkpoint
-    # shape, not a driver collect: blocks stay sharded across the
-    # cluster and spill to disk at 100 TB.
-    docs = docs.materialize()
+    joined = join_partitions(deduped, docs.drop_columns(["text"]),
+                             "doc_id")
+    docs = note("after_paragraph_dedup", joined).materialize()
 
     # 7. MinHash-LSH near-duplicate removal: keep the smallest doc_id
     #    of every verified near-dup pair.  DISTRIBUTED end-to-end: the
     #    pair Dataset projects to drop ids (max of each pair) per
-    #    batch, and survivors come from a hash-partitioned left_anti
+    #    batch, and survivors come from a hash-partitioned left anti
     #    join — the pair table is O(corpus) at 100 TB and must never
     #    be collected to the driver (r4 judge flag, fixed r5).
     from gdal_ray.stages.dedup import near_duplicates
-    from gdal_ray.stages.join import anti_join_ds
 
     pairs = near_duplicates(
         docs.select_columns(["doc_id", "text"]),
@@ -183,7 +169,8 @@ def curate(
         return pa.table({"doc_id": pc.unique(drop)})
 
     drops = pairs.map_batches(pair_drop_ids, batch_format="pyarrow")
-    docs = note("after_near_dup", anti_join_ds(docs, drops, "doc_id"))
+    docs = note("after_near_dup",
+                join_partitions(docs, drops, "doc_id", join_type="left_anti"))
 
     # 8. token statistics on the curated corpus
     def token_stats(t: pa.Table) -> pa.Table:

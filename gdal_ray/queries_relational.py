@@ -10,7 +10,7 @@ Operator coverage mapped to the reference:
 - ORDER BY + LIMIT (ogr_gensql.cpp:2209 CreateOrderByIndex → ds.sort)
 - SELECT DISTINCT (swq_parser.y:831 → ds.unique / groupby)
 - JOIN (ogr_gensql.cpp:1325 nested-loop LEFT join → broadcast hash
-  join / Dataset.join)
+  join / the partitioned ``join_partitions``)
 - UNION ALL (ogrunionlayer.cpp → ds.union)
 - tumbling event-time window (Ray groupby on truncated ts; the
   reference has no windows — §2.11 — this is the training-pipeline
@@ -165,10 +165,10 @@ def q_join_orders_customer(sf_dir: str):
     """orders ⋈ customer: pre-aggregate the big side to one row per
     key, then BROADCAST-hash-join the dimension table (customer is
     O(1/10) of orders by TPC-H construction — small side by design).
-    Round 4: replaces ``Dataset.join`` here, whose hash-shuffle
+    Round 4: replaces Ray's ``Dataset.join`` here, whose hash-shuffle
     operator startup cost (~4.5 s flat from sf0.001 to sf0.1) dwarfed
-    the actual work; the large-large shuffle join remains the path in
-    ``semi_join_ds``/``q_semi_anti_join``."""
+    the actual work; large-large joins take
+    ``stages.partition.join_partitions`` (``q_semi_anti``)."""
     import pyarrow.parquet as pq
 
     from gdal_ray.stages.join import broadcast_hash_join
@@ -524,18 +524,19 @@ def q_semi_anti(sf_dir: str):
     """Customers WITH orders (semi) tagged, customers WITHOUT (anti)
     — DISTRIBUTED hash semi/anti joins (§2.4 mapping). No driver key
     set: at 100 TB the distinct-customer side is billions of keys, so
-    both sides stay on the workers (Dataset.join left_semi/left_anti);
-    the broadcast key-set path in stages/join.py remains the
-    small-side fast path."""
-    from gdal_ray.stages.join import anti_join_ds, semi_join_ds
+    both sides stay on the workers (``join_partitions`` left_semi /
+    left_anti)."""
+    from gdal_ray.stages.partition import join_partitions
 
     orders = _read(sf_dir, "orders", columns=["o_custkey"])
     cust = _read(sf_dir, "customer", columns=["c_custkey"])
-    semi = semi_join_ds(cust, orders, "c_custkey", "o_custkey").map_batches(
+    semi = join_partitions(cust, orders, "c_custkey", "o_custkey",
+                           "left_semi").map_batches(
         lambda t: t.append_column("has_orders", pa.array([True] * t.num_rows)),
         batch_format="pyarrow",
     )
-    anti = anti_join_ds(cust, orders, "c_custkey", "o_custkey").map_batches(
+    anti = join_partitions(cust, orders, "c_custkey", "o_custkey",
+                           "left_anti").map_batches(
         lambda t: t.append_column("has_orders", pa.array([False] * t.num_rows)),
         batch_format="pyarrow",
     )
@@ -635,8 +636,8 @@ WHERE source IN (SELECT source FROM documents WHERE n_chars > 530)
 def q_sql_in_subquery(sf_dir: str):
     """[NOT] IN (SELECT …) through the SQL dialect (round 5): both
     membership tests compile to DISTRIBUTED semi/anti joins
-    (stages/join.py semi_join_ds/anti_join_ds — no driver value
-    set); the oracle statement runs VERBATIM through ogrsql."""
+    (stages/partition.py join_partitions — no driver value set); the
+    oracle statement runs VERBATIM through ogrsql."""
     from gdal_ray import ogrsql
 
     ds = _read(sf_dir, "documents",

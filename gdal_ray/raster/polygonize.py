@@ -486,8 +486,7 @@ def tile_parts(batch: pa.Table, connectivity: int = 4) -> pa.Table:
     )
 
 
-def distributed_component_counts(tiles_ds, connectivity: int = 4,
-                                 num_partitions: int | None = None):
+def distributed_component_counts(tiles_ds, connectivity: int = 4):
     """Fully distributed cross-tile component merge — NO driver-side
     union-find (the r2 verdict's polygonize scale fix): per-tile
     labels + borders (``tile_parts``) → shared-face groupby (each
@@ -505,6 +504,7 @@ def distributed_component_counts(tiles_ds, connectivity: int = 4,
     from ray.data.aggregate import Max, Min, Sum
 
     from gdal_ray.stages.dedup import connected_components
+    from gdal_ray.stages.partition import join_partitions
 
     parts = tiles_ds.map_batches(
         lambda t: tile_parts(t, connectivity), batch_format="pyarrow"
@@ -557,13 +557,9 @@ def distributed_component_counts(tiles_ds, connectivity: int = 4,
             batch_format="pyarrow",
         )
     else:
-        labels = connected_components(
-            pairs, num_partitions=num_partitions
-        ).rename_columns({"node": "node_r"})
-        np_ = num_partitions or max(2, min(16, parts.num_blocks()))
-        joined = comp.join(labels, join_type="left_outer",
-                           num_partitions=np_,
-                           on=("label_id",), right_on=("node_r",))
+        labels = connected_components(pairs)
+        joined = join_partitions(comp, labels, "label_id", "node",
+                                 "left_outer")
 
         def coalesce(t: pa.Table) -> pa.Table:
             g = pc.coalesce(t["label"], t["label_id"])

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from gdal_ray.stages.partition import map_partitions
+from gdal_ray.stages.partition import join_partitions, map_partitions
 
 # 64-bit FNV-style rolling polynomial base/mod (fixed seeds)
 _P = np.uint64(1099511628211)
@@ -238,26 +238,21 @@ def near_duplicates(
     id_col: str = "doc_id",
     k: int = 4,
     threshold: float = 0.8,
-    num_partitions: int = 2,
 ):
     """Verified near-duplicate pairs: LSH candidates → exact n-gram
     Jaccard ≥ threshold.
 
-    The verification texts arrive via DISTRIBUTED hash joins on the
-    candidate ids (candidates ⋈ texts on a, then on b) — nothing is
-    materialized on the driver, so the corpus side streams at any
-    scale; the candidate set (already deduped across bands) is the
-    only shuffled pair table."""
+    The verification texts arrive via DISTRIBUTED hash joins
+    (``join_partitions``) on the candidate ids (candidates ⋈ texts on
+    a, then on b) — nothing is materialized on the driver, so the
+    corpus side streams at any scale; the candidate set (already
+    deduped across bands) is the only shuffled pair table."""
     cand = minhash_candidate_pairs(ds, text_col, id_col, k)
     texts = ds.select_columns([id_col, text_col])
     ta = texts.rename_columns({id_col: "a", text_col: "text_a"})
     tb = texts.rename_columns({id_col: "b", text_col: "text_b"})
-    cand = cand.join(
-        ta, join_type="inner", on=("a",), num_partitions=num_partitions
-    )
-    cand = cand.join(
-        tb, join_type="inner", on=("b",), num_partitions=num_partitions
-    )
+    cand = join_partitions(cand, ta, "a")
+    cand = join_partitions(cand, tb, "b")
 
     def verify(batch: pa.Table) -> pa.Table:
         a = batch["a"].to_pylist()
@@ -396,7 +391,7 @@ def jaccard_ngram_pairs(
                           batch_format="pyarrow")
 
 
-def connected_components(pairs_ds, max_iters: int = 10, num_partitions: int | None = None):
+def connected_components(pairs_ds, max_iters: int = 10):
     """Min-label propagation over verified pairs → (id, component)
     rows. Each round: label[x] = min(label of all neighbors ∪ self);
     converges in O(diameter) groupby rounds (guide pattern —
@@ -405,8 +400,7 @@ def connected_components(pairs_ds, max_iters: int = 10, num_partitions: int | No
     Convergence is detected distributively: labels only ever decrease,
     so the scalar SUM(label) strictly decreases until the fixed point
     — one tiny aggregate per round, never a driver materialization of
-    the label table.  ``num_partitions`` defaults to the edge-set
-    block count (clamped), so shuffle width tracks data size."""
+    the label table."""
     from ray.data.aggregate import Min, Sum
 
     # edges both directions + self loops
@@ -425,10 +419,6 @@ def connected_components(pairs_ds, max_iters: int = 10, num_partitions: int | No
     edges = pairs_ds.select_columns(["a", "b"]).map_batches(
         expand, batch_format="pyarrow"
     ).materialize()
-    if num_partitions is None:
-        # proportional to data; >= 2, bounded so tiny graphs don't hit
-        # the ray-2.49 empty-hash-partition schema loss in the join
-        num_partitions = max(2, min(16, edges.num_blocks()))
     # initial label = own id
     labels = edges.groupby("node").aggregate(Min("peer", alias_name="minpeer"))
 
@@ -440,18 +430,8 @@ def connected_components(pairs_ds, max_iters: int = 10, num_partitions: int | No
     labels = labels.map_batches(init, batch_format="pyarrow").materialize()
     prev_sum = labels.aggregate(Sum("label", alias_name="s"))["s"]
     for _ in range(max_iters):
-        # propagate: node's label -> peers (rename the right key so the
-        # hash join has unambiguous columns; Dataset.rename_columns
-        # keeps the schema visible to the join planner — a rename
-        # inside map_batches does not)
-        lbl_r = labels.rename_columns({"node": "node_r"})
-        # caveat (ray 2.49): an EMPTY join partition loses its schema
-        # and the pyarrow join fails with "no match for FieldRef" —
-        # keep num_partitions <= expected distinct-key count
-        joined = edges.join(
-            lbl_r, join_type="inner", on=("node",), right_on=("node_r",),
-            num_partitions=num_partitions,
-        )
+        # propagate: node's label -> peers
+        joined = join_partitions(edges, labels, "node")
         prop = joined.select_columns(["peer", "label"]).map_batches(
             lambda t: t.rename_columns(["node", "label"]), batch_format="pyarrow"
         )

@@ -24,6 +24,8 @@ import numpy as np
 import pyarrow as pa
 import ray
 
+from gdal_ray.stages.partition import join_partitions
+
 _rng = np.random.default_rng(1234)
 
 
@@ -298,7 +300,6 @@ def embedding_near_dups(
     band_bits: int = 3,
     seed: int = 7,
     max_bucket_pairs: int = 4096,
-    num_partitions: int = 4,
 ):
     """Embedding-cosine near-dup pairs (a < b, cosine >= threshold)
     via the scale path: band sign-LSH buckets → within-bucket
@@ -368,7 +369,7 @@ def embedding_near_dups(
         return pa.table({"a": pa.array(ids[ai[keep]]),
                          "b": pa.array(ids[bi[keep]])})
 
-    cand = sig.groupby("bucket_key", num_partitions=num_partitions).map_groups(
+    cand = sig.groupby("bucket_key").map_groups(
         pairs, batch_format="pyarrow"
     )
 
@@ -386,10 +387,8 @@ def embedding_near_dups(
 
     ea = ds.map_batches(pack("a", "emb_a"), batch_format="pyarrow")
     eb = ds.map_batches(pack("b", "emb_b"), batch_format="pyarrow")
-    cand = cand.join(ea, join_type="inner", on=("a",),
-                     num_partitions=num_partitions)
-    cand = cand.join(eb, join_type="inner", on=("b",),
-                     num_partitions=num_partitions)
+    cand = join_partitions(cand, ea, "a")
+    cand = join_partitions(cand, eb, "b")
 
     def unpack(col: pa.ChunkedArray) -> np.ndarray:
         if isinstance(col, pa.ChunkedArray):

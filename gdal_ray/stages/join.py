@@ -1,4 +1,4 @@
-"""Join stages: broadcast point-in-polygon join, hash joins, semi/anti.
+"""Join stages: broadcast point-in-polygon join, broadcast hash join.
 
 The PIP join reproduces GDAL layer-algebra ``Intersection`` for the
 point×polygon case (ogr/ogrsf_frmts/generic/ogrlayer.cpp:5361-5470):
@@ -16,13 +16,15 @@ batch (SURVEY.md §2.4 mapping):
 For polygon sides too large to broadcast, partition BOTH sides by
 covering tile/cell and probe per group (``cell_partitioned_pip`` —
 SURVEY.md §7.3 shuffle fallback).
+
+Equi joins of two Datasets (inner, outer, semi, anti) are
+``stages.partition.join_partitions``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 import ray
 
 from gdal_ray.geom.index import GridPolygonIndex
@@ -237,106 +239,6 @@ def cell_partitioned_pip(
     )
 
 
-def semi_join(points, keys, key_col: str):
-    """Keep rows whose key is in the broadcast key set (the semi join
-    the reference lacks natively — SURVEY.md §2.4 'semi/anti fall out
-    of our hash join'). ``keys`` = iterable / pa.Array."""
-    key_arr = pa.array(list(keys)) if not isinstance(keys, pa.Array) else keys
-    ref = ray.put(key_arr)
-
-    def f(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return batch.filter(pc.is_in(batch[key_col], value_set=ray.get(ref)))
-
-    return points.map_batches(f, batch_format="pyarrow")
-
-
-def anti_join(points, keys, key_col: str):
-    """Drop rows whose key is in the broadcast key set."""
-    key_arr = pa.array(list(keys)) if not isinstance(keys, pa.Array) else keys
-    ref = ray.put(key_arr)
-
-    def f(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return batch.filter(
-            pc.invert(pc.is_in(batch[key_col], value_set=ray.get(ref)))
-        )
-
-    return points.map_batches(f, batch_format="pyarrow")
-
-
-def join_compose_safe(ds, num_blocks: int = 8):
-    """Ray 2.49's hash join emits ZERO-COLUMN empty blocks for empty
-    hash partitions; feeding them into ANOTHER hash join fails inside
-    Acero ("No match or multiple matches for key field reference…" —
-    the key column is absent from the empty block), and a map_batches
-    identity does NOT fix it (empty input blocks are passed through
-    unscheduled).  A ``repartition(shuffle=False)`` rewrites blocks —
-    a linear coalesce, no key exchange — which merges the empties
-    into real blocks, so joins compose."""
-    return ds.repartition(num_blocks)
-
-
-#: keys-side row bound under which membership joins broadcast the key
-#: set instead of shuffling — same trade as ``broadcast_hash_join``'s
-#: guard: the set lives ONCE per node in plasma, the big side streams.
-MEMBERSHIP_BROADCAST_ROWS = 2_000_000
-
-
-def _membership_join(left, right, key_col: str, right_key: str | None,
-                     num_partitions: int, negated: bool):
-    """Shared semi/anti core.  The right side is reduced to per-batch
-    -unique keys first.  If the deduped key set is small (bounded by
-    ``MEMBERSHIP_BROADCAST_ROWS``), membership is a broadcast
-    ``is_in`` filter — no shuffle, and immune to Ray 2.49's
-    zero-column empty right partitions (a hash join whose right side
-    has fewer distinct keys than partitions leaves some right
-    partitions EMPTY, and Acero then can't resolve the key FieldRef —
-    racy, seen on ``IN (SELECT source …)`` with ~4 distinct values).
-    Only a genuinely large key set takes the hash-partitioned
-    ``Dataset.join`` (billions of keys never leave the workers; with
-    that many distinct keys every partition is populated)."""
-    right_key = right_key or key_col
-    keys = right.map_batches(
-        lambda t, c=right_key: pa.table({c: pc.unique(t[c])}),
-        batch_format="pyarrow",
-    ).materialize()
-    if keys.count() <= MEMBERSHIP_BROADCAST_ROWS:
-        chunks = [b[right_key] for b in
-                  keys.iter_batches(batch_format="pyarrow")]
-        if not chunks:  # empty subquery: IN () = none, NOT IN () = all
-            return left if negated else left.limit(0)
-        key_arr = pc.unique(pa.concat_arrays(
-            [c.combine_chunks() if isinstance(c, pa.ChunkedArray) else c
-             for c in chunks]))
-        return (anti_join if negated else semi_join)(left, key_arr, key_col)
-    out = left.join(keys, join_type="left_anti" if negated else "left_semi",
-                    num_partitions=num_partitions,
-                    on=(key_col,), right_on=(right_key,))
-    return join_compose_safe(out, num_partitions)
-
-
-def semi_join_ds(left, right, key_col: str, right_key: str | None = None,
-                 num_partitions: int = 8):
-    """DISTRIBUTED semi join: keep left rows whose key appears in the
-    right Dataset.  Small deduped key sets broadcast (``is_in``);
-    large ones hash-partition through ``Dataset.join(left_semi)`` —
-    see ``_membership_join`` for the trade and the empty-partition
-    hazard the broadcast path sidesteps."""
-    return _membership_join(left, right, key_col, right_key,
-                            num_partitions, negated=False)
-
-
-def anti_join_ds(left, right, key_col: str, right_key: str | None = None,
-                 num_partitions: int = 8):
-    """DISTRIBUTED anti join — drop left rows whose key appears in the
-    right Dataset; see ``semi_join_ds`` / ``_membership_join``."""
-    return _membership_join(left, right, key_col, right_key,
-                            num_partitions, negated=True)
-
-
 def broadcast_table(table: pa.Table) -> ray.ObjectRef:
     """``ray.put`` once on the driver; pass the ref to actor ctors."""
     return ray.put(table)
@@ -356,15 +258,16 @@ def broadcast_hash_join(left, small: pa.Table, left_on, right_on=None,
 
     ``join_type``: "inner" or "left outer" only — per-batch joins
     can't implement right/full semantics (they need global unmatched
-    -row tracking across batches; use ``Dataset.join`` for those or
-    for large-large joins)."""
+    -row tracking across batches; use
+    ``stages.partition.join_partitions`` for those or for large-large
+    joins)."""
     if join_type not in ("inner", "left outer"):
         raise ValueError(f"broadcast_hash_join: {join_type!r} "
                          "(per-batch join is inner/left outer only)")
     if small.num_rows > max_broadcast_rows:
         raise ValueError(
             f"small side has {small.num_rows} rows > "
-            f"max_broadcast_rows={max_broadcast_rows}; use Dataset.join"
+            f"max_broadcast_rows={max_broadcast_rows}; use join_partitions"
         )
     right_on = right_on or left_on
     lkeys = [left_on] if isinstance(left_on, str) else list(left_on)

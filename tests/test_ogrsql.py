@@ -721,6 +721,27 @@ class TestUnion:
             ).materialize()
 
 
+# NULL-bearing membership keys: SQL's three-valued logic, where a
+# NULL never matches and one NULL in a NOT IN subquery leaves no row.
+_NL = pa.table({"id": pa.array(range(6), pa.int64()),
+                "k": pa.array([1, None, 2, None, 3, 1], pa.int64())})
+_NR = pa.table({"k2": pa.array([1, None, 3, None], pa.int64()),
+                "w": pa.array([5, 6, 7, 8], pa.int64())})
+
+
+def _null_ids_match_duckdb(sql):
+    import duckdb
+    import ray.data as rd
+
+    got = ogrsql.execute(sql, {"l": rd.from_arrow(_NL),
+                               "r": rd.from_arrow(_NR)}).take_all()
+    con = duckdb.connect()
+    con.register("l", _NL)
+    con.register("r", _NR)
+    want = con.execute(sql).fetchall()
+    assert sorted(r["id"] for r in got) == sorted(w[0] for w in want)
+
+
 class TestInSubquery:
     """[NOT] IN (SELECT …) compiled to distributed semi/anti joins
     (round 5), value-checked against DuckDB."""
@@ -786,6 +807,22 @@ class TestInSubquery:
                 "(SELECT grp, val FROM t)",
                 {"t": rd.from_arrow(self._tbl())},
             )
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT id FROM l WHERE k IN (SELECT k2 FROM r)",
+        "SELECT id FROM l WHERE k NOT IN (SELECT k2 FROM r)",
+        "SELECT id FROM l WHERE k NOT IN "
+        "(SELECT k2 FROM r WHERE k2 IS NOT NULL)",
+    ])
+    def test_null_keys(self, ray_session, sql):
+        _null_ids_match_duckdb(sql)
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT id FROM l WHERE k NOT IN (SELECT k2 FROM r WHERE w > 9)",
+        "SELECT id FROM l WHERE k IN (SELECT k2 FROM r WHERE w > 9)",
+    ])
+    def test_empty_subquery(self, ray_session, sql):
+        _null_ids_match_duckdb(sql)
 
 
 class TestScalarSubquery:
@@ -910,6 +947,11 @@ class TestExistsSubquery:
     def test_exists_with_other_conjuncts(self, ray_session):
         self._chk("SELECT id, v FROM l a WHERE a.v > 30 AND EXISTS "
                   "(SELECT 1 FROM r b WHERE b.k2 = a.k) AND a.v < 90")
+
+    @pytest.mark.parametrize("neg", ["", "NOT "])
+    def test_null_keys(self, ray_session, neg):
+        _null_ids_match_duckdb(f"SELECT id FROM l WHERE {neg}EXISTS "
+                               "(SELECT 1 FROM r WHERE k2 = k)")
 
     def test_exists_not_conjunct_rejected(self, ray_session):
         import ray.data as rd

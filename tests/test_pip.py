@@ -126,27 +126,26 @@ class TestPIPJoinStage(object):
 
 
 class TestSemiAntiJoin:
-    def test_distributed_semi_anti_matches_broadcast(self, ray_session):
-        """semi_join_ds / anti_join_ds (hash-partitioned Dataset.join,
-        no driver key set) agree with the broadcast key-set path on a
-        key space large enough to span many blocks."""
+    def test_partitioned_semi_anti_match_set_reference(self, ray_session):
+        """join_partitions left_semi / left_anti (hash-partitioned, no
+        driver key set) against a plain Python set reference, on a
+        key space spread over many blocks with duplicate right keys."""
         import ray.data as rd
 
-        from gdal_ray.stages.join import (
-            anti_join, anti_join_ds, semi_join, semi_join_ds,
-        )
+        from gdal_ray.stages.partition import join_partitions
 
         n = 20_000
-        left = rd.from_arrow(pa.table({"k": pa.array(range(n), pa.int64())}))
+        left = rd.from_arrow([
+            pa.table({"k": pa.array(range(i, i + 2500), pa.int64())})
+            for i in range(0, n, 2500)])
         # right keys: every third key, with duplicates
         rk = [i for i in range(0, n, 3) for _ in range(2)]
         right = rd.from_arrow(pa.table({"rk": pa.array(rk, pa.int64())}))
 
-        semi_d = sorted(semi_join_ds(left, right, "k", "rk").to_pandas()["k"])
-        anti_d = sorted(anti_join_ds(left, right, "k", "rk").to_pandas()["k"])
+        semi = sorted(r["k"] for r in join_partitions(
+            left, right, "k", "rk", "left_semi").take_all())
+        anti = sorted(r["k"] for r in join_partitions(
+            left, right, "k", "rk", "left_anti").take_all())
         keyset = set(rk)
-        semi_b = sorted(semi_join(left, keyset, "k").to_pandas()["k"])
-        anti_b = sorted(anti_join(left, keyset, "k").to_pandas()["k"])
-        assert semi_d == semi_b
-        assert anti_d == anti_b
-        assert len(semi_d) + len(anti_d) == n
+        assert semi == [k for k in range(n) if k in keyset]
+        assert anti == [k for k in range(n) if k not in keyset]
