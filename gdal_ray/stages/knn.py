@@ -8,12 +8,13 @@ units** (degrees here — documented, matching the FIXTURES.md §4
 oracle).
 
 Ray mapping (SURVEY.md §2.3): the reference set is broadcast once
-(``ray.put`` → actor ``__init__``); each batch is answered with a
-vectorized chunked brute-force scan (numpy argpartition). Brute force
-is the exact baseline; at 100 TB the scale path is cell-partitioned
-kNN — partition queries by cell, replicate reference points to each
-cell + its neighbor halo, brute-force within the group (same output,
-shuffle-local; see pipelines docstring).
+(``ray.put`` → actor ``__init__`` or worker cache), indexed once per
+worker by ``GridKNN`` (a cell-sorted CSR grid) and searched locally per
+batch with an exact two-pass block search, vectorized in numpy. At
+100 TB the scale path is cell-partitioned kNN — partition queries by
+cell, replicate reference points to each cell + its neighbor halo,
+search within the group (same output, shuffle-local; see pipelines
+docstring).
 
 Determinism: ties broken by (distance², point_id) lexicographic order
 so ranks are reproducible across engines and parallelism levels.
@@ -41,7 +42,6 @@ class KNNJoiner:
         k: int = 5,
         lon_col: str = "lon",
         lat_col: str = "lat",
-        chunk: int = 2048,
         include_value: bool = False,
     ):
         if isinstance(ref, ray.ObjectRef):
@@ -57,11 +57,9 @@ class KNNJoiner:
         self.k = k
         self.lon_col = lon_col
         self.lat_col = lat_col
-        self.chunk = chunk
         self.include_value = include_value and self.rval is not None
-        # indexed path: GridKNN buckets the reference set once per
-        # actor/worker; queries stay exact (certified-radius check +
-        # brute-force fallback) but stage time is flat in |ref|
+        # GridKNN indexes the reference set once per actor/worker;
+        # queries are exact and stage time is flat in |ref|
         self.index = GridKNN(self.rx, self.ry, self.rid, k=k)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -89,15 +87,21 @@ class GridKNN:
     alg/gdalgrid.cpp:260-276 — bucketed search instead of per-pixel
     tree descent, vectorized over the whole batch).
 
-    Build: bucket reference points on a uniform grid sized for
-    ``target_per_cell`` refs/cell; precompute per-cell padded candidate
-    arrays for the 3×3 neighborhood.
+    Build: sort the reference points by cell of a uniform grid sized
+    for ``target_per_cell`` refs/cell (CSR layout), so the refs of
+    column ``c``, rows ``y0..y1`` are the one slice
+    ``starts[c*ny+y0] : starts[c*ny+y1+1]``.
 
-    Query: one (Q × M) masked distance matrix over the padded
-    candidates + argpartition. EXACTNESS: if a query's kth distance²
-    exceeds ``cell_size²`` (the guaranteed-correct radius from any
-    in-cell position to the 3×3 boundary), that query is re-answered
-    brute-force — results are always exact; the grid only accelerates.
+    Query, two passes over ragged per-query candidate slices:
+    pass 1 searches the 3×3 cell block around the query's clamped cell
+    (widened until it holds k refs), which bounds the kth distance² by
+    ``dk``; pass 2 searches, for the queries that need it, the block of
+    cells covering ``[qx-w, qx+w] × [qy-h, qy+h]`` with
+    ``w = √(dk - oy²)``, ``h = √(dk - ox²)`` (``ox``/``oy`` the gaps
+    to the reference bbox). Cell assignment is monotone, so that block
+    holds every ref within √dk and pass 2 is the last: results are
+    always exact, inside or outside the bbox. Non-finite queries tie
+    with every ref and get the k smallest point_ids.
     """
 
     def __init__(self, rx, ry, rid, k: int = 5, target_per_cell: float = 8.0):
@@ -108,146 +112,131 @@ class GridKNN:
         n = max(1, len(self.rx))
         self.minx, self.maxx = self.rx.min(), self.rx.max()
         self.miny, self.maxy = self.ry.min(), self.ry.max()
-        area = max((self.maxx - self.minx) * (self.maxy - self.miny), 1e-12)
-        self.s = float(np.sqrt(area * target_per_cell / n))
-        self.nx = max(1, int(np.ceil((self.maxx - self.minx) / self.s)))
-        self.ny = max(1, int(np.ceil((self.maxy - self.miny) / self.s)))
-        cx = np.clip(((self.rx - self.minx) / self.s).astype(np.int64), 0, self.nx - 1)
-        cy = np.clip(((self.ry - self.miny) / self.s).astype(np.int64), 0, self.ny - 1)
-        cell = cx * self.ny + cy
-        order = np.argsort(cell, kind="stable")
-        sorted_cell = cell[order]
-        # bucket start/end per cell (CSR layout)
-        ncells = self.nx * self.ny
-        counts = np.bincount(sorted_cell, minlength=ncells)
-        starts = np.zeros(ncells + 1, dtype=np.int64)
-        np.cumsum(counts, out=starts[1:])
-        self._order = order
-        self._starts = starts
-        # padded 3x3 candidate table per cell
-        neigh_counts = np.zeros(ncells, dtype=np.int64)
-        cxs, cys = np.divmod(np.arange(ncells), self.ny)
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                nxc = cxs + dx
-                nyc = cys + dy
-                valid = (nxc >= 0) & (nxc < self.nx) & (nyc >= 0) & (nyc < self.ny)
-                idx = np.where(valid, nxc * self.ny + nyc, 0)
-                neigh_counts += np.where(valid, counts[idx], 0)
-        M = max(int(neigh_counts.max()), k)
-        self._cand = np.full((ncells, M), -1, dtype=np.int64)
-        fill = np.zeros(ncells, dtype=np.int64)
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                nxc = cxs + dx
-                nyc = cys + dy
-                valid = (nxc >= 0) & (nxc < self.nx) & (nyc >= 0) & (nyc < self.ny)
-                src = np.where(valid, nxc * self.ny + nyc, 0)
-                for c in np.flatnonzero(valid):
-                    s0, e0 = self._starts[src[c]], self._starts[src[c] + 1]
-                    cnt = e0 - s0
-                    if cnt:
-                        self._cand[c, fill[c] : fill[c] + cnt] = self._order[s0:e0]
-                        fill[c] += cnt
+        w, h = self.maxx - self.minx, self.maxy - self.miny
+        # ≤ ~n/target_per_cell cells also for collinear refs (zero area)
+        self.s = float(
+            max(np.sqrt(w * h * target_per_cell / n), max(w, h) * target_per_cell / n)
+        )
+        if self.s == 0.0:  # every ref at one point
+            self.s = 1.0
+        self.nx = max(1, int(np.ceil(w / self.s)))
+        self.ny = max(1, int(np.ceil(h / self.s)))
+        cx, cy = self._cell(self.rx, self.ry)
+        counts = np.bincount(cx * self.ny + cy, minlength=self.nx * self.ny)
+        self._order = np.argsort(cx * self.ny + cy, kind="stable")
+        self._starts = np.concatenate(([0], np.cumsum(counts)))
+        # summed-area table of the counts: refs in any cell block in O(1)
+        self._sat = np.zeros((self.nx + 1, self.ny + 1), dtype=np.int64)
+        self._sat[1:, 1:] = counts.reshape(self.nx, self.ny).cumsum(0).cumsum(1)
+        self._sx = self.rx[self._order]
+        self._sy = self.ry[self._order]
+        self._sid = self.rid[self._order]
 
-    _CHUNK = 8192
-
-    def _buffers(self):
-        """Lazily-allocated per-instance work buffers, reused across
-        batches (this sandbox — and large-page-less containers in
-        general — pays heavily for first-touch allocation; an actor /
-        cached-worker stage amortizes it once)."""
-        if not hasattr(self, "_buf"):
-            M = self._cand.shape[1]
-            c = self._CHUNK
-            self._buf = {
-                "ci": np.empty((c, M), dtype=np.int64),
-                "dx": np.empty((c, M), dtype=np.float64),
-                "dy": np.empty((c, M), dtype=np.float64),
-                "d2": np.empty((c, M), dtype=np.float64),
-            }
-        return self._buf
+    def _cell(self, x, y):
+        """Clamped cell indices; monotone in x and in y."""
+        cx = np.clip(np.floor((x - self.minx) / self.s), 0, self.nx - 1)
+        cy = np.clip(np.floor((y - self.miny) / self.s), 0, self.ny - 1)
+        return cx.astype(np.int64), cy.astype(np.int64)
 
     def query(self, qx, qy):
         """→ (ids (Q,k), d2 (Q,k), ref positions) sorted by
         (d2, point_id). Exact."""
         qx = np.asarray(qx, dtype=np.float64)
         qy = np.asarray(qy, dtype=np.float64)
-        q = len(qx)
         k = min(self.k, len(self.rx))
-        pid = np.empty((q, k), dtype=np.int64)
-        pd2 = np.empty((q, k), dtype=np.float64)
-        pidx = np.empty((q, k), dtype=np.int64)
-        buf = self._buffers()
-        cxa = np.clip(((qx - self.minx) / self.s).astype(np.int64), 0, self.nx - 1)
-        cya = np.clip(((qy - self.miny) / self.s).astype(np.int64), 0, self.ny - 1)
-        cells = cxa * self.ny + cya
-        M = self._cand.shape[1]
-        for s0 in range(0, q, self._CHUNK):
-            e0 = min(s0 + self._CHUNK, q)
-            n0 = e0 - s0
-            ci = buf["ci"][:n0]
-            dx = buf["dx"][:n0]
-            dy = buf["dy"][:n0]
-            d2 = buf["d2"][:n0]
-            np.take(self._cand, cells[s0:e0], axis=0, out=ci)
-            mask = ci >= 0
-            np.maximum(ci, 0, out=ci)
-            np.take(self.rx, ci, out=dx)
-            np.take(self.ry, ci, out=dy)
-            np.subtract(qx[s0:e0, None], dx, out=dx)
-            np.subtract(qy[s0:e0, None], dy, out=dy)
-            np.multiply(dx, dx, out=dx)
-            np.multiply(dy, dy, out=dy)
-            np.add(dx, dy, out=d2)
-            d2[~mask] = np.inf
-            part = np.argpartition(d2, k - 1, axis=1)[:, :k]
-            cd2 = np.take_along_axis(d2, part, axis=1)
-            cidx = np.take_along_axis(ci, part, axis=1)
-            cpid = self.rid[cidx]
-            order = np.lexsort((cpid, cd2), axis=1)
-            pd2[s0:e0] = np.take_along_axis(cd2, order, axis=1)
-            pid[s0:e0] = np.take_along_axis(cpid, order, axis=1)
-            pidx[s0:e0] = np.take_along_axis(cidx, order, axis=1)
-        # exactness guarantee: kth neighbor must lie within the certain
-        # radius (one cell size); also any query outside the grid or
-        # with too few in-neighborhood candidates falls back
-        inside = (
-            (qx >= self.minx) & (qx <= self.maxx)
-            & (qy >= self.miny) & (qy <= self.maxy)
-        )
-        need_bf = ~inside | (pd2[:, k - 1] > self.s * self.s) | ~np.isfinite(
-            pd2[:, k - 1]
-        )
-        bf = np.flatnonzero(need_bf)
-        if len(bf):
-            # chunked vectorized brute force for the uncertain queries,
-            # with reusable buffers (allocation is expensive here)
-            nref = len(self.rx)
-            bchunk = 1024
-            if "bf_d" not in self._buffers():
-                self._buf["bf_d"] = np.empty((bchunk, nref), dtype=np.float64)
-                self._buf["bf_t"] = np.empty((bchunk, nref), dtype=np.float64)
-            da_full = self._buf["bf_d"]
-            tmp = self._buf["bf_t"]
-            for s0 in range(0, len(bf), bchunk):
-                sel = bf[s0 : s0 + bchunk]
-                n0 = len(sel)
-                da = da_full[:n0]
-                tm = tmp[:n0]
-                np.subtract(qx[sel, None], self.rx[None, :], out=da)
-                np.multiply(da, da, out=da)
-                np.subtract(qy[sel, None], self.ry[None, :], out=tm)
-                np.multiply(tm, tm, out=tm)
-                np.add(da, tm, out=da)
-                part2 = np.argpartition(da, k - 1, axis=1)[:, :k]
-                d2b = np.take_along_axis(da, part2, axis=1)
-                pidb = self.rid[part2]
-                ob = np.lexsort((pidb, d2b), axis=1)
-                pid[sel] = np.take_along_axis(pidb, ob, axis=1)
-                pd2[sel] = np.take_along_axis(d2b, ob, axis=1)
-                pidx[sel] = np.take_along_axis(part2, ob, axis=1)
-        return pid, pd2, pidx
+        pd2 = np.empty((len(qx), k), dtype=np.float64)
+        pidx = np.empty((len(qx), k), dtype=np.int64)
+        finite = np.isfinite(qx) & np.isfinite(qy)
+        if not finite.all():
+            # d² is NaN or inf to every ref alike, so the (d², point_id)
+            # order is the point_id order
+            bad = ~finite
+            pidx[bad] = np.argsort(self.rid, kind="stable")[:k]
+            d2_bad = (qx[bad] - self.rx[0]) ** 2 + (qy[bad] - self.ry[0]) ** 2
+            pd2[bad] = d2_bad[:, None]
+        qx, qy = qx[finite], qy[finite]
+        # pass 1: 3×3 block around the clamped cell, doubled until it
+        # holds k refs
+        cx, cy = self._cell(qx, qy)
+        r = np.ones(len(qx), dtype=np.int64)
+        sat = self._sat
+        while True:
+            x0, x1 = np.maximum(cx - r, 0), np.minimum(cx + r, self.nx - 1)
+            y0, y1 = np.maximum(cy - r, 0), np.minimum(cy + r, self.ny - 1)
+            held = (
+                sat[x1 + 1, y1 + 1] - sat[x0, y1 + 1] - sat[x1 + 1, y0] + sat[x0, y0]
+            )
+            short = held < k
+            if not short.any():
+                break
+            r[short] *= 2
+        d2, pos = self._block_knn(qx, qy, x0, x1, y0, y1, k)
+        # pass 2: every ref within √dk, with dk padded for rounding
+        dk = d2[:, k - 1] * (1 + 1e-6)
+        ox = np.maximum(np.maximum(self.minx - qx, qx - self.maxx), 0.0)
+        oy = np.maximum(np.maximum(self.miny - qy, qy - self.maxy), 0.0)
+        mag = max(abs(self.minx), abs(self.maxx), abs(self.miny), abs(self.maxy))
+        eps = 4 * np.spacing(mag + self.s)
+        w = np.sqrt(np.fmax(dk - oy * oy, 0.0)) + eps
+        h = np.sqrt(np.fmax(dk - ox * ox, 0.0)) + eps
+        w[~np.isfinite(dk)] = h[~np.isfinite(dk)] = np.inf  # d² overflowed
+        bx0, by0 = self._cell(qx - w, qy - h)
+        bx1, by1 = self._cell(qx + w, qy + h)
+        redo = np.flatnonzero((bx0 < x0) | (bx1 > x1) | (by0 < y0) | (by1 > y1))
+        if len(redo):
+            d2[redo], pos[redo] = self._block_knn(
+                qx[redo], qy[redo], bx0[redo], bx1[redo], by0[redo], by1[redo], k
+            )
+        pd2[finite] = d2
+        pidx[finite] = self._order[pos]
+        return self.rid[pidx], pd2, pidx
+
+    def _block_knn(self, qx, qy, x0, x1, y0, y1, k):
+        """k nearest by (d², point_id, position) among the refs in each
+        query's cell block (columns x0..x1, rows y0..y1) → (d2, sorted
+        positions). Every block must hold at least k refs."""
+        # one contiguous slice of the sorted refs per (query, column)
+        ncol = x1 - x0 + 1
+        seg = np.repeat(np.arange(len(qx)), ncol)
+        col = np.arange(len(seg)) - np.repeat(np.cumsum(ncol) - ncol, ncol) + x0[seg]
+        lo = self._starts[col * self.ny + y0[seg]]
+        seglen = self._starts[col * self.ny + y1[seg] + 1] - lo
+        segoff = np.cumsum(seglen) - seglen
+        flat = np.repeat(lo - segoff, seglen) + np.arange(seglen.sum())
+        cnt = np.bincount(seg, weights=seglen, minlength=len(qx)).astype(np.int64)
+        qoff = np.cumsum(cnt) - cnt
+        d2 = np.empty((len(qx), k), dtype=np.float64)
+        pos = np.empty((len(qx), k), dtype=np.int64)
+        # padded (rows × width) chunks of queries sorted by candidate
+        # count, ≤ 2**18 distances each
+        by_cnt = np.argsort(cnt, kind="stable")
+        i = 0
+        while i < len(qx):
+            rows = by_cnt[i:]
+            fits = np.arange(1, len(rows) + 1) * cnt[rows] <= 1 << 18
+            rows = rows[: max(1, int(fits.sum()))]
+            i += len(rows)
+            width = np.arange(cnt[rows[-1]])
+            valid = width < cnt[rows, None]
+            p = flat[np.where(valid, qoff[rows, None] + width, 0)]
+            dx = qx[rows, None] - self._sx[p]
+            dy = qy[rows, None] - self._sy[p]
+            d = dx * dx + dy * dy
+            d[~valid] = np.inf
+            sel = np.argpartition(d, k - 1, axis=1)[:, :k]
+            kd = np.take_along_axis(d, sel, axis=1)
+            # a tie at the kth d² that argpartition may have cut
+            # arbitrarily: order those rows fully
+            tie = np.flatnonzero((d <= kd.max(axis=1)[:, None]).sum(axis=1) > k)
+            if len(tie):
+                ids = np.where(valid[tie], self._sid[p[tie]], np.iinfo(np.int64).max)
+                sel[tie] = np.lexsort((self._order[p[tie]], ids, d[tie]), axis=1)[:, :k]
+                kd[tie] = np.take_along_axis(d[tie], sel[tie], axis=1)
+            kp = np.take_along_axis(p, sel, axis=1)
+            o = np.lexsort((self._order[kp], self._sid[kp], kd), axis=1)
+            d2[rows] = np.take_along_axis(kd, o, axis=1)
+            pos[rows] = np.take_along_axis(kp, o, axis=1)
+        return d2, pos
 
     def query_unique(self, qx, qy):
         """query() after deduplicating coordinate pairs — web corpora

@@ -1,9 +1,14 @@
 """kNN stage tests vs a brute-force oracle."""
 
+import time
+
 import numpy as np
 import pyarrow as pa
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gdal_ray import fixtures
+from gdal_ray.stages.knn import GridKNN
 
 
 def _bruteforce_knn(qx, qy, rx, ry, rid, k):
@@ -13,6 +18,116 @@ def _bruteforce_knn(qx, qy, rx, ry, rid, k):
         order = np.lexsort((rid, d2))[:k]
         out.append(list(zip(rid[order], d2[order])))
     return out
+
+
+def _lexsort_knn(qx, qy, rx, ry, rid, k):
+    """(ids, d2, ref positions) of a (d², point_id) lexsort over all refs."""
+    d2 = (qx[:, None] - rx[None, :]) ** 2 + (qy[:, None] - ry[None, :]) ** 2
+    pos = np.lexsort((np.broadcast_to(rid, d2.shape), d2), axis=1)[:, :k]
+    return rid[pos], np.take_along_axis(d2, pos, axis=1), pos
+
+
+def _assert_exact(index, qx, qy):
+    got = index.query(qx, qy)
+    k = min(index.k, len(index.rx))
+    exp = _lexsort_knn(qx, qy, index.rx, index.ry, index.rid, k)
+    for name, g, e in zip(("point_id", "d2", "pidx"), got, exp):
+        np.testing.assert_array_equal(g, e, err_msg=name)
+
+
+@st.composite
+def _knn_case(draw):
+    """Adversarial reference layouts and queries for GridKNN."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(
+        st.sampled_from(["uniform", "lattice", "duplicates", "collinear", "single"])
+    )
+    n = 1 if layout == "single" else draw(st.integers(2, 80))
+    if layout == "lattice":  # integer coordinates: exact ties at rank k
+        rx, ry = rng.integers(0, 6, (2, n)).astype(np.float64)
+    elif layout == "duplicates":  # a few points, each repeated
+        pool = rng.uniform(-5, 5, (2, int(rng.integers(1, 5))))
+        rx, ry = pool[:, rng.integers(0, pool.shape[1], n)]
+    elif layout == "collinear":
+        along = rng.uniform(0, draw(st.sampled_from([1e-6, 1.0, 160.0])), n)
+        rx, ry = along, np.full(n, 7.5)
+        if draw(st.booleans()):
+            rx, ry = ry, rx
+    else:
+        rx, ry = rng.uniform(-80, 80, n), rng.uniform(-60, 60, n)
+    rid = rng.permutation(n).astype(np.int64) * 7 - 3
+    # inside the bbox, next to it, 100°+ away and beyond the corners
+    cx, cy = (rx.min() + rx.max()) / 2, (ry.min() + ry.max()) / 2
+    reach = draw(st.sampled_from([0.0, 3.0, 150.0, 500.0]))
+    qx = cx + rng.uniform(-1, 1, 40) * (np.ptp(rx) / 2 + reach)
+    qy = cy + rng.uniform(-1, 1, 40) * (np.ptp(ry) / 2 + reach)
+    if layout == "lattice":
+        qx, qy = np.round(qx), np.round(qy)
+    qx = np.append(qx, [rx.min() - 200, rx.max() + 200, np.nan, 1.0, np.inf])
+    qy = np.append(qy, [ry.min() - 200, ry.max() + 200, 1.0, np.nan, -np.inf])
+    k = draw(st.integers(1, 12)) if draw(st.booleans()) else n + draw(st.integers(0, 3))
+    tpc = draw(st.sampled_from([1.0, 8.0]))
+    return GridKNN(rx, ry, rid, k=k, target_per_cell=tpc), qx, qy
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(_knn_case())
+def test_gridknn_matches_lexsort(case):
+    """Ids, d² and ref positions equal a (d², point_id) lexsort over all
+    refs, bit for bit, on adversarial layouts (no Ray)."""
+    index, qx, qy = case
+    _assert_exact(index, qx, qy)
+
+
+def test_gridknn_ties_at_kth_resolve_by_point_id():
+    """Lattice refs put many refs at the kth d²; the kept ones must be
+    the smallest point_ids among them."""
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        n = int(rng.integers(20, 400))
+        rx, ry = rng.integers(0, 6, (2, n)).astype(np.float64)
+        rid = rng.permutation(n).astype(np.int64)
+        q = rng.integers(-2, 8, (2, 50)).astype(np.float64)
+        _assert_exact(GridKNN(rx, ry, rid, k=5), q[0], q[1])
+
+
+def test_gridknn_collinear_refs_bounded_grid():
+    """Zero-area reference sets size the grid by their long extent."""
+    rng = np.random.default_rng(6)
+    for length in (1.0, 160.0):
+        along = np.linspace(0.0, length, 500)
+        t0 = time.perf_counter()
+        index = GridKNN(along, np.full(500, 10.0), np.arange(500), k=5)
+        assert time.perf_counter() - t0 < 1.0
+        assert index.nx * index.ny <= 500
+        qx = rng.uniform(-length, 2 * length, 300)
+        qy = rng.uniform(-20, 40, 300)
+        _assert_exact(index, qx, qy)
+        # the same line, vertical
+        _assert_exact(GridKNN(np.full(500, 10.0), along, np.arange(500), k=5), qy, qx)
+
+
+def test_gridknn_nonfinite_queries():
+    """A NaN or inf query, or one so far out that d² overflows, ties at
+    every ref: the k smallest point_ids, with the d² the brute-force
+    formula gives (NaN, or inf)."""
+    ref = fixtures.gen_ref_points(300)
+    rx, ry = ref["lon"].to_numpy(), ref["lat"].to_numpy()
+    rid = ref["point_id"].to_numpy()[::-1].copy()
+    qx = np.array([np.nan, 3.0, np.inf, 1.0, -np.inf, 1e200, 2.0])
+    qy = np.array([0.0, np.nan, 5.0, 2.0, np.nan, 1e300, -1e160])
+    pid, d2, pidx = GridKNN(rx, ry, rid, k=4).query(qx, qy)
+    exp = _bruteforce_knn(qx, qy, rx, ry, rid, 4)
+    for i in range(len(qx)):
+        assert pid[i].tolist() == [p for p, _ in exp[i]]
+        np.testing.assert_array_equal(d2[i], [d for _, d in exp[i]])
+        assert rid[pidx[i]].tolist() == pid[i].tolist()
+    assert pid[0].tolist() == [0, 1, 2, 3] and np.isnan(d2[0]).all()
+    assert np.isinf(d2[2]).all()
 
 
 def test_knn_matches_bruteforce(ray_session):
