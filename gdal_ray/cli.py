@@ -10,9 +10,9 @@ Usage:
 
 Steps (the §2.12 Step protocol: each builder returns a
 Dataset→Dataset transform):
-  read PATH [--cols a,b]          write PATH
-    (format by extension: .geojson / .geojsonl|.ndjson / .csv with a
-     WKT column / default parquet — gdal_ray.formats drivers)
+  read PATH [--cols a,b] [--layer L]   write PATH
+    (the driver is the first row of gdal_ray.drivers.DRIVERS that
+     claims the path; parquet when none does)
   filter --where 'col OP value'   select --cols a,b
   limit --n N                     sort --by col [--desc]
   reproject --src CRS --dst CRS [--x lon --y lat]
@@ -33,6 +33,9 @@ import shlex
 import sys
 
 import pyarrow.compute as pc
+
+from gdal_ray.drivers import (identify, load_raster, resolve_vector_source,
+                              write_vector)
 
 _OPS = {
     ">": pc.greater,
@@ -79,176 +82,6 @@ def _where_predicate(expr: str):
             val = raw.strip("'\"")
     fn = _OPS[op]
     return lambda t: fn(t[col], val)
-
-
-def resolve_vector_source(src_path: str, layer: str | None = None,
-                          col_list: list[str] | None = None):
-    """Vector path → zero-arg callable producing a Ray Dataset — the
-    GDALDriverManager Identify role, shared by the CLI pipeline and
-    the OGR VRT driver (vrtvector.py)."""
-    import ray.data as rd
-
-    def _sniff_jsonfg(path: str) -> bool:
-        """JSON-FG shares .json with GeoJSON; identify by content
-        (conformsTo json-fg, or place/coordRefSys members), the
-        reference driver's Identify rule."""
-        try:
-            from gdal_ray.vsi import vsi_read_bytes
-
-            head = vsi_read_bytes(path)[:4096].decode("utf-8", "replace")
-        except Exception:
-            return False
-        return ("json-fg" in head or '"place"' in head
-                or '"coordRefSys"' in head)
-
-    # format by extension (the GDALDriverManager Identify role):
-    # .geojson/.json → GeoJSON, .geojsonl/.ndjson → GeoJSONSeq,
-    # .csv → CSV with WKT column, default parquet
-    low = src_path.lower()
-    if low.endswith(".gdalg.json"):
-        # saved streamed pipeline (the reference's gdalg driver):
-        # {"type": "gdal_streamed_alg", "command_line":
-        #  "gdal vector pipeline ! read X ! ..."} — re-enter the
-        # pipeline compiler with paths rebased on the json location
-        source = lambda: run_gdalg_source(src_path)  # noqa: E731
-    elif low.endswith(".vrt"):
-        from gdal_ray import vrtvector
-
-        source = lambda: vrtvector.read_vrt_vector(  # noqa: E731
-            src_path, layer=layer)
-    elif low.endswith((".geojson", ".json")) and _sniff_jsonfg(src_path):
-        from gdal_ray import jsonfg
-
-        source = lambda: jsonfg.read_jsonfg(  # noqa: E731
-            src_path, layer=layer, columns=col_list)
-    elif low.endswith((".geojson", ".json")):
-        from gdal_ray import formats
-
-        source = lambda: formats.read_geojson(  # noqa: E731
-            src_path, columns=col_list)
-    elif low.endswith((".geojsonl", ".ndjson", ".geojsons")):
-        from gdal_ray import formats
-
-        source = lambda: formats.read_geojson_seq(  # noqa: E731
-            src_path, columns=col_list)
-    elif low.endswith(".csv"):
-        from gdal_ray import formats
-
-        source = lambda: formats.read_csv_geom(src_path)  # noqa: E731
-    elif low.endswith(".dxf"):
-        from gdal_ray import dxf
-
-        source = lambda: dxf.read_dxf(src_path)  # noqa: E731
-    elif low.endswith((".shp", ".dbf")):
-        from gdal_ray import shapefile
-
-        source = lambda: shapefile.read_shapefile(src_path)  # noqa: E731
-    elif low.endswith(".fgb"):
-        from gdal_ray import flatgeobuf
-
-        source = lambda: flatgeobuf.read_flatgeobuf(src_path)  # noqa: E731
-    elif low.endswith((".arrow", ".arrows", ".feather")):
-        from gdal_ray import arrowipc
-
-        source = lambda: arrowipc.read_arrow_ipc(src_path)  # noqa: E731
-    elif low.endswith(".gpkg"):
-        from gdal_ray import gpkg
-
-        source = lambda: gpkg.read_gpkg(  # noqa: E731
-            src_path, layer=layer)
-    elif low.endswith((".sqlite", ".db")):
-        from gdal_ray import spatialite
-
-        source = lambda: spatialite.read_sqlite(  # noqa: E731
-            src_path, layer=layer)
-    elif low.rstrip("/").endswith(".gdb"):
-        from gdal_ray import filegdb
-
-        source = lambda: filegdb.read_filegdb(  # noqa: E731
-            src_path, layer=layer)
-    elif low.endswith(".tab"):
-        from gdal_ray import tab
-
-        source = lambda: tab.read_tab(src_path)  # noqa: E731
-    elif low.endswith(".dgn"):
-        from gdal_ray import dgn
-
-        source = lambda: dgn.read_dgn(src_path)  # noqa: E731
-    elif low.endswith(".xlsx"):
-        from gdal_ray import xlsx
-
-        source = lambda: xlsx.read_xlsx_dataset(  # noqa: E731
-            src_path, sheet=layer)
-    elif low.endswith(".xls"):
-        from gdal_ray import xlsbiff
-
-        source = lambda: xlsbiff.read_xls_dataset(  # noqa: E731
-            src_path, sheet=layer)
-    elif low.endswith(".000"):
-        from gdal_ray import s57
-
-        source = lambda: s57.read_s57(  # noqa: E731
-            src_path, layer=layer or "DSID")
-    elif low.startswith("gtfs:") or low.endswith(".zip") and "gtfs" in low:
-        from gdal_ray import gtfs
-
-        source = lambda: gtfs.read_gtfs(  # noqa: E731
-            src_path.split(":", 1)[-1] if low.startswith("gtfs:")
-            else src_path, layer=layer or "stops")
-    elif low.endswith(".gml"):
-        from gdal_ray import gml
-
-        source = lambda: gml.read_gml(  # noqa: E731
-            src_path, layer=layer)
-    elif low.endswith(".mif"):
-        from gdal_ray import mif
-
-        source = lambda: mif.read_mif_dataset(src_path)  # noqa: E731
-    elif low.endswith(".e00"):
-        from gdal_ray import avc
-
-        source = lambda: avc.read_avc(  # noqa: E731
-            src_path, layer=layer or "ARC")
-    elif low.endswith(".topojson"):
-        from gdal_ray import topojson
-
-        source = lambda: topojson.read_topojson_dataset(  # noqa: E731
-            src_path, layer=layer)
-    elif low.endswith(".gmt"):
-        from gdal_ray import gmtvector
-
-        source = lambda: rd.from_arrow(  # noqa: E731
-            gmtvector.read_gmt(src_path))
-    elif low.endswith((".pnt", ".pol")) or (
-            low.endswith(".arc") and not os.path.isdir(src_path)):
-        from gdal_ray import miramon
-
-        source = lambda: miramon.read_miramon(src_path)  # noqa: E731
-    elif low.endswith(".kml"):
-        from gdal_ray import kmlgpx
-
-        source = lambda: kmlgpx.read_kml(src_path)  # noqa: E731
-    elif low.endswith(".gpx"):
-        from gdal_ray import kmlgpx
-
-        source = lambda: kmlgpx.read_gpx(  # noqa: E731
-            src_path, layer=layer or "waypoints")
-    elif low.endswith((".pbf", ".osm")):
-        from gdal_ray import osmpbf
-
-        def source():  # one OGR-parity layer as a Dataset
-            return rd.from_arrow(
-                osmpbf.osm_layers(src_path)[layer or "points"])
-    elif low.endswith((".warc", ".warc.gz")) or low.rstrip("/").endswith(
-            ".warc.d"):
-        from gdal_ray import warc
-
-        source = lambda: warc.read_warc(src_path)  # noqa: E731
-    else:
-        source = lambda: rd.read_parquet(  # noqa: E731
-            src_path, columns=col_list
-        )
-    return source
 
 
 def parse_gdalg(path: str) -> tuple[str, str]:
@@ -309,8 +142,6 @@ def gdalg_raster(path: str) -> dict:
              if s.strip()]
     if not steps or steps[0][0] != "read":
         raise ValueError("gdalg: raster pipeline must start with read")
-    from gdal_ray.raster.aaigrid import load_raster
-
     out = load_raster(steps[0][1])
     if len(steps) > 1:
         raise NotImplementedError(
@@ -459,82 +290,7 @@ def run_pipeline(spec: str):
         ds = t(ds)
     kind, arg = terminal
     if kind == "write":
-        low = arg.lower()
-        if low.endswith((".geojsonl", ".ndjson")):
-            from gdal_ray import formats
-
-            formats.write_geojson_seq(ds, arg)
-        elif low.endswith(".jsonfg"):
-            from gdal_ray import jsonfg
-
-            jsonfg.write_jsonfg(ds, arg)
-        elif low.endswith(".geojson"):
-            from gdal_ray import formats
-
-            formats.write_geojson(ds, arg)
-        elif low.endswith(".csv") or low.endswith("_csv"):
-            from gdal_ray import formats
-
-            formats.write_csv_geom(ds, arg)
-        elif low.endswith(".gpkg"):
-            from gdal_ray import gpkg
-
-            gpkg.write_gpkg(ds, arg)
-        elif low.endswith((".sqlite", ".db")):
-            from gdal_ray import spatialite
-
-            spatialite.write_sqlite(ds, arg)
-        elif low.rstrip("/").endswith(".gdb"):
-            from gdal_ray import filegdb
-
-            filegdb.write_filegdb(ds, arg)
-        elif low.endswith(".kml"):
-            from gdal_ray import kmlgpx
-
-            kmlgpx.write_kml(ds, arg)
-        elif low.endswith(".gml"):
-            from gdal_ray import gml
-
-            gml.write_gml(ds, arg)
-        elif low.endswith(".mif"):
-            import pyarrow as pa
-
-            from gdal_ray import mif
-
-            mif.write_mif(arg, pa.Table.from_pylist(ds.take_all()))
-        elif low.endswith(".gmt"):
-            import pyarrow as pa
-
-            from gdal_ray import gmtvector
-
-            gmtvector.write_gmt(arg, pa.Table.from_pylist(ds.take_all()))
-        elif low.endswith(".fgb"):
-            import pyarrow as pa
-
-            from gdal_ray import flatgeobuf
-
-            tbl = pa.concat_tables(
-                ds.iter_batches(batch_format="pyarrow", batch_size=None))
-            flatgeobuf.write_flatgeobuf(tbl, arg)
-        elif low.endswith(".shp"):
-            import pyarrow as pa
-
-            from gdal_ray import shapefile
-
-            tbl = pa.concat_tables(
-                ds.iter_batches(batch_format="pyarrow", batch_size=None))
-            shapefile.write_shapefile(tbl, arg)
-        elif low.endswith((".arrow", ".feather")):
-            from gdal_ray import arrowipc
-
-            arrowipc.write_arrow_ipc(ds, arg)
-        elif low.rstrip("/").endswith((".warc.d", ".warc.gz", ".warc")):
-            # directory of part-*.warc.gz shards (resumable sink)
-            from gdal_ray import warc
-
-            warc.write_warc(ds, arg)
-        else:
-            ds.write_parquet(arg)
+        write_vector(ds, arg)
         return arg, kind
     if kind == "count":
         return ds.count(), kind
@@ -551,7 +307,10 @@ def info_vector(path: str) -> str:
     full = source()
     n_total = full.count()  # distributed count — not the sample size
     t = full.limit(100000).take_batch(100000, batch_format="pyarrow")
-    lines = [f"INFO: Open of `{path}'", f"Feature Count: {n_total}"]
+    lines = [f"INFO: Open of `{path}'",
+             f"      using driver `{identify(path, 'vector').name}' "
+             "successful.",
+             f"Feature Count: {n_total}"]
     if n_total > t.num_rows:
         lines.append(f"(extent/fields computed from first {t.num_rows} "
                      "features)")
@@ -576,16 +335,14 @@ def info_vector(path: str) -> str:
 
 
 def info_raster(path: str) -> str:
-    """gdalinfo role: size, bands, dtype, CRS, transform — any
-    registered raster driver (GeoTIFF/VRT/AAIGrid/ENVI/EHdr/DTED)."""
-    from gdal_ray.raster.aaigrid import load_raster
-
+    """gdalinfo role: driver, size, bands, dtype, CRS, transform — of
+    whichever raster driver in gdal_ray.drivers claims the path."""
     g = load_raster(path)
     bands = g["bands"]
     h, w = bands[0].shape
     gt = g["geotransform"]
     lines = [
-        "Driver: gdal_ray raster",
+        f"Driver: {identify(path, 'raster').name}",
         f"Size is {w}, {h}",
         f"Bands: {len(bands)} ({bands[0].dtype})",
         f"Origin = ({gt[0]}, {gt[3]})",
@@ -607,8 +364,7 @@ def _raster_tool(cmd: str, args: list[str]) -> int:
     (apps/gdal_translate_lib.cpp, apps/gdalwarp_lib.cpp roles)."""
     import argparse
 
-    from gdal_ray.raster.gtiff import decode_geotiff, write_cog, write_geotiff
-    from gdal_ray.vsi import vsi_read_bytes
+    from gdal_ray.raster.gtiff import write_cog, write_geotiff
 
     p = argparse.ArgumentParser(prog=f"gdal_ray raster {cmd}")
     p.add_argument("src")
@@ -630,8 +386,6 @@ def _raster_tool(cmd: str, args: list[str]) -> int:
         p.add_argument("--resample", default="nearest")
         p.add_argument("--nodata", type=float, default=0.0)
     a = p.parse_args(args)
-
-    from gdal_ray.raster.aaigrid import load_raster
 
     g = load_raster(a.src)
     if cmd == "cog":
@@ -688,8 +442,7 @@ def _dem_tool(args: list[str]) -> int:
     import numpy as np
 
     from gdal_ray.raster import focal
-    from gdal_ray.raster.gtiff import decode_geotiff, write_geotiff
-    from gdal_ray.vsi import vsi_read_bytes
+    from gdal_ray.raster.gtiff import write_geotiff
 
     p = argparse.ArgumentParser(prog="gdal_ray raster dem")
     p.add_argument("mode", choices=[
@@ -706,8 +459,6 @@ def _dem_tool(args: list[str]) -> int:
                    help="gdaldem color file: 'value r g b' per line")
     p.add_argument("--exact-color", action="store_true")
     a = p.parse_args(args)
-
-    from gdal_ray.raster.aaigrid import load_raster
 
     g = load_raster(a.src)
     arr = g["bands"][0].astype(np.float64)
@@ -759,9 +510,7 @@ def _contour_tool(args: list[str]) -> int:
 
     import numpy as np
 
-    from gdal_ray.raster.gtiff import decode_geotiff
     from gdal_ray.raster.proximity import contour_segments, stitch_segments
-    from gdal_ray.vsi import vsi_read_bytes
 
     p = argparse.ArgumentParser(prog="gdal_ray raster contour")
     p.add_argument("src")
@@ -769,8 +518,6 @@ def _contour_tool(args: list[str]) -> int:
     p.add_argument("--levels", help="comma list, e.g. 10,20,30")
     p.add_argument("--interval", type=float)
     a = p.parse_args(args)
-
-    from gdal_ray.raster.aaigrid import load_raster
 
     g = load_raster(a.src)
     arr = g["bands"][0].astype(np.float64)
@@ -812,8 +559,6 @@ def _tile_tool(args: list[str]) -> int:
     import numpy as np
 
     from gdal_ray.pipelines import tilepyramid as tp
-    from gdal_ray.raster.gtiff import decode_geotiff
-    from gdal_ray.vsi import vsi_read_bytes
 
     p = argparse.ArgumentParser(prog="gdal_ray raster tile")
     p.add_argument("src")
@@ -823,8 +568,6 @@ def _tile_tool(args: list[str]) -> int:
     p.add_argument("--vmin", type=float)
     p.add_argument("--vmax", type=float)
     a = p.parse_args(args)
-
-    from gdal_ray.raster.aaigrid import load_raster
 
     g = load_raster(a.src)
     band = g["bands"][0].astype(np.float32)
@@ -894,9 +637,8 @@ def _proximity_tool(args: list[str]) -> int:
 
     import numpy as np
 
-    from gdal_ray.raster.gtiff import decode_geotiff, write_geotiff
+    from gdal_ray.raster.gtiff import write_geotiff
     from gdal_ray.raster.proximity import proximity_array
-    from gdal_ray.vsi import vsi_read_bytes
 
     p = argparse.ArgumentParser(prog="gdal_ray raster proximity")
     p.add_argument("src")
@@ -906,7 +648,7 @@ def _proximity_tool(args: list[str]) -> int:
     p.add_argument("--georef", action="store_true",
                    help="distances in CRS units (default: pixels)")
     a = p.parse_args(args)
-    g = decode_geotiff(vsi_read_bytes(a.src))
+    g = load_raster(a.src)
     targets = ([float(v) for v in a.values.split(",")]
                if a.values else None)
     out = proximity_array(g["bands"][0], target_values=targets,
@@ -925,9 +667,8 @@ def _calc_tool(args: list[str]) -> int:
     (raster/kernels.py::calc_expr)."""
     import numpy as np
 
-    from gdal_ray.raster.gtiff import decode_geotiff, write_geotiff
+    from gdal_ray.raster.gtiff import write_geotiff
     from gdal_ray.raster.kernels import calc_expr
-    from gdal_ray.vsi import vsi_read_bytes
 
     if len(args) < 4:
         print("usage: raster calc EXPR DST -A a.tif [-B b.tif ...] "
@@ -958,12 +699,7 @@ def _calc_tool(args: list[str]) -> int:
     arrays = {}
     ref = None
     for name, path in inputs.items():
-        if path.lower().endswith(".vrt"):
-            from gdal_ray.raster.vrt import read_vrt_array
-
-            g = read_vrt_array(path)
-        else:
-            g = decode_geotiff(vsi_read_bytes(path))
+        g = load_raster(path)
         arrays[name] = g["bands"][band - 1].astype(np.float64)
         ref = ref or g
     out = calc_expr(expr, arrays)
@@ -981,9 +717,7 @@ def _polygonize_tool(args: list[str]) -> int:
     import json
 
     from gdal_ray.geom import wkt as WT
-    from gdal_ray.raster.gtiff import decode_geotiff
     from gdal_ray.raster.polygonize import polygonize_array
-    from gdal_ray.vsi import vsi_read_bytes
 
     p = argparse.ArgumentParser(prog="gdal_ray raster polygonize")
     p.add_argument("src")
@@ -994,8 +728,6 @@ def _polygonize_tool(args: list[str]) -> int:
                    help="exclude this value (gdal_polygonize -nomask "
                         "off behavior)")
     a = p.parse_args(args)
-    from gdal_ray.raster.aaigrid import load_raster
-
     g = load_raster(a.src)
     nod = a.nodata if a.nodata is not None else g.get("nodata")
     t = polygonize_array(g["bands"][0], g["geotransform"],

@@ -814,3 +814,8 @@ def write_flatgeobuf(table: pa.Table, path: str, name: str = "layer",
             f.write(bytes(out))
         os.replace(path + ".tmp", path)
 
+
+def write_flatgeobuf_dataset(ds, path: str) -> None:
+    write_flatgeobuf(pa.concat_tables(
+        ds.iter_batches(batch_format="pyarrow", batch_size=None)), path)
+

@@ -152,6 +152,12 @@ def read_gmt(path: str) -> pa.Table:
     return pa.table(out)
 
 
+def read_gmt_dataset(path: str):
+    import ray.data as rd
+
+    return rd.from_arrow(read_gmt(path))
+
+
 _GMT_T = {pa.int64(): "integer", pa.float64(): "double"}
 
 
@@ -223,3 +229,7 @@ def write_gmt(path: str, table: pa.Table, gtype: str | None = None
             raise ValueError(f"GMT write: unsupported type {g['type']}")
     with open(path, "w", encoding="latin-1") as f:
         f.write("\n".join(lines) + "\n")
+
+
+def write_gmt_dataset(ds, path: str) -> None:
+    write_gmt(path, pa.Table.from_pylist(ds.take_all()))

@@ -386,6 +386,10 @@ def read_mif_dataset(paths):
         load, batch_format="pyarrow")
 
 
+def write_mif_dataset(ds, path: str) -> None:
+    write_mif(path, pa.Table.from_pylist(ds.take_all()))
+
+
 _MIF_TYPES = {pa.string(): "Char (254)", pa.int64(): "Integer",
               pa.float64(): "Float", pa.bool_(): "Logical"}
 

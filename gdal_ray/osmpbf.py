@@ -591,6 +591,13 @@ def osm_layers(path: str) -> dict[str, pa.Table]:
     }
 
 
+def read_osm_dataset(path: str, layer: str = "points"):
+    """One OGR-parity layer of ``osm_layers`` as a Dataset."""
+    import ray.data as rd
+
+    return rd.from_arrow(osm_layers(path)[layer])
+
+
 def _multilinestring_wkb(parts: list[np.ndarray]) -> bytes:
     import struct
 

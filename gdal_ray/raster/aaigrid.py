@@ -16,7 +16,6 @@ pixel_per_line.asc → 1123).
 
 from __future__ import annotations
 
-import os
 import re
 
 import numpy as np
@@ -110,377 +109,6 @@ def write_aaigrid(path: str, arr: np.ndarray, gt,
     from gdal_ray.vsi import vsi_write_bytes
 
     vsi_write_bytes(path, encode_aaigrid(arr, gt, nodata))
-
-
-def load_raster(path: str) -> dict:
-    """Extension-dispatched single-raster load (the CLI loader):
-    .vrt → composed VRT, .asc/.grd → AAIGrid, else GeoTIFF."""
-    low = path.lower()
-    if low.endswith(".vrt"):
-        from gdal_ray.raster.vrt import read_vrt_array
-
-        return read_vrt_array(path)
-    if low.endswith(".grd"):
-        # .grd is claimed by both AAIGrid and the Golden Software
-        # Surfer family — dispatch on the Surfer magic
-        from gdal_ray.vsi import vsi_read_bytes
-
-        head = vsi_read_bytes(path)[:16]
-        if head[:4] in (b"DSAA", b"DSBB", b"DSRB"):
-            from gdal_ray.raster.surfer import read_surfer
-
-            return read_surfer(path)
-        if head[:4] == b"HGPC":  # Northwood / Vertical Mapper
-            from gdal_ray.raster.nwtgrd import read_nwt_grd
-
-            return read_nwt_grd(path)
-        if head.lstrip()[:1] == b"[":  # R raster INI header
-            from gdal_ray.raster.rraster import read_rraster
-
-            return read_rraster(path)
-        return read_aaigrid(path)
-    if low.endswith(".asc"):
-        return read_aaigrid(path)
-    if low.endswith((".sdat", ".sgrd", ".sg-grd-z")):
-        from gdal_ray.raster.saga import read_saga
-
-        return read_saga(path)
-    if low.endswith(".xyz"):
-        from gdal_ray.vsi import vsi_read_bytes
-
-        return decode_xyz(vsi_read_bytes(path))
-    if low.endswith((".img", ".dat", ".aux", ".rrd")):
-        # .img is claimed by HFA (Erdas Imagine), ENVI and CPG — sniff
-        from gdal_ray.vsi import vsi_read_bytes
-
-        if low.endswith("sirc.img"):
-            from gdal_ray.raster.rawzoo import read_cpg_sirc
-
-            return read_cpg_sirc(path)
-        if vsi_read_bytes(path)[:15] == b"EHFA_HEADER_TAG":
-            from gdal_ray.raster.hfa import read_hfa
-
-            return read_hfa(path)
-        if low.endswith((".aux", ".rrd")):
-            raise ValueError(f"{path}: not an HFA file")
-        from gdal_ray.raster.envi import read_envi
-
-        return read_envi(path)
-    if low.endswith((".bil", ".bip", ".flt")):
-        from gdal_ray.raster.envi import read_ehdr
-
-        return read_ehdr(path)
-    if low.endswith((".dt0", ".dt1", ".dt2")):
-        from gdal_ray.raster.dted import read_dted
-
-        return read_dted(path)
-    if low.endswith((".grb", ".grb2", ".grib", ".grib2", ".bin")) and \
-            b"GRIB" in __import__("gdal_ray.vsi", fromlist=["vsi"]).vsi_read_bytes(path)[:4096]:
-        from gdal_ray.raster.grib import read_grib_raster
-
-        return read_grib_raster(path)
-    if low.endswith((".ntf", ".nsf", ".nitf")):
-        from gdal_ray.raster.nitf import read_nitf
-
-        return read_nitf(path)
-    if low.endswith(".gtx"):
-        from gdal_ray.raster.gtx import read_gtx
-
-        return read_gtx(path)
-    if low.endswith((".jp2", ".j2k", ".jpc", ".jpx")):
-        from gdal_ray.raster.jp2 import decode_jp2
-        from gdal_ray.vsi import vsi_read_bytes
-
-        return decode_jp2(vsi_read_bytes(path))
-    if low.endswith(".tga"):
-        from gdal_ray.raster.tga import read_tga
-
-        return read_tga(path)
-    if low.endswith((".hgt", ".hgts")):
-        from gdal_ray.raster.srtmhgt import read_srtmhgt
-
-        return read_srtmhgt(path)
-    if low.endswith((".fits", ".fit")) or path.startswith('FITS:"'):
-        from gdal_ray.raster.fits import read_fits
-
-        return read_fits(path)
-    if low.endswith(".ter"):
-        # .ter is claimed by both Leveller ("trrn") and Terragen
-        # ("TERRAGEN") — dispatch on the magic
-        from gdal_ray.vsi import vsi_read_bytes
-
-        if vsi_read_bytes(path)[:4] == b"trrn":
-            from gdal_ray.raster.leveller import read_leveller
-
-            return read_leveller(path)
-        from gdal_ray.raster.terragen import read_terragen
-
-        return read_terragen(path)
-    if low.endswith((".lbl", ".cub")):
-        # .lbl/.cub are claimed by PDS3, ISIS3 and ISIS2 — sniff
-        from gdal_ray.vsi import vsi_read_bytes
-
-        head = vsi_read_bytes(path)[:2048]
-        if b"IsisCube" in head:
-            from gdal_ray.raster.isis import read_isis3
-
-            return read_isis3(path)
-        if low.endswith(".cub"):
-            from gdal_ray.raster.isis import read_isis2
-
-            return read_isis2(path)
-        from gdal_ray.raster.pds import read_pds
-
-        return read_pds(path)
-    if low.endswith((".rsw", ".mtw")):
-        from gdal_ray.raster.rmf import read_rmf
-
-        return read_rmf(path)
-    if low.endswith(".bin"):
-        # NSIDC sea-ice tiles are named nt_YYYYMMDD_*.bin
-        # (nsidcbindataset.cpp identity rule); everything else .bin
-        # falls through to NGS GEOID
-        if os.path.basename(low).startswith("nt_"):
-            from gdal_ray.raster.rawzoo import read_nsidcbin
-
-            return read_nsidcbin(path)
-        from gdal_ray.raster.ngsgeoid import read_ngsgeoid
-
-        return read_ngsgeoid(path)
-    if low.endswith(".hdr"):
-        # .hdr is claimed by CPG SIRC, SNODAS and Vexcel MFF — sniff
-        if low.endswith("sirc.hdr"):
-            from gdal_ray.raster.rawzoo import read_cpg_sirc
-
-            return read_cpg_sirc(path)
-        from gdal_ray.vsi import vsi_read_bytes
-
-        head = vsi_read_bytes(path)[:2048].decode("latin-1", "replace")
-        if "Data file pathname" in head:
-            from gdal_ray.raster.rawzoo import read_snodas
-
-            return read_snodas(path)
-        from gdal_ray.raster.mff import read_mff
-
-        return read_mff(path)
-    if low.endswith(".gsc"):
-        from gdal_ray.raster.rawzoo import read_gsc
-
-        return read_gsc(path)
-    if low.endswith(".doq"):
-        from gdal_ray.raster.rawzoo import read_doq1, read_doq2
-        from gdal_ray.vsi import vsi_read_bytes
-
-        if vsi_read_bytes(path)[:21] == b"BEGIN_USGS_DOQ_HEADER":
-            return read_doq2(path)
-        return read_doq1(path)
-    if low.endswith(".b"):
-        from gdal_ray.raster.rawzoo import read_noaa_b
-
-        return read_noaa_b(path)
-    if low.endswith(".bt"):
-        from gdal_ray.raster.rawzoo import read_bt
-
-        return read_bt(path)
-    if low.endswith(".kro"):
-        from gdal_ray.raster.rawzoo import read_kro
-
-        return read_kro(path)
-    if low.endswith(".ace2"):
-        from gdal_ray.raster.rawzoo import read_ace2
-
-        return read_ace2(path)
-    if re.search(r"\.h[0-9d]$", low):
-        from gdal_ray.raster.rawzoo import read_ndf
-
-        return read_ndf(path)
-    import os as _os
-
-    if ((_os.path.isdir(path)
-         and _os.path.exists(_os.path.join(path, "hdr.adf")))
-            or low.endswith(("hdr.adf", "w001001.adf", "prj.adf"))):
-        from gdal_ray.raster.aig import read_aig
-
-        return read_aig(path)
-    if _os.path.isdir(path) and _os.path.exists(
-            _os.path.join(path, "attrib")):
-        from gdal_ray.raster.rawzoo import read_mff2
-
-        return read_mff2(path)
-    if low.endswith((".pgm", ".ppm", ".pbm", ".pnm")):
-        from gdal_ray.raster.pnm import read_pnm
-
-        return read_pnm(path)
-    if low.endswith(".bmp"):
-        from gdal_ray.raster.bmp import read_bmp
-
-        return read_bmp(path)
-    if low.endswith(".gif"):
-        from gdal_ray.raster.gif import read_gif
-
-        return read_gif(path)
-    if low.endswith((".los", ".las")):
-        from gdal_ray.proj.nadcon import read_loslas
-
-        return read_loslas(path)
-    if low.endswith((".lan", ".gis")):
-        from gdal_ray.raster.lan import read_lan
-
-        return read_lan(path)
-    if low.endswith(".byn"):
-        from gdal_ray.raster.byn import read_byn
-
-        return read_byn(path)
-    if low.endswith(".dem"):
-        if os.path.exists(path + ".rsc"):  # ROI_PAC sidecar wins
-            from gdal_ray.raster.insar import read_roipac
-
-            return read_roipac(path)
-        from gdal_ray.raster.usgsdem import read_usgsdem
-
-        return read_usgsdem(path)
-    if low.endswith((".slc", ".unw", ".cor", ".amp", ".flg")):
-        if os.path.exists(path + ".xml"):
-            from gdal_ray.raster.insar import read_isce
-
-            return read_isce(path)
-        from gdal_ray.raster.insar import read_roipac
-
-        return read_roipac(path)
-    if low.endswith((".rst", ".rdc")):
-        from gdal_ray.raster.idrisi import read_rst
-
-        return read_rst(path)
-    if low.endswith((".ter", ".terrain")):
-        from gdal_ray.raster.terragen import read_terragen
-
-        return read_terragen(path)
-    if low.endswith(".mem"):
-        from gdal_ray.raster.jdem import read_jdem
-
-        return read_jdem(path)
-    if low.endswith(".gxf"):
-        from gdal_ray.raster.gxf import read_gxf
-
-        return read_gxf(path)
-    if low.endswith(".grc"):
-        from gdal_ray.raster.nwtgrd import read_nwt_grc
-
-        return read_nwt_grc(path)
-    if low.endswith((".vic", ".vicar")):
-        from gdal_ray.raster.vicar import read_vicar
-
-        return read_vicar(path)
-    if low.endswith((".kap", ".nos", ".no1")):
-        from gdal_ray.raster.bsb import read_bsb
-
-        return read_bsb(path)
-    if low.endswith((".zmap", ".zycor")):
-        from gdal_ray.raster.zmap import read_zmap
-
-        return read_zmap(path)
-    if low.endswith((".hf2", ".hfz", ".hf2.gz")):
-        from gdal_ray.raster.hf2 import read_hf2
-
-        return read_hf2(path)
-    if low.endswith((".cal", ".ct1")):
-        from gdal_ray.raster.cals import read_cals
-
-        return read_cals(path)
-    if low.endswith("manifest.safe") or low.rstrip("/").endswith(
-            ".safe"):
-        from gdal_ray.raster.safe import read_safe
-
-        return read_safe(path)
-    if low.endswith((".tpkx", "conf.xml", "root.json")):
-        from gdal_ray.raster.esric import read_esric
-
-        return read_esric(path)
-    if low.endswith(".dds"):
-        from gdal_ray.raster.dds import read_dds
-
-        return read_dds(path)
-    if (low.endswith(".dim") or
-            re.search(r"(dim|vol)_[^/]*\.xml$", low)):
-        from gdal_ray.raster.dimap import read_dimap
-
-        return read_dimap(path)
-    if low.endswith((".prf", ".x-dem")):
-        from gdal_ray.raster.prf import read_prf
-
-        return read_prf(path)
-    if low.endswith((".gen", ".thf")) or path.startswith("ADRG:"):
-        from gdal_ray.raster.adrg import read_adrg
-
-        try:
-            return read_adrg(path)
-        except ValueError:
-            from gdal_ray.raster.srp import read_srp
-
-            return read_srp(path)
-    if low.endswith(".isg"):
-        return read_isg(path)
-    if low.endswith(".til"):
-        from gdal_ray.raster.til import read_til
-
-        return read_til(path)
-    if path.startswith("SRP:"):
-        from gdal_ray.raster.srp import read_srp
-
-        return read_srp(path)
-    if low.endswith(".pix"):
-        from gdal_ray.raster.pcidsk import read_pcidsk
-
-        return read_pcidsk(path)
-    if low.endswith(".mrf"):
-        from gdal_ray.raster.mrf import read_mrf
-
-        return read_mrf(path)
-    if low.endswith(".gdalg.json"):
-        from gdal_ray.cli import gdalg_raster
-
-        return gdalg_raster(path)
-    if low.endswith(".map") and b"RUU CROSS" in __import__(
-            "gdal_ray.vsi", fromlist=["vsi"]).vsi_read_bytes(path)[:27]:
-        from gdal_ray.raster.rawzoo import read_pcraster
-
-        return read_pcraster(path)
-    if low.endswith(".ers"):
-        from gdal_ray.raster.ers import read_ers
-
-        return read_ers(path)
-    if low.endswith(".mpr"):
-        from gdal_ray.raster.ilwis import read_ilwis
-
-        return read_ilwis(path)
-    if "grid_cell" in os.path.basename(low):
-        from gdal_ray.raster.ctg import read_ctg
-
-        return read_ctg(path)
-    if low.endswith(".sdem"):
-        from gdal_ray.raster.sigdem import read_sigdem
-
-        return read_sigdem(path)
-    if low.endswith((".nc", ".cdf")):
-        from gdal_ray.raster.netcdf import read_netcdf_array
-
-        return read_netcdf_array(path)
-    if low.endswith((".mbtiles", ".mbtiles.sql")):
-        from gdal_ray.mbtiles import read_mbtiles_array
-
-        return read_mbtiles_array(path)
-    if low.endswith(".gpkg"):
-        from gdal_ray.gpkg_raster import read_gpkg_raster_array
-
-        return read_gpkg_raster_array(path)
-    if low.rstrip("/").endswith(".zarr"):
-        from gdal_ray.raster.zarr import read_zarr_array
-
-        return read_zarr_array(path)
-    from gdal_ray.raster.gtiff import decode_geotiff
-    from gdal_ray.vsi import vsi_read_bytes
-
-    return decode_geotiff(vsi_read_bytes(path))
 
 
 # ---------------------------------------------------------------------------

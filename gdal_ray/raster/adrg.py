@@ -166,6 +166,17 @@ def read_adrg(path: str, img_path: str | None = None) -> dict:
     }
 
 
+def read_adrg_or_srp(path: str) -> dict:
+    """ADRG, or SRP (ASRP/USRP share the .GEN/.THF layout) when the
+    file holds no ADRG product."""
+    try:
+        return read_adrg(path)
+    except ValueError:
+        from gdal_ray.raster.srp import read_srp
+
+        return read_srp(path)
+
+
 def adrg_subdatasets(gen_path: str) -> list[str]:
     """ADRG:gen,img strings for every product in a .GEN."""
     out = []

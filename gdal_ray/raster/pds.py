@@ -363,7 +363,7 @@ def read_pds(path: str, sample_shift: float = 0.5,
         image_prefix = "UNCOMPRESSED_FILE."
     elif enc and enc != "N/A" and comp_name:
         # delegate the pointed file to the in-repo raster loaders
-        from gdal_ray.raster.aaigrid import load_raster
+        from gdal_ray.drivers import load_raster
 
         g = load_raster(ci_path(comp_name))
         g["crs"] = crs

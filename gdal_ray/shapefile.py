@@ -484,3 +484,8 @@ def write_shapefile(table: pa.Table, shp_path: str,
     vsi_write_bytes(base + ".dbf", bytes(dbf))
     if crs_wkt:
         vsi_write_bytes(base + ".prj", crs_wkt.encode())
+
+
+def write_shapefile_dataset(ds, shp_path: str) -> None:
+    write_shapefile(pa.concat_tables(
+        ds.iter_batches(batch_format="pyarrow", batch_size=None)), shp_path)

@@ -18,10 +18,10 @@ VRT XML schema (data/ogrvrt.xsd):
     <OGRVRTUnionLayer name="..."> <OGRVRTLayer.../>+ </OGRVRTUnionLayer>
   </OGRVRTDataSource>
 
-Ray-first execution: the underlying source opens through the shared
-``cli.resolve_vector_source`` dispatch (same registry the pipeline
-CLI uses) into a streaming Dataset; every VRT transformation —
-geometry-field synthesis (WKT parse, WKB passthrough,
+Ray-first execution: the underlying source, a nested .vrt included,
+opens through ``drivers.resolve_vector_source`` (the one driver
+registry the pipeline CLI uses too) into a streaming Dataset; every
+VRT transformation — geometry-field synthesis (WKT parse, WKB passthrough,
 PointFromColumns via the vectorized point encoder), field
 subset/rename, FID renames, warps through the cached per-worker
 Transformer — is a ``map_batches`` stage over Arrow batches, so a
@@ -43,7 +43,7 @@ import pyarrow as pa
 
 def _read_source(src_path: str, src_layer: str | None,
                  vrt_dir: str, relative: bool, inline: str | None):
-    from gdal_ray.cli import resolve_vector_source
+    from gdal_ray.drivers import resolve_vector_source
 
     if inline is not None:
         # inline CDATA VRT datasource: parse the nested document
@@ -64,8 +64,6 @@ def _read_source(src_path: str, src_layer: str | None,
                 path = cand
                 break
             base = os.path.dirname(base.rstrip("/")) or "/"
-    if path.lower().endswith(".vrt"):
-        return read_vrt_vector(path, layer=src_layer)
     return resolve_vector_source(path, layer=src_layer)()
 
 

@@ -51,7 +51,7 @@ class TestADRG:
         assert d["crs"] == crs
 
     def test_dispatch(self):
-        from gdal_ray.raster.aaigrid import load_raster
+        from gdal_ray.drivers import load_raster
 
         d = load_raster(f"{A}/SMALL_ADRG/ABCDEF01.GEN")
         assert checksum_array(d["bands"][0]) == 62833

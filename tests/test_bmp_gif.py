@@ -117,7 +117,7 @@ class TestGIF:
         assert rt["nodata"] == 3.0
 
     def test_load_raster_dispatch(self):
-        from gdal_ray.raster.aaigrid import load_raster
+        from gdal_ray.drivers import load_raster
 
         r = load_raster(GIFD + "bug407.gif")
         assert checksum_array(r["bands"][0]) == 57921

@@ -82,7 +82,7 @@ def test_color_table_shifted_down():
 
 
 def test_load_raster_dispatch():
-    from gdal_ray.raster.aaigrid import load_raster
+    from gdal_ray.drivers import load_raster
 
     r = load_raster(D + "rgbsmall.kap")
     assert checksum_array(r["bands"][0]) == 30321

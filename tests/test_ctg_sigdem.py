@@ -26,7 +26,7 @@ class TestCTG:
         assert d["category_names"][1][52] == "Lakes"
 
     def test_dispatch(self):
-        from gdal_ray.raster.aaigrid import load_raster
+        from gdal_ray.drivers import load_raster
 
         d = load_raster(CTG)
         assert checksum_array(d["bands"][0]) == 21

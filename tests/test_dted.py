@@ -48,7 +48,7 @@ class TestRoundtrip:
         np.testing.assert_array_equal(rt["bands"][0], arr)
 
     def test_load_raster_dispatch(self):
-        from gdal_ray.raster.aaigrid import load_raster
+        from gdal_ray.drivers import load_raster
 
         g = load_raster(f"{DATA}/n43.dt0")
         assert checksum_array(g["bands"][0]) == 49187

@@ -95,7 +95,7 @@ class TestEHdr:
         assert abs(gt[3] - (2041811.701239 + 2 * 2500.0)) < 1e-6
 
     def test_load_raster_dispatch(self):
-        from gdal_ray.raster.aaigrid import load_raster
+        from gdal_ray.drivers import load_raster
 
         g = load_raster(
             "/root/reference/autotest/gdrivers/data/ehdr/ehdr11.flt")

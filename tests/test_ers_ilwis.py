@@ -64,7 +64,7 @@ class TestILWIS:
             (795480.0, 20.0, 0.0, 8090520.0, 0.0, -20.0))
 
     def test_loader_dispatch(self):
-        from gdal_ray.raster.aaigrid import load_raster
+        from gdal_ray.drivers import load_raster
 
         assert checksum_array(
             load_raster(D + "ers/srtm.ers")["bands"][0]) == 64074

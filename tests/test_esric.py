@@ -60,7 +60,7 @@ class TestTpkx:
         assert checksum_array(d["bands"][1]) == 53503
 
     def test_dispatch(self):
-        from gdal_ray.raster.aaigrid import load_raster
+        from gdal_ray.drivers import load_raster
 
         assert load_raster(TPKX)["bands"][0].shape == (8192, 8192)
 

@@ -85,7 +85,7 @@ def test_unsupported_dtype_rejected(tmp_path):
 
 def test_load_raster_dispatch():
     # the CLI loader reaches .gpkg tiles and .zarr stores by extension
-    from gdal_ray.raster.aaigrid import load_raster
+    from gdal_ray.drivers import load_raster
 
     r = load_raster(D + "byte.gpkg")
     assert checksum_array(r["bands"][0]) == 4672

@@ -32,7 +32,7 @@ def test_hydroc1_pin():
 
 
 def test_load_raster_dispatch():
-    from gdal_ray.raster.aaigrid import load_raster
+    from gdal_ray.drivers import load_raster
 
     r = load_raster(HYDROC1)
     assert checksum_array(r["bands"][0]) == 64183

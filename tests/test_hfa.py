@@ -172,7 +172,7 @@ def test_hfa_rat_columns():
 
 
 def test_hfa_load_raster_dispatch():
-    from gdal_ray.raster.aaigrid import load_raster
+    from gdal_ray.drivers import load_raster
 
     r = load_raster(GCORE + "byte.img")
     assert checksum_array(r["bands"][0]) == 4672

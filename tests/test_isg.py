@@ -52,7 +52,7 @@ class TestISG:
              -0.008333333333333333), rel=1e-8)
 
     def test_dispatch(self):
-        from gdal_ray.raster.aaigrid import load_raster
+        from gdal_ray.drivers import load_raster
 
         assert checksum_array(
             load_raster(f"{I}/test.isg")["bands"][0]) == 159

@@ -194,7 +194,7 @@ Ignored = 1""")
 
 
 def test_load_raster_dispatch():
-    from gdal_ray.raster.aaigrid import load_raster
+    from gdal_ray.drivers import load_raster
 
     assert checksum_array(load_raster(
         D3 + "isis3_unit_test.cub")["bands"][0]) == 42403

@@ -89,7 +89,7 @@ class TestBYN:
         assert d["scale"] == pytest.approx(1e-3)
 
     def test_loader_dispatch(self):
-        from gdal_ray.raster.aaigrid import load_raster
+        from gdal_ray.drivers import load_raster
 
         d = load_raster(D + "byn/cgg2013ai08_reduced.byn")
         assert checksum_array(d["bands"][0]) == 64764

@@ -208,7 +208,7 @@ class TestDataset:
         assert ds.count() == 4
 
     def test_cli_dispatch(self):
-        from gdal_ray.cli import resolve_vector_source
+        from gdal_ray.drivers import resolve_vector_source
 
         src = resolve_vector_source(
             B + "Points/SimplePoints/SimplePointsFile.pnt")

@@ -48,7 +48,7 @@ class TestMRF:
         assert checksum_array(arr[:20, :20]) == 4672
 
     def test_dispatch(self):
-        from gdal_ray.raster.aaigrid import load_raster
+        from gdal_ray.drivers import load_raster
 
         assert checksum_array(
             load_raster(f"{M}/png/byte.mrf")["bands"][0]) == 4672

@@ -23,7 +23,7 @@ class TestRasterView:
         assert arr.std() == pytest.approx(0.008260044951413324)
 
     def test_load_raster_dispatch(self):
-        from gdal_ray.raster.aaigrid import load_raster
+        from gdal_ray.drivers import load_raster
 
         d = load_raster(LOS)
         assert d["crs"] == "EPSG:4326"

@@ -147,7 +147,7 @@ def test_roundtrip_float64(tmp_path):
 
 
 def test_load_raster_dispatch(tmp_path):
-    from gdal_ray.raster.aaigrid import load_raster
+    from gdal_ray.drivers import load_raster
 
     r = load_raster(D + "byte.nc")
     assert checksum_array(r["bands"][0]) == 4672

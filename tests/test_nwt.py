@@ -48,7 +48,7 @@ class TestNWTGRC:
         assert d["classes"][0]["rgb"] == (255, 0, 0)
 
     def test_loader_dispatch(self):
-        from gdal_ray.raster.aaigrid import load_raster
+        from gdal_ray.drivers import load_raster
 
         d = load_raster(D + "nwt_grd/nwt_grd.grd")  # HGPC magic
         assert checksum_array(d["bands"][0]) == 28093

@@ -53,7 +53,7 @@ class TestGuards:
             decode_pcidsk(b"NOTPCIDSK" + b" " * 600)
 
     def test_dispatch(self):
-        from gdal_ray.raster.aaigrid import load_raster
+        from gdal_ray.drivers import load_raster
 
         assert checksum_array(
             load_raster(f"{P}/utm.pix")["bands"][0]) == 39576

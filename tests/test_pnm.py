@@ -81,6 +81,6 @@ def test_p4_packed_bitmap():
 
 
 def test_load_raster_dispatch():
-    from gdal_ray.raster.aaigrid import load_raster
+    from gdal_ray.drivers import load_raster
 
     assert checksum_array(load_raster(D + "byte.pgm")["bands"][0]) == 4672

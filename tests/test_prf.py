@@ -37,6 +37,6 @@ class TestPRF:
         assert ov["bands"][0].shape == (1165, 1082)
 
     def test_dispatch(self):
-        from gdal_ray.raster.aaigrid import load_raster
+        from gdal_ray.drivers import load_raster
 
         assert load_raster(f"{P}/ph.prf")["bands"][0].shape == (268, 201)

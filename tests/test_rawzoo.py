@@ -267,14 +267,14 @@ class TestDispatch:
     ]
 
     def test_load_raster_routes(self):
-        from gdal_ray.raster.aaigrid import load_raster
+        from gdal_ray.drivers import load_raster
 
         for rel, shape in self.CASES:
             d = load_raster(D + rel)
             assert d["bands"][0].shape == shape, rel
 
     def test_load_raster_bt_kro_ace2(self, tmp_path):
-        from gdal_ray.raster.aaigrid import load_raster
+        from gdal_ray.drivers import load_raster
 
         arr = np.arange(12, dtype=np.int16).reshape(3, 4)
         p = tmp_path / "t.bt"
@@ -304,7 +304,7 @@ class TestPCRaster:
         assert d["value_scale"] == 0xF0  # VS_LDD
 
     def test_dispatch(self):
-        from gdal_ray.raster.aaigrid import load_raster
+        from gdal_ray.drivers import load_raster
         from gdal_ray.raster.checksum import checksum_array
 
         d = load_raster("/root/reference/autotest/gdrivers/data/"

@@ -84,7 +84,7 @@ class TestISCE:
         assert checksum_array(complex_checksum_view(b)) == 350
 
     def test_loader_dispatch(self):
-        from gdal_ray.raster.aaigrid import load_raster
+        from gdal_ray.drivers import load_raster
 
         # .grd INI magic → rraster; .dem with .rsc sidecar → roipac;
         # .slc with .xml → isce

@@ -79,7 +79,7 @@ def test_size_table():
 
 
 def test_load_raster_dispatch(tmp_path):
-    from gdal_ray.raster.aaigrid import load_raster
+    from gdal_ray.drivers import load_raster
 
     p = str(tmp_path / "N43W080.hgt")
     write_srtmhgt(p, _n43_upsampled())

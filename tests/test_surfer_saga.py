@@ -74,7 +74,7 @@ class TestSAGA:
         assert d["bands"][0].dtype.kind == np.dtype(dtype).kind
 
     def test_loader_dispatch(self):
-        from gdal_ray.raster.aaigrid import load_raster
+        from gdal_ray.drivers import load_raster
 
         assert checksum_array(
             load_raster(D + "gsg/gsg_binary.grd")["bands"][0]) == 4672

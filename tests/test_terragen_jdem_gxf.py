@@ -66,7 +66,7 @@ class TestGXF:
             (1749993.75, 12.5, 0.0, 4343.75, 0.0, -12.5))
 
     def test_loader_dispatch(self):
-        from gdal_ray.raster.aaigrid import load_raster
+        from gdal_ray.drivers import load_raster
 
         assert checksum_array(
             load_raster(D + "gxf/small.gxf")["bands"][0]) == 90

@@ -61,7 +61,7 @@ def test_sizes_and_rejects():
 
 
 def test_load_raster_dispatch():
-    from gdal_ray.raster.aaigrid import load_raster
+    from gdal_ray.drivers import load_raster
 
     r = load_raster(D + "ref_test_suite/ubw8.tga")
     assert checksum_array(r["bands"][0]) == 43089

@@ -45,7 +45,7 @@ class TestTIL:
             "SATELLITEID", "CLOUDCOVER", "ACQUISITIONDATETIME"}
 
     def test_dispatch(self):
-        from gdal_ray.raster.aaigrid import load_raster
+        from gdal_ray.drivers import load_raster
 
         assert checksum_array(
             load_raster(f"{T}/testtil.til")["bands"][0]) == 4672

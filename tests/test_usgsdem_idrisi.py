@@ -88,7 +88,7 @@ class TestIdrisiRST:
             assert np.array_equal(got, want)
 
     def test_loader_dispatch(self):
-        from gdal_ray.raster.aaigrid import load_raster
+        from gdal_ray.drivers import load_raster
 
         assert checksum_array(
             load_raster(D + "rst/byte.rst")["bands"][0]) == 5044

@@ -188,7 +188,7 @@ def test_quote_escape_and_arrays():
 
 
 def test_load_raster_dispatch():
-    from gdal_ray.raster.aaigrid import load_raster
+    from gdal_ray.drivers import load_raster
 
     assert checksum_array(
         load_raster(D + "vicar_byte.vic")["bands"][0]) == 129
