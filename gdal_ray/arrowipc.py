@@ -80,13 +80,14 @@ def _read_table_bytes(data: bytes) -> pa.Table:
     return pa_ipc.open_stream(buf).read_all()
 
 
-def write_arrow_ipc(ds, path: str, geom_col: str = "geometry",
-                    stream: bool = False) -> None:
+def write_arrow_ipc(ds, path: str, geom_col: str = "geometry") -> None:
     """ONE IPC file via a driver-side streaming funnel (one batch in
     memory at a time — for small/interchange outputs; use
-    ``write_arrow_ipc_dir`` for large data)."""
+    ``write_arrow_ipc_dir`` for large data). A ``.arrows`` path gets
+    the IPC stream format, any other the file format."""
     from gdal_ray.vsi import is_vsi, vsi_open
 
+    stream = path.lower().endswith(".arrows")
     first = True
     writer = None
     sink = None

@@ -194,13 +194,17 @@ def to_face_ij(cell_id):
 
 
 def lonlat_to_cell(lon, lat, level: int = 30):
-    """lon/lat → S2 cell id at a level (int64 array)."""
-    x, y, z = lonlat_to_xyz(lon, lat)
+    """lon/lat → S2 cell id at a level (int64 array); a non-finite
+    coordinate (a row without one) gets 0, S2's invalid id."""
+    lon = np.asarray(lon, dtype=np.float64)
+    lat = np.asarray(lat, dtype=np.float64)
+    ok = np.isfinite(lon) & np.isfinite(lat)
+    x, y, z = lonlat_to_xyz(np.where(ok, lon, 0.0), np.where(ok, lat, 0.0))
     face, u, v = xyz_to_face_uv(x, y, z)
     i = st_to_ij(uv_to_st(u))
     j = st_to_ij(uv_to_st(v))
     leaf = from_face_ij(face, i, j)
-    return parent(leaf, level)
+    return np.where(ok, parent(leaf, level), 0)
 
 
 def lsb_for_level(level: int) -> int:

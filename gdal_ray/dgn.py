@@ -238,8 +238,8 @@ class DgnFile:
                         else None), None, consumed
             if len(segs) == 1:
                 return segs[0], None, consumed
-            return (struct.pack("<BII", 1, 5, len(segs))
-                    + b"".join(segs)), None, consumed
+            return (gwkb.collection_wkb(gwkb.MULTILINESTRING, segs), None,
+                    consumed)
 
         return None, None, 0
 

@@ -11,9 +11,12 @@ A row claims a path when the lower-cased path ends with one of its
 ``suffixes`` or starts with one of its ``prefixes``, and then its
 ``identify(path, head)``, if it has one, returns true. A suffix ending
 in "/" also matches a directory path given with trailing slashes; a
-prefix matches as written, and a lower-case prefix in any case. A row
-with neither suffixes nor prefixes leaves the choice to identify alone;
-the last row (Parquet) has none of the three and claims every path.
+prefix matches as written, and a lower-case prefix in any case. Rows
+whose prefix the path carries are tried before all others, so
+``gtfs:x.shp`` reaches GTFS. A row with neither suffixes nor prefixes
+leaves the choice to identify alone; the last row (Parquet) has none
+of the three and claims every path, except that it writes only a path
+no vector reader claims by suffix.
 ``head`` is the first 4 KB of the file, read at most once per lookup
 and only when a row with identify is reached; it is empty for a
 directory or a path that does not open.
@@ -195,10 +198,11 @@ DRIVERS: tuple[Driver, ...] = (
     Driver("JSONFG", (".jsonfg",), write="gdal_ray.jsonfg:write_jsonfg"),
     Driver("GeoJSON", (".geojson", ".json"),
            vector="gdal_ray.formats:read_geojson", args=("columns",)),
-    Driver("GeoJSON", (".geojson",), write="gdal_ray.formats:write_geojson"),
+    Driver("GeoJSON", (".geojson", ".json"),
+           write="gdal_ray.formats:write_geojson"),
     Driver("GeoJSONSeq", (".geojsonl", ".ndjson", ".geojsons"),
            vector="gdal_ray.formats:read_geojson_seq", args=("columns",)),
-    Driver("GeoJSONSeq", (".geojsonl", ".ndjson"),
+    Driver("GeoJSONSeq", (".geojsonl", ".ndjson", ".geojsons"),
            write="gdal_ray.formats:write_geojson_seq"),
     Driver("CSV", (".csv",), vector="gdal_ray.formats:read_csv_geom"),
     Driver("CSV", (".csv", "_csv"), write="gdal_ray.formats:write_csv_geom"),
@@ -211,8 +215,7 @@ DRIVERS: tuple[Driver, ...] = (
            vector="gdal_ray.flatgeobuf:read_flatgeobuf",
            write="gdal_ray.flatgeobuf:write_flatgeobuf_dataset"),
     Driver("Arrow", (".arrow", ".arrows", ".feather"),
-           vector="gdal_ray.arrowipc:read_arrow_ipc"),
-    Driver("Arrow", (".arrow", ".feather"),
+           vector="gdal_ray.arrowipc:read_arrow_ipc",
            write="gdal_ray.arrowipc:write_arrow_ipc"),
     Driver("SQLite", (".sqlite", ".db"),
            vector="gdal_ray.spatialite:read_sqlite",
@@ -269,22 +272,26 @@ def _head(path: str) -> bytes:
         return b""
 
 
+def _prefixed(d: Driver, path: str, low: str) -> bool:
+    return any(path.startswith(p) or low.startswith(p) for p in d.prefixes)
+
+
 def _matched(d: Driver, path: str, low: str) -> bool:
     if not (d.suffixes or d.prefixes):
         return True
     bare = low.rstrip("/")
     return any(bare.endswith(s[:-1]) if s.endswith("/") else low.endswith(s)
-               for s in d.suffixes) or any(
-        path.startswith(p) or low.startswith(p) for p in d.prefixes)
+               for s in d.suffixes) or _prefixed(d, path, low)
 
 
 def identify(path: str, role: str) -> Driver:
     """The first row with a ``role`` ("raster", "vector" or "write")
-    opener that claims ``path``. When none does, raises
-    FileNotFoundError for a missing path, else ValueError."""
+    opener that claims ``path``, rows whose prefix the path carries
+    first. When none does, raises FileNotFoundError for a missing
+    path, else ValueError."""
     low = path.lower()
     head = None
-    for d in DRIVERS:
+    for d in sorted(DRIVERS, key=lambda d: not _prefixed(d, path, low)):
         if getattr(d, role) is None or not _matched(d, path, low):
             continue
         if d.identify is not None:
@@ -333,13 +340,20 @@ def resolve_vector_source(src_path: str, layer: str | None = None,
             src_path = src_path[len(p):]
     kw = {"layer": (layer or d.layer) if d.layer else layer,
           "columns": col_list, "sheet": layer}
-    return functools.partial(pkgutil.resolve_name(d.vector), src_path,
+    read = functools.partial(pkgutil.resolve_name(d.vector), src_path,
                              **{k: kw[k] for k in d.args})
+    if col_list is None or "columns" in d.args:
+        return read
+    return lambda: read().select_columns(col_list)
 
 
 def write_vector(ds, path: str) -> None:
-    """Dataset → ``path`` through the first sink that claims it
-    (parquet by default)."""
+    """Dataset → ``path`` through the first sink that claims it.
+    Parquet takes only a path no vector reader claims: a format this
+    engine reads but cannot write raises ValueError."""
     d = identify(path, "write")
+    if not (d.suffixes or d.prefixes) and (
+            identify(path, "vector").suffixes):
+        raise ValueError(f"no write driver recognises {path}")
     with _naming(d, path):
         pkgutil.resolve_name(d.write)(ds, path)

@@ -271,15 +271,13 @@ class _G:
             return W.linestring_wkb_d(self.data[:, :w], dims)
         if self.kind == "polygon":
             return W.polygon_wkb_d([r[:, :w] for r in self.data], dims)
-        import struct
         code = {"collection": W.GEOMETRYCOLLECTION,
                 "multipoint": W.MULTIPOINT,
                 "multiline": W.MULTILINESTRING,
                 "multipolygon": W.MULTIPOLYGON}[self.kind]
-        subs = [c.to_wkb() for c in self.data]
         dims_any = "xyz" if any(c.has_z for c in self.data) else "xy"
-        return (struct.pack("<BII", 1, W._iso_code(code, dims_any),
-                            len(subs)) + b"".join(subs))
+        return W.collection_wkb(code, [c.to_wkb() for c in self.data],
+                                dims_any)
 
 
 # ---------------------------------------------------------------------------

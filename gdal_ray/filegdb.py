@@ -47,6 +47,7 @@ import numpy as np
 import pyarrow as pa
 
 from gdal_ray.geom import wkb as gwkb
+from gdal_ray.geom.ops import organize_polygons, ring_area
 
 # ---------------------------------------------------------------- varints
 
@@ -467,10 +468,9 @@ class _GeomReader:
         has_curves = bool(gtype & EXT_CURVE)
         npoints, pos = _varuint(blob, pos)
         if npoints == 0:
-            if is_poly:
-                return gwkb.multipolygon_wkb([]) if dims == "xy" else \
-                    _empty(6, dims)
-            return _empty(5, dims)
+            return gwkb.collection_wkb(
+                gwkb.MULTIPOLYGON if is_poly else gwkb.MULTILINESTRING, [],
+                dims)
         nparts, pos = _varuint(blob, pos)
         ncurves = 0
         if has_curves:
@@ -530,9 +530,9 @@ class _GeomReader:
         if curves:
             return self._curved(parts, curves, dims, is_poly)
         if is_poly:
-            return _organize_polygons([p for _, p in parts], dims)
+            return _multipolygon([p for _, p in parts], dims)
         segs = [gwkb.linestring_wkb_d(p, dims) for _, p in parts]
-        return _multi_wkb(5, segs, dims)
+        return gwkb.collection_wkb(gwkb.MULTILINESTRING, segs, dims)
 
     # point ------------------------------------------------------------------
 
@@ -559,7 +559,7 @@ class _GeomReader:
         gf = self.gf
         n, pos = _varuint(blob, pos)
         if n == 0:
-            return _empty(4, dims)
+            return gwkb.collection_wkb(gwkb.MULTIPOINT, [], dims)
         pos = _skip_varuints(blob, pos, 4)
         xs, ys, pos, _, _ = self._xy(blob, pos, n, 0, 0)
         zs = ms = None
@@ -580,7 +580,7 @@ class _GeomReader:
             if ms is not None:
                 c.append(ms[i])
             pts.append(gwkb.point_wkb_d(c, dims))
-        return _multi_wkb(4, pts, dims)
+        return gwkb.collection_wkb(gwkb.MULTIPOINT, pts, dims)
 
     # multipatch -----------------------------------------------------------
 
@@ -588,7 +588,7 @@ class _GeomReader:
         gf = self.gf
         npoints, pos = _varuint(blob, pos)
         if npoints == 0:
-            return _empty(3, "xyz")
+            return gwkb.polygon_wkb_d([], "xyz")
         pos = _skip_varuints(blob, pos, 1)
         nparts, pos = _varuint(blob, pos)
         pos = _skip_varuints(blob, pos, 4)
@@ -637,9 +637,10 @@ class _GeomReader:
                     kept.append((sidx, "ellipse", params))
         if not kept:
             if is_poly:
-                return _organize_polygons([p for _, p in parts], dims)
-            return _multi_wkb(5, [gwkb.linestring_wkb_d(p, dims)
-                                  for _, p in parts], dims)
+                return _multipolygon([p for _, p in parts], dims)
+            return gwkb.collection_wkb(
+                gwkb.MULTILINESTRING,
+                [gwkb.linestring_wkb_d(p, dims) for _, p in parts], dims)
 
         out_parts = []
         any_arc_total = False
@@ -707,7 +708,8 @@ class _GeomReader:
                 wkbs = [gwkb.circularstring_wkb(c, dims) if k == "arc"
                         else gwkb.linestring_wkb_d(c, dims)
                         for k, c in segs]
-                out_parts.append(("cc", gwkb.compoundcurve_wkb(wkbs, dims)))
+                out_parts.append(("cc", gwkb.collection_wkb(
+                    gwkb.COMPOUNDCURVE, wkbs, dims)))
             else:  # forceTo(LineString): concatenate, dropping dup joins
                 pts = [segs[0][1]]
                 for _, c in segs[1:]:
@@ -718,39 +720,18 @@ class _GeomReader:
                     ("ls", gwkb.linestring_wkb_d(merged, dims)))
 
         if is_poly:
-            # organizePolygons METHOD=ONLY_CCW role: each CW (shapefile
-            # exterior) ring starts a CurvePolygon; CCW rings become
-            # holes of the smallest containing exterior.  Orientation /
-            # containment tested on the stored vertices (chords).
-            raw = [c for _, c in parts]
+            # one CurvePolygon per shell of organize_polygons, winding
+            # and containment tested on the stored vertices (chords)
             wkbs = [w for _, w in out_parts]
-            groups: list[list[int]] = []
-            holes: list[int] = []
-            for idx, r in enumerate(raw):
-                if len(raw) == 1 or _ring_area2(r) <= 0:
-                    groups.append([idx])
-                else:
-                    holes.append(idx)
-            if not groups:
-                groups = [[i] for i in holes]
-                holes = []
-            for h in holes:
-                pt = raw[h][0]
-                best, best_area = 0, None
-                for gi, grp in enumerate(groups):
-                    outer = raw[grp[0]]
-                    if _point_in_ring(pt, outer):
-                        a = abs(_ring_area2(outer))
-                        if best_area is None or a < best_area:
-                            best, best_area = gi, a
-                groups[best].append(h)
-            return gwkb.multisurface_wkb(
-                [gwkb.curvepolygon_wkb([wkbs[i] for i in grp], dims)
-                 for grp in groups], dims)
-        if not any_arc_total:
-            # no circular arc anywhere: plain MULTILINESTRING
-            return _multi_wkb(5, [w for _, w in out_parts], dims)
-        return gwkb.multicurve_wkb([w for _, w in out_parts], dims)
+            return gwkb.collection_wkb(gwkb.MULTISURFACE, [
+                gwkb.collection_wkb(gwkb.CURVEPOLYGON,
+                                    [wkbs[i] for i in grp], dims)
+                for grp in organize_polygons([c[:, :2] for _, c in parts],
+                                             by_winding=True)], dims)
+        # MULTICURVE only when some part kept a circular arc
+        return gwkb.collection_wkb(
+            gwkb.MULTICURVE if any_arc_total else gwkb.MULTILINESTRING,
+            [w for _, w in out_parts], dims)
 
 
 def _bezier_points(p1, p3, params, width: int) -> np.ndarray:
@@ -852,64 +833,13 @@ def _ellipse_points(p1, p3, params, width: int) -> np.ndarray:
     return out
 
 
-def _empty(base: int, dims: str) -> bytes:
-    """Empty geometry WKB of ISO type ``base`` with dims suffix."""
-    code = base + {"xy": 0, "xyz": 1000, "xym": 2000, "xyzm": 3000}[dims]
-    return struct.pack("<bI", 1, code) + struct.pack("<I", 0)
-
-
-def _multi_wkb(base: int, parts: list[bytes], dims: str) -> bytes:
-    code = base + {"xy": 0, "xyz": 1000, "xym": 2000, "xyzm": 3000}[dims]
-    return (struct.pack("<bI", 1, code) + struct.pack("<I", len(parts))
-            + b"".join(parts))
-
-
-def _ring_area2(c: np.ndarray) -> float:
-    x, y = c[:, 0], c[:, 1]
-    return float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
-
-
-def _point_in_ring(pt, ring) -> bool:
-    x, y = pt[0], pt[1]
-    inside = False
-    j = len(ring) - 1
-    for i in range(len(ring)):
-        xi, yi = ring[i, 0], ring[i, 1]
-        xj, yj = ring[j, 0], ring[j, 1]
-        if (yi > y) != (yj > y) and \
-                x < (xj - xi) * (y - yi) / (yj - yi) + xi:
-            inside = not inside
-        j = i
-    return inside
-
-
-def _organize_polygons(rings: list[np.ndarray], dims: str) -> bytes:
-    """Topological outer/inner assignment (organizePolygons role) →
-    MULTIPOLYGON (the OpenFileGDB layer promotes every polygon)."""
-    if len(rings) == 1:
-        return _multi_wkb(6, [gwkb.polygon_wkb_d([rings[0]], dims)], dims)
-    outers: list[list] = []  # [ring, holes...]
-    inners: list[np.ndarray] = []
-    for r in rings:
-        if _ring_area2(r) <= 0:  # CW (shapefile outer convention)
-            outers.append([r])
-        else:
-            inners.append(r)
-    if not outers:  # all CCW: treat each as its own polygon
-        return _multi_wkb(
-            6, [gwkb.polygon_wkb_d([r], dims) for r in inners], dims)
-    for hole in inners:
-        pt = hole[0]
-        best = None
-        best_area = None
-        for idx, group in enumerate(outers):
-            if _point_in_ring(pt, group[0]):
-                a = abs(_ring_area2(group[0]))
-                if best_area is None or a < best_area:
-                    best, best_area = idx, a
-        outers[best if best is not None else 0].append(hole)
-    polys = [gwkb.polygon_wkb_d(group, dims) for group in outers]
-    return _multi_wkb(6, polys, dims)
+def _multipolygon(rings: list[np.ndarray], dims: str) -> bytes:
+    """Spec winding (clockwise = shell) → MULTIPOLYGON (the OpenFileGDB
+    layer promotes every polygon)."""
+    return gwkb.collection_wkb(gwkb.MULTIPOLYGON, [
+        gwkb.polygon_wkb_d([rings[i] for i in group], dims)
+        for group in organize_polygons([r[:, :2] for r in rings],
+                                       by_winding=True)], dims)
 
 
 def _multipatch_wkb(counts, ptypes, xs, ys, zs) -> bytes:
@@ -943,16 +873,16 @@ def _multipatch_wkb(counts, ptypes, xs, ys, zs) -> bytes:
                             [xs[s + 1], ys[s + 1], zs[s + 1]],
                             [xs[s + 2], ys[s + 2], zs[s + 2]]))
         if dup and _tin_connected(starts, counts, xs, ys, zs):
-            return _multi_wkb(16, tris, "xyz")
+            return gwkb.collection_wkb(gwkb.TIN, tris, "xyz")
 
     members: list[bytes] = []
     cur_polys: list[list[np.ndarray]] = []
 
     def flush_polys():
         if cur_polys:
-            members.append(_multi_wkb(
-                6, [gwkb.polygon_wkb_d(rs, "xyz") for rs in cur_polys],
-                "xyz"))
+            members.append(gwkb.collection_wkb(
+                gwkb.MULTIPOLYGON,
+                [gwkb.polygon_wkb_d(rs, "xyz") for rs in cur_polys], "xyz"))
             cur_polys.clear()
 
     for s, c, t in zip(starts, counts, ptypes):
@@ -961,12 +891,12 @@ def _multipatch_wkb(counts, ptypes, xs, ys, zs) -> bytes:
             flush_polys()
             tris = [tri(pts[i], pts[i + 1], pts[i + 2])
                     for i in range(c - 2)]
-            members.append(_multi_wkb(16, tris, "xyz"))
+            members.append(gwkb.collection_wkb(gwkb.TIN, tris, "xyz"))
         elif t == 1:  # triangle fan
             flush_polys()
             tris = [tri(pts[0], pts[i + 1], pts[i + 2])
                     for i in range(c - 2)]
-            members.append(_multi_wkb(16, tris, "xyz"))
+            members.append(gwkb.collection_wkb(gwkb.TIN, tris, "xyz"))
         elif t in (2, 4):  # outer / first ring starts a new polygon
             cur_polys.append([pts])
         elif t in (3, 5):  # inner / subsequent ring
@@ -978,11 +908,11 @@ def _multipatch_wkb(counts, ptypes, xs, ys, zs) -> bytes:
             flush_polys()
             tris = [tri(pts[i], pts[i + 1], pts[i + 2])
                     for i in range(0, c - 2, 3)]
-            members.append(_multi_wkb(16, tris, "xyz"))
+            members.append(gwkb.collection_wkb(gwkb.TIN, tris, "xyz"))
     flush_polys()
     if len(members) == 1:
         return members[0]
-    return _multi_wkb(7, members, "xyz")
+    return gwkb.collection_wkb(gwkb.GEOMETRYCOLLECTION, members, "xyz")
 
 
 def _tin_connected(starts, counts, xs, ys, zs) -> bool:
@@ -1332,8 +1262,7 @@ class _GdbTableWriter:
         out = []
         for i, ring in enumerate(rings):
             r = np.asarray(ring, np.float64)
-            area2 = float(np.cross(r[:-1], r[1:]).sum())
-            cw = area2 < 0
+            cw = ring_area(r) < 0
             want_cw = i == 0
             out.append(r if cw == want_cw else r[::-1])
         return out

@@ -251,7 +251,7 @@ def _geom_to_wkb(g: _Tbl | None, gtype: int) -> bytes | None:
         parts = [
             _geom_to_wkb(p, p.scalar(6, "B", 0)) for p in g.table_vector(7)
         ]
-        return W.geometrycollection_wkb([p for p in parts if p])
+        return W.collection_wkb(W.GEOMETRYCOLLECTION, [p for p in parts if p])
     if t == GEOM_MULTIPOLYGON:
         parts = g.table_vector(7)
         if parts:
@@ -274,11 +274,13 @@ def _geom_to_wkb(g: _Tbl | None, gtype: int) -> bytes | None:
         rings = _rings(g)
         return W.polygon_wkb(rings[0], rings[1:])
     if t == GEOM_MULTIPOINT:
-        return _multipoint_wkb(pts)
+        return W.collection_wkb(W.MULTIPOINT, [W.point_wkb(x, y)
+                                               for x, y in pts])
     if t == GEOM_MULTILINESTRING:
         ends = g.vector(0, np.uint32)
         chains = _split_by_ends(pts, ends)
-        return _multilinestring_wkb(chains)
+        return W.collection_wkb(W.MULTILINESTRING,
+                                [W.linestring_wkb(c) for c in chains])
     raise NotImplementedError(f"FlatGeobuf geometry type {t}")
 
 
@@ -296,22 +298,6 @@ def _split_by_ends(pts: np.ndarray, ends) -> list[np.ndarray]:
 def _rings(g: _Tbl) -> list[np.ndarray]:
     xy = g.vector(1, np.float64).reshape(-1, 2)
     return _split_by_ends(xy, g.vector(0, np.uint32))
-
-
-def _multipoint_wkb(pts: np.ndarray) -> bytes:
-    out = bytearray(struct.pack("<BII", 1, 4, len(pts)))
-    for x, y in pts:
-        out += struct.pack("<BIdd", 1, 1, x, y)
-    return bytes(out)
-
-
-def _multilinestring_wkb(chains: list[np.ndarray]) -> bytes:
-    from gdal_ray.geom import wkb as W
-
-    out = bytearray(struct.pack("<BII", 1, 5, len(chains)))
-    for c in chains:
-        out += W.linestring_wkb(c)
-    return bytes(out)
 
 
 # ----------------------------------------------------------- properties

@@ -111,9 +111,8 @@ def geojson_geom_to_wkb(g: dict) -> bytes:
     """GeoJSON geometry dict → ISO WKB bytes (2-D or Z)."""
     t = g["type"]
     if t == "GeometryCollection":
-        return W.geometrycollection_wkb(
-            [geojson_geom_to_wkb(s) for s in g["geometries"]]
-        )
+        return W.collection_wkb(W.GEOMETRYCOLLECTION, [
+            geojson_geom_to_wkb(s) for s in g["geometries"]])
     c = g["coordinates"]
     if t == "Point":
         dims = "xyz" if len(c) > 2 else "xy"
@@ -134,10 +133,7 @@ def geojson_geom_to_wkb(g: dict) -> bytes:
         while probe and isinstance(probe[0], (list, tuple)):
             probe = probe[0]
         dims = "xyz" if len(probe) > 2 else "xy"
-        code = W._iso_code(_GJ_CODE[t], dims)
-        head = b"\x01" + code.to_bytes(4, "little") + len(parts).to_bytes(
-            4, "little")
-        return head + b"".join(parts)
+        return W.collection_wkb(_GJ_CODE[t], parts, dims)
     raise ValueError(f"unsupported GeoJSON geometry type {t!r}")
 
 

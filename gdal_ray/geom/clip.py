@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from gdal_ray.geom.ops import ring_area
 from gdal_ray.geom.predicates import PolygonEdges
 
 _EPS = 1e-12
@@ -189,11 +190,6 @@ def _collect(headP: _V, opP_forward: bool, opQ_forward: bool):
     return rings
 
 
-def _area(ring: np.ndarray) -> float:
-    x, y = ring[:, 0], ring[:, 1]
-    return 0.5 * float(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))
-
-
 def _interior_point(ring: np.ndarray, all_ys: np.ndarray) -> np.ndarray:
     """A point strictly inside a simple ring: midpoint of the first
     horizontal-chord crossing pair. The chord height is the midpoint of
@@ -223,7 +219,7 @@ def _orient_nested(rings: list[np.ndarray]) -> list[np.ndarray]:
     reliable (a union of interlocking concave polygons emits its hole
     ring in either direction). Signed-area sums are then correct."""
     if len(rings) <= 1:
-        return [r if _area(r) > 0 else r[::-1] for r in rings]
+        return [r if ring_area(r) > 0 else r[::-1] for r in rings]
     all_ys = np.unique(np.concatenate([r[:, 1] for r in rings]))
     pts = [_interior_point(r, all_ys) for r in rings]
     out = []
@@ -238,7 +234,7 @@ def _orient_nested(rings: list[np.ndarray]) -> list[np.ndarray]:
             )[0]:
                 depth += 1
         want_ccw = depth % 2 == 0
-        a = _area(r)
+        a = ring_area(r)
         if (a > 0) != want_ccw:
             r = r[::-1]
         out.append(r)
@@ -249,7 +245,7 @@ def _ensure_ccw(coords: np.ndarray) -> np.ndarray:
     c = np.asarray(coords, dtype=np.float64)
     if (c[0] != c[-1]).any():
         c = np.vstack([c, c[:1]])
-    if _area(c) < 0:
+    if ring_area(c) < 0:
         c = c[::-1]
     return c
 
@@ -284,7 +280,7 @@ def polygon_intersection(subject, clip, _retry: int = 0) -> list[np.ndarray]:
 
 
 def intersection_area(subject, clip) -> float:
-    return sum(abs(_area(r)) for r in polygon_intersection(subject, clip))
+    return sum(abs(ring_area(r)) for r in polygon_intersection(subject, clip))
 
 
 def _overlay(subject, clip, invert_s: bool, invert_c: bool, mode: str,
@@ -355,12 +351,12 @@ def polygon_difference(subject, clip) -> list[np.ndarray]:
 def union_area(subject, clip) -> float:
     # rings are containment-oriented (shells CCW, holes CW): the signed
     # sum IS the union area, including the interlocking-concave hole case
-    return sum(_area(r) for r in polygon_union(subject, clip))
+    return sum(ring_area(r) for r in polygon_union(subject, clip))
 
 
 def difference_area(subject, clip) -> float:
     # signed sum: CW hole rings subtract
-    return sum(_area(r) for r in polygon_difference(subject, clip))
+    return sum(ring_area(r) for r in polygon_difference(subject, clip))
 
 
 def polygon_symdifference(a, b) -> list[np.ndarray]:
@@ -371,7 +367,7 @@ def polygon_symdifference(a, b) -> list[np.ndarray]:
 
 
 def symdifference_area(a, b) -> float:
-    return sum(_area(r) for r in polygon_symdifference(a, b))
+    return sum(ring_area(r) for r in polygon_symdifference(a, b))
 
 
 def polygon_intersection_holes(rings_a, rings_b):
@@ -385,11 +381,11 @@ def polygon_intersection_holes(rings_a, rings_b):
     shells = polygon_intersection(
         np.asarray(rings_a[0], np.float64), np.asarray(rings_b[0], np.float64)
     )
-    pieces = [(s if _area(s) > 0 else s[::-1], []) for s in shells
-              if abs(_area(s)) > 1e-12]
+    pieces = [(s if ring_area(s) > 0 else s[::-1], []) for s in shells
+              if abs(ring_area(s)) > 1e-12]
     for hole in list(rings_a[1:]) + list(rings_b[1:]):
         h = np.asarray(hole, np.float64)
-        if _area(h) < 0:
+        if ring_area(h) < 0:
             h = h[::-1]  # difference expects a CCW clip ring
         nxt = []
         for shell, holes in pieces:
@@ -405,5 +401,5 @@ def polygon_intersection_holes(rings_a, rings_b):
 def polygon_area_holes(pieces) -> float:
     """Area of a (shell, holes) piece list."""
     return float(sum(
-        abs(_area(s)) - sum(abs(_area(h)) for h in hs) for s, hs in pieces
-    ))
+        abs(ring_area(s)) - sum(abs(ring_area(h)) for h in hs)
+        for s, hs in pieces))

@@ -149,8 +149,6 @@ def linearize(buf: bytes, max_angle_deg: float = 4.0) -> bytes:
     LineString, CurvePolygon → Polygon, MultiCurve →
     MultiLineString, MultiSurface → MultiPolygon); linear types pass
     through unchanged (collections recurse)."""
-    import struct
-
     g = gwkb.parse(buf)
     t = g["type"]
     dims = g["dims"]
@@ -162,9 +160,7 @@ def linearize(buf: bytes, max_angle_deg: float = 4.0) -> bytes:
     if t == gwkb.MULTICURVE:
         parts = [gwkb.linestring_wkb_d(_line_full(p, max_angle_deg), dims)
                  for p in g["parts"]]
-        return (struct.pack("<BII", 1,
-                            gwkb._iso_code(gwkb.MULTILINESTRING, dims),
-                            len(parts)) + b"".join(parts))
+        return gwkb.collection_wkb(gwkb.MULTILINESTRING, parts, dims)
     if t == gwkb.MULTISURFACE:
         parts = []
         for p in g["parts"]:
@@ -173,14 +169,10 @@ def linearize(buf: bytes, max_angle_deg: float = 4.0) -> bytes:
                 parts.append(gwkb.polygon_wkb_d(rings, dims))
             else:  # plain polygon child
                 parts.append(linearize_polygon(p, dims))
-        return (struct.pack("<BII", 1,
-                            gwkb._iso_code(gwkb.MULTIPOLYGON, dims),
-                            len(parts)) + b"".join(parts))
+        return gwkb.collection_wkb(gwkb.MULTIPOLYGON, parts, dims)
     if t == gwkb.GEOMETRYCOLLECTION:
         kids = [linearize(_child_wkb(p), max_angle_deg) for p in g["parts"]]
-        return (struct.pack("<BII", 1,
-                            gwkb._iso_code(gwkb.GEOMETRYCOLLECTION, dims),
-                            len(kids)) + b"".join(kids))
+        return gwkb.collection_wkb(gwkb.GEOMETRYCOLLECTION, kids, dims)
     return buf  # already linear
 
 
@@ -208,18 +200,5 @@ def _child_wkb(g: dict) -> bytes:
         return gwkb.circularstring_wkb(_full(g), dims)
     if t == gwkb.POLYGON:
         return linearize_polygon(g, dims)
-    if t == gwkb.COMPOUNDCURVE:
-        return gwkb.compoundcurve_wkb([_child_wkb(p) for p in g["parts"]], dims)
-    if t == gwkb.CURVEPOLYGON:
-        return gwkb.curvepolygon_wkb([_child_wkb(p) for p in g["parts"]], dims)
-    import struct
-
-    code = {gwkb.MULTIPOINT: gwkb.MULTIPOINT,
-            gwkb.MULTILINESTRING: gwkb.MULTILINESTRING,
-            gwkb.MULTIPOLYGON: gwkb.MULTIPOLYGON,
-            gwkb.MULTICURVE: gwkb.MULTICURVE,
-            gwkb.MULTISURFACE: gwkb.MULTISURFACE,
-            gwkb.GEOMETRYCOLLECTION: gwkb.GEOMETRYCOLLECTION}[t]
-    kids = [_child_wkb(p) for p in g["parts"]]
-    return (struct.pack("<BII", 1, gwkb._iso_code(code, dims), len(kids))
-            + b"".join(kids))
+    # every container: CompoundCurve, CurvePolygon, Multi*, collection
+    return gwkb.collection_wkb(t, [_child_wkb(p) for p in g["parts"]], dims)

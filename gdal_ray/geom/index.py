@@ -66,14 +66,13 @@ class GridPolygonIndex:
         self._buckets = {k: np.array(v, dtype=np.int64) for k, v in tmp.items()}
 
     def _bucket_of(self, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-        cx = np.floor((px - self.minx) / self._dx).astype(np.int64)
-        cy = np.floor((py - self.miny) / self._dy).astype(np.int64)
-        out = np.where(
-            (cx >= 0) & (cx < self.nx) & (cy >= 0) & (cy < self.ny),
-            cx * self.ny + cy,
-            -1,
-        )
-        return out
+        """Grid bucket per point; -1 outside the grid or non-finite."""
+        fx = np.floor((px - self.minx) / self._dx)
+        fy = np.floor((py - self.miny) / self._dy)
+        inside = (fx >= 0) & (fx < self.nx) & (fy >= 0) & (fy < self.ny)
+        cx = np.where(inside, fx, 0).astype(np.int64)
+        cy = np.where(inside, fy, 0).astype(np.int64)
+        return np.where(inside, cx * self.ny + cy, -1)
 
     def query_points(self, px, py) -> tuple[np.ndarray, np.ndarray]:
         """All (point_index, polygon_id) pairs where polygon intersects

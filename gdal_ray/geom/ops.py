@@ -21,15 +21,18 @@ of scope implement the documented subset and raise on the rest:
   the Point case; line/polygon buffering not implemented in v0)
 - ``swap_xy``, ``promote_to_multi``, ``explode``, ``make_valid_basic``,
   ``wrap_lon``
+- ``organize_polygons`` — the one hole-to-shell rule of the readers
+  (OGRGeometryFactory::organizePolygons role)
 """
 
 from __future__ import annotations
 
-import struct
+import functools
 
 import numpy as np
 
 from gdal_ray.geom import wkb as gwkb
+from gdal_ray.geom.predicates import PolygonEdges
 
 HILBERT_MAX = (1 << 16) - 2  # alg/hilbert.cpp:17 (reserve max for null)
 
@@ -161,6 +164,74 @@ def polygon_area(rings: list[np.ndarray]) -> float:
     for r in rings[1:]:
         a -= abs(ring_area(r))
     return a
+
+
+def _vertices_in(ring: np.ndarray, edges: PolygonEdges) -> bool:
+    """Every vertex of ``ring`` in ``edges``' polygon, boundary
+    included. Vertices go in y-sorted runs, each tested only against
+    the edges whose y-span meets the run's (no other edge touches or
+    crosses a run vertex's ray), in blocks of about 2**20 edge×vertex
+    cells; testing stops at the first run with a vertex outside."""
+    y_lo = np.minimum(edges.y1, edges.y2)
+    y_hi = np.maximum(edges.y1, edges.y2)
+    pts = ring[np.argsort(ring[:, 1], kind="stable")]
+    for a in range(0, len(pts), 256):
+        run = pts[a:a + 256]
+        band = edges.take((y_hi >= run[0, 1]) & (y_lo <= run[-1, 1]))
+        step = max(1, 2**20 // max(1, len(band.x1)))
+        if not all(band.contains_points(run[k:k + step, 0],
+                                        run[k:k + step, 1]).all()
+                   for k in range(0, len(run), step)):
+            return False
+    return True
+
+
+def organize_polygons(rings: list[np.ndarray],
+                      by_winding: bool) -> list[list[int]]:
+    """Rings → ``[shell, holes…]`` ring-index groups, shells in ring
+    order (the OGRGeometryFactory::organizePolygons role).
+
+    With ``by_winding`` (formats whose spec fixes clockwise = shell:
+    Shapefile, FileGDB) a ring of negative ``ring_area`` is a shell.
+    Without it (MIF), when no ring is clockwise, or when some other
+    ring lies in no shell, a ring inside an even number of other rings
+    is a shell. Each hole joins the smallest-area shell containing it;
+    a hole that no shell contains (rings that contain each other)
+    stands as its own shell. Ring i lies in ring j when every vertex
+    of i is in j, boundary included, so a hole touching its shell is
+    inside it and two rings sharing an edge are not nested.
+    """
+    n = len(rings)
+    signed = [ring_area(r) for r in rings]
+    lo = np.array([r[:, :2].min(0) for r in rings]).reshape(n, 2)
+    hi = np.array([r[:, :2].max(0) for r in rings]).reshape(n, 2)
+
+    @functools.cache
+    def edges_of(j: int) -> PolygonEdges:
+        return PolygonEdges([rings[j]])
+
+    @functools.cache
+    def within(i: int, j: int) -> bool:
+        return bool(
+            i != j and (lo[j] <= lo[i]).all() and (hi[i] <= hi[j]).all()
+            and _vertices_in(rings[i], edges_of(j)))
+
+    shell = [by_winding and a < 0 for a in signed]
+    if not any(shell) or any(
+            not shell[i] and not any(shell[j] and within(i, j)
+                                     for j in range(n))
+            for i in range(n)):
+        shell = [sum(within(i, j) for j in range(n)) % 2 == 0
+                 for i in range(n)]
+    groups = {i: [i] for i in range(n) if shell[i]}
+    for h in range(n):
+        if not shell[h]:
+            owners = [j for j in groups if j != h and within(h, j)]
+            if owners:
+                groups[min(owners, key=lambda j: abs(signed[j]))].append(h)
+            else:
+                groups[h] = [h]
+    return sorted(groups.values())
 
 
 def polygon_centroid(rings: list[np.ndarray]) -> tuple[float, float]:
@@ -374,10 +445,7 @@ def _rebuild(g: dict, f) -> bytes:
         return gwkb.polygon_wkb(rings[0], rings[1:])
     if t in (gwkb.MULTIPOINT, gwkb.MULTILINESTRING, gwkb.MULTIPOLYGON,
              gwkb.GEOMETRYCOLLECTION):
-        parts = [_rebuild(p, f) for p in g["parts"]]
-        if t == gwkb.GEOMETRYCOLLECTION:
-            return gwkb.geometrycollection_wkb(parts)
-        return struct.pack("<BII", 1, t, len(parts)) + b"".join(parts)
+        return gwkb.collection_wkb(t, [_rebuild(p, f) for p in g["parts"]])
     raise ValueError(f"unsupported type {t}")
 
 
@@ -401,7 +469,7 @@ def promote_to_multi_wkb(buf: bytes) -> bytes:
     promote = {gwkb.POINT: gwkb.MULTIPOINT, gwkb.LINESTRING: gwkb.MULTILINESTRING,
                gwkb.POLYGON: gwkb.MULTIPOLYGON}
     if t in promote:
-        return struct.pack("<BII", 1, promote[t], 1) + buf
+        return gwkb.collection_wkb(promote[t], [buf])
     return buf
 
 

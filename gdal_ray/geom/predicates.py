@@ -48,6 +48,14 @@ class PolygonEdges:
             else (np.inf, np.inf, -np.inf, -np.inf)
         )
 
+    def take(self, mask: np.ndarray) -> "PolygonEdges":
+        """The edges selected by ``mask`` (``bounds`` kept)."""
+        out = PolygonEdges([])
+        out.x1, out.y1 = self.x1[mask], self.y1[mask]
+        out.x2, out.y2 = self.x2[mask], self.y2[mask]
+        out.bounds = self.bounds
+        return out
+
     def contains_points(self, px: np.ndarray, py: np.ndarray) -> np.ndarray:
         """Boundary-inclusive even-odd test, vectorized over points."""
         px = np.asarray(px, dtype=np.float64)

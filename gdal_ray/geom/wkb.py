@@ -1,9 +1,16 @@
-"""WKB encode/decode, numpy-vectorized for the hot shapes.
+"""The one WKB codec: every WKB byte the engine reads or writes is
+laid out here (ogr/ogr_wkb.cpp role).
 
-Implements the ISO WKB subset GDAL's Arrow bridge emits
-(ogr/ogr_wkb.cpp, ogr/ogrgeometryfactory.cpp): little-endian 2-D
-Point / LineString / Polygon / MultiPoint / MultiLineString /
-MultiPolygon / GeometryCollection.
+Writes little-endian ISO WKB (ogr/ogrgeometryfactory.cpp): Point,
+LineString and Polygon from coordinate arrays, every container type
+(Multi*, GeometryCollection, CompoundCurve, CurvePolygon, MultiCurve,
+MultiSurface, PolyhedralSurface, TIN) from its parts through
+``collection_wkb``, with XY / Z / M / ZM dims as ISO type offsets
+(1000 = Z, 2000 = M, 3000 = ZM). ``to_ewkb`` writes the PostGIS EWKB
+dialect (Z flag bit, SRID after the type code) that PGDump emits.
+
+``parse`` reads either byte order, ISO offsets and EWKB flag bits
+with or without an SRID.
 
 Hot paths (per-page points) are fully vectorized: a batch of N points
 encodes as one (N, 21) uint8 matrix; decoding slices fixed offsets.
@@ -37,6 +44,7 @@ TIN = 16
 
 _EWKB_Z = 0x80000000
 _EWKB_M = 0x40000000
+_EWKB_SRID = 0x20000000
 
 
 def _decode_type(gtype: int) -> tuple[int, bool, bool]:
@@ -45,7 +53,7 @@ def _decode_type(gtype: int) -> tuple[int, bool, bool]:
     PostGIS EWKB flag bits."""
     has_z = bool(gtype & _EWKB_Z)
     has_m = bool(gtype & _EWKB_M)
-    base = gtype & ~(_EWKB_Z | _EWKB_M)
+    base = gtype & ~(_EWKB_Z | _EWKB_M | _EWKB_SRID)
     k, base = divmod(base, 1000)
     if k == 1:
         has_z = True
@@ -58,6 +66,43 @@ def _decode_type(gtype: int) -> tuple[int, bool, bool]:
 
 def _iso_code(base: int, dims: str) -> int:
     return base + 1000 * int("z" in dims) + 2000 * int("m" in dims)
+
+
+def to_ewkb(buf: bytes, srid: int = 0, z: bool = False) -> bytes:
+    """ISO WKB → little-endian PostGIS EWKB. The output has Z exactly
+    when ``z``: the Z flag bit is set and a geometry without Z gets
+    Z = 0 (GDAL's DIM=3); M is dropped. An ``srid`` > 0 sets the SRID
+    flag and follows the outer type code (parts carry no SRID)."""
+    return _ewkb(parse(buf), srid, z)
+
+
+def _ewkb(g: dict, srid: int, z: bool) -> bytes:
+    etype = g["type"] | (_EWKB_Z if z else 0) | (_EWKB_SRID if srid > 0
+                                                 else 0)
+    out = [struct.pack("<BI", 1, etype)]
+    if srid > 0:
+        out.append(struct.pack("<i", srid))
+
+    def coords(xy, zs) -> bytes:
+        if z:
+            xy = np.column_stack([xy, np.zeros(len(xy)) if zs is None
+                                  else zs])
+        return np.ascontiguousarray(xy, "<f8").tobytes()
+
+    if "parts" in g:
+        out.append(struct.pack("<I", len(g["parts"])))
+        out += [_ewkb(p, 0, z) for p in g["parts"]]
+    elif "rings" in g:
+        out.append(struct.pack("<I", len(g["rings"])))
+        for i, r in enumerate(g["rings"]):
+            out.append(struct.pack("<I", len(r)) + coords(
+                r, g["rings_z"][i] if "rings_z" in g else None))
+    else:
+        if g["type"] != POINT:
+            out.append(struct.pack("<I", len(g["coords"])))
+        out.append(coords(g["coords"], g.get("z")))
+    return b"".join(out)
+
 
 _POINT_SIZE = 21  # 1 + 4 + 16
 
@@ -180,6 +225,17 @@ def point_wkb(lon: float, lat: float) -> bytes:
     return struct.pack("<BIdd", 1, POINT, lon, lat)
 
 
+def closed_line_to_polygon(buf: bytes) -> bytes | None:
+    """A little-endian 2-D LineString whose first and last points are
+    equal and that has at least 4 points → the one-ring Polygon of the
+    same points (a header splice, no coordinate copy); None for any
+    other line."""
+    npts = int.from_bytes(buf[5:9], "little")
+    if npts < 4 or buf[9:25] != buf[-16:]:
+        return None
+    return struct.pack("<BII", 1, POLYGON, 1) + buf[5:]
+
+
 def multipolygon_wkb(polys: list) -> bytes:
     """polys: list of (exterior, holes) tuples or exterior arrays."""
     parts = []
@@ -188,11 +244,19 @@ def multipolygon_wkb(polys: list) -> bytes:
             parts.append(polygon_wkb(p[0], p[1]))
         else:
             parts.append(polygon_wkb(p))
-    return struct.pack("<BII", 1, MULTIPOLYGON, len(parts)) + b"".join(parts)
+    return collection_wkb(MULTIPOLYGON, parts)
 
 
-def geometrycollection_wkb(parts: list[bytes]) -> bytes:
-    return struct.pack("<BII", 1, GEOMETRYCOLLECTION, len(parts)) + b"".join(parts)
+def collection_wkb(code: int, parts: list[bytes], dims: str = "xy") -> bytes:
+    """Container of ISO base type ``code`` (Multi*, GeometryCollection,
+    CompoundCurve, CurvePolygon, MultiCurve, MultiSurface,
+    PolyhedralSurface, TIN) over full WKB ``parts``; ``parts=[]`` is
+    the empty form (``MULTIPOINT EMPTY``). Parts are not checked
+    against the container: a CompoundCurve's segments must share
+    endpoints and a CurvePolygon's rings must close, as in OGR's
+    lazily validated constructors."""
+    return (struct.pack("<BII", 1, _iso_code(code, dims), len(parts))
+            + b"".join(parts))
 
 
 # --- dims-aware builders (Z / M / ZM and ISO curve types) --------------
@@ -236,38 +300,6 @@ def polygon_wkb_d(rings: list, dims: str = "xy") -> bytes:
     return out
 
 
-def compoundcurve_wkb(segments: list[bytes], dims: str = "xy") -> bytes:
-    """Segments are full WKB LineString/CircularString geometries;
-    consecutive segments must share endpoints (checked by the
-    linearizer, not here — matches OGRCompoundCurve lazily-validated
-    construction)."""
-    return (struct.pack("<BII", 1, _iso_code(COMPOUNDCURVE, dims),
-                        len(segments)) + b"".join(segments))
-
-
-def curvepolygon_wkb(rings: list[bytes], dims: str = "xy") -> bytes:
-    """Rings are full WKB curve geometries (LineString /
-    CircularString / CompoundCurve), each closed."""
-    return (struct.pack("<BII", 1, _iso_code(CURVEPOLYGON, dims),
-                        len(rings)) + b"".join(rings))
-
-
-def multicurve_wkb(parts: list[bytes], dims: str = "xy") -> bytes:
-    return (struct.pack("<BII", 1, _iso_code(MULTICURVE, dims), len(parts))
-            + b"".join(parts))
-
-
-def multisurface_wkb(parts: list[bytes], dims: str = "xy") -> bytes:
-    return (struct.pack("<BII", 1, _iso_code(MULTISURFACE, dims), len(parts))
-            + b"".join(parts))
-
-
-def polyhedralsurface_wkb(polys: list[bytes], dims: str = "xy") -> bytes:
-    """Polygon WKBs → POLYHEDRALSURFACE container (ISO type 15)."""
-    return (struct.pack("<BII", 1, _iso_code(POLYHEDRALSURFACE, dims),
-                        len(polys)) + b"".join(polys))
-
-
 # ---------------------------------------------------------------------------
 # generic parser (python; small sides only)
 
@@ -291,7 +323,7 @@ def parse(buf: bytes, offset: int = 0) -> dict:
     base, has_z, has_m = _decode_type(gtype)
     dim = 2 + has_z + has_m
     dims = "xy" + ("z" if has_z else "") + ("m" if has_m else "")
-    pos = offset + 5
+    pos = offset + 5 + (4 if gtype & _EWKB_SRID else 0)
 
     def read_coords(count):
         nonlocal pos

@@ -213,15 +213,9 @@ def _infer(dims: str | None, c: np.ndarray) -> str:
 
 
 def _parse_geom(p: _P) -> bytes:
-    import struct
-
     kind = p.word()
     dims = _TOKEN_DIMS[p.dim_token()]
     width = len(dims) if dims else None
-
-    def container(code: int, parts: list[bytes], d: str) -> bytes:
-        return (struct.pack("<BII", 1, gwkb._iso_code(code, d), len(parts))
-                + b"".join(parts))
 
     if kind == "POINT":
         c = p.coords(width)
@@ -254,8 +248,8 @@ def _parse_geom(p: _P) -> bytes:
         p.expect(")")
         c = np.array(pts, dtype=np.float64)
         d = _infer(dims, c)
-        return container(gwkb.MULTIPOINT,
-                         [gwkb.point_wkb_d(r, d) for r in c], d)
+        return gwkb.collection_wkb(gwkb.MULTIPOINT,
+                                   [gwkb.point_wkb_d(r, d) for r in c], d)
     if kind == "MULTILINESTRING":
         p.expect("(")
         parts = [p.coords(width)]
@@ -263,8 +257,9 @@ def _parse_geom(p: _P) -> bytes:
             parts.append(p.coords(width))
         p.expect(")")
         d = _infer(dims, parts[0])
-        return container(gwkb.MULTILINESTRING,
-                         [gwkb.linestring_wkb_d(c, d) for c in parts], d)
+        return gwkb.collection_wkb(
+            gwkb.MULTILINESTRING,
+            [gwkb.linestring_wkb_d(c, d) for c in parts], d)
     if kind in ("MULTIPOLYGON", "POLYHEDRALSURFACE", "TIN"):
         p.expect("(")
         polys = []
@@ -282,8 +277,8 @@ def _parse_geom(p: _P) -> bytes:
         code = {"MULTIPOLYGON": gwkb.MULTIPOLYGON,
                 "POLYHEDRALSURFACE": gwkb.POLYHEDRALSURFACE,
                 "TIN": gwkb.TIN}[kind]
-        return container(code,
-                         [gwkb.polygon_wkb_d(rings, d) for rings in polys], d)
+        return gwkb.collection_wkb(
+            code, [gwkb.polygon_wkb_d(rings, d) for rings in polys], d)
     if kind == "COMPOUNDCURVE":
         p.expect("(")
         segs, d = [], dims
@@ -299,7 +294,7 @@ def _parse_geom(p: _P) -> bytes:
             if not p.accept(","):
                 break
         p.expect(")")
-        return gwkb.compoundcurve_wkb(segs, d or "xy")
+        return gwkb.collection_wkb(gwkb.COMPOUNDCURVE, segs, d or "xy")
     if kind == "CURVEPOLYGON":
         p.expect("(")
         rings, d = [], dims
@@ -315,7 +310,7 @@ def _parse_geom(p: _P) -> bytes:
             if not p.accept(","):
                 break
         p.expect(")")
-        return gwkb.curvepolygon_wkb(rings, d or "xy")
+        return gwkb.collection_wkb(gwkb.CURVEPOLYGON, rings, d or "xy")
     if kind == "MULTICURVE":
         p.expect("(")
         parts, d = [], dims
@@ -331,7 +326,7 @@ def _parse_geom(p: _P) -> bytes:
             if not p.accept(","):
                 break
         p.expect(")")
-        return gwkb.multicurve_wkb(parts, d or "xy")
+        return gwkb.collection_wkb(gwkb.MULTICURVE, parts, d or "xy")
     if kind == "MULTISURFACE":
         p.expect("(")
         parts, d = [], dims
@@ -351,14 +346,14 @@ def _parse_geom(p: _P) -> bytes:
             if not p.accept(","):
                 break
         p.expect(")")
-        return gwkb.multisurface_wkb(parts, d or "xy")
+        return gwkb.collection_wkb(gwkb.MULTISURFACE, parts, d or "xy")
     if kind == "GEOMETRYCOLLECTION":
         p.expect("(")
         parts = [_parse_geom(p)]
         while p.accept(","):
             parts.append(_parse_geom(p))
         p.expect(")")
-        return gwkb.geometrycollection_wkb(parts)
+        return gwkb.collection_wkb(gwkb.GEOMETRYCOLLECTION, parts)
     raise ValueError(f"unsupported WKT type {kind}")
 
 

@@ -113,21 +113,12 @@ def _geom_wkb(el, inherited_srs: str | None = None) -> bytes:
                     if _local(g.tag) in _GEOM_TAGS or \
                             _local(g.tag) == "PolygonPatch":
                         parts.append(_geom_wkb(g, srs))
-        if tag in ("MultiPolygon", "MultiSurface"):
-            return _multi(parts, 6)
-        if tag in ("MultiLineString", "MultiCurve"):
-            return _multi(parts, 5)
-        if tag == "MultiPoint":
-            return _multi(parts, 4)
-        return W.geometrycollection_wkb(parts)
+        code = {"MultiPolygon": W.MULTIPOLYGON, "MultiSurface": W.MULTIPOLYGON,
+                "MultiLineString": W.MULTILINESTRING,
+                "MultiCurve": W.MULTILINESTRING,
+                "MultiPoint": W.MULTIPOINT}.get(tag, W.GEOMETRYCOLLECTION)
+        return W.collection_wkb(code, parts)
     raise ValueError(f"GML: unsupported geometry {tag}")
-
-
-def _multi(parts: list[bytes], code: int) -> bytes:
-    import struct
-
-    return (b"\x01" + struct.pack("<I", code)
-            + struct.pack("<I", len(parts)) + b"".join(parts))
 
 
 def parse_gml(data: bytes) -> dict[str, pa.Table]:

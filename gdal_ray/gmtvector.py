@@ -44,8 +44,6 @@ def _split_bar(s: str) -> list[str]:
 
 
 def _finish(gtype: str, parts: list) -> bytes:
-    import struct
-
     if gtype == "POINT":
         return W.point_wkb(*parts[0][0])
     if gtype == "LINESTRING":
@@ -54,12 +52,11 @@ def _finish(gtype: str, parts: list) -> bytes:
         rings = [np.asarray(p, np.float64) for p, _h in parts]
         return W.polygon_wkb(rings[0], rings[1:])
     if gtype == "MULTIPOINT":
-        pts = [W.point_wkb(*q) for p in parts for q in p]
-        return struct.pack("<BII", 1, 4, len(pts)) + b"".join(pts)
+        return W.collection_wkb(W.MULTIPOINT,
+                                [W.point_wkb(*q) for p in parts for q in p])
     if gtype == "MULTILINESTRING":
-        ls = [W.linestring_wkb(np.asarray(p, np.float64))
-              for p in parts]
-        return struct.pack("<BII", 1, 5, len(ls)) + b"".join(ls)
+        return W.collection_wkb(W.MULTILINESTRING, [
+            W.linestring_wkb(np.asarray(p, np.float64)) for p in parts])
     if gtype == "MULTIPOLYGON":
         polys, cur = [], None
         for p, hole in parts:

@@ -146,6 +146,13 @@ def _arr(coords, dims: str) -> np.ndarray:
     return a[:, : len(dims)]
 
 
+_CODE = {"MultiPoint": W.MULTIPOINT, "MultiLineString": W.MULTILINESTRING,
+         "MultiPolygon": W.MULTIPOLYGON, "CompoundCurve": W.COMPOUNDCURVE,
+         "CurvePolygon": W.CURVEPOLYGON, "MultiCurve": W.MULTICURVE,
+         "MultiSurface": W.MULTISURFACE,
+         "PolyhedralSurface": W.POLYHEDRALSURFACE}
+
+
 def fg_geom_to_wkb(g: dict, measures: bool = False,
                    dims: str | None = None) -> bytes:
     """JSON-FG geometry object -> ISO WKB (curve types, Z/M/ZM)."""
@@ -166,16 +173,10 @@ def fg_geom_to_wkb(g: dict, measures: bool = False,
         parts = [fg_geom_to_wkb({"type": sub, "coordinates": s},
                                 measures, dims)
                  for s in g["coordinates"]]
-        import struct
-        return (struct.pack("<BII", 1,
-                            W._iso_code({"MultiPoint": W.MULTIPOINT,
-                                         "MultiLineString": W.MULTILINESTRING,
-                                         "MultiPolygon": W.MULTIPOLYGON}[t],
-                                        dims), len(parts))
-                + b"".join(parts))
+        return W.collection_wkb(_CODE[t], parts, dims)
     if t == "GeometryCollection":
-        return W.geometrycollection_wkb(
-            [fg_geom_to_wkb(s, measures) for s in g["geometries"]])
+        return W.collection_wkb(W.GEOMETRYCOLLECTION, [
+            fg_geom_to_wkb(s, measures) for s in g["geometries"]])
     _CHILD_OK = {
         "CompoundCurve": {"LineString", "CircularString"},
         "CurvePolygon": {"LineString", "CircularString", "CompoundCurve"},
@@ -192,12 +193,7 @@ def fg_geom_to_wkb(g: dict, measures: bool = False,
                     f"invalid {s['type']!r} child inside {t!r}")
         parts = [fg_geom_to_wkb(s, measures, dims)
                  for s in g["geometries"]]
-        build = {"CompoundCurve": W.compoundcurve_wkb,
-                 "CurvePolygon": W.curvepolygon_wkb,
-                 "MultiCurve": W.multicurve_wkb,
-                 "MultiSurface": W.multisurface_wkb,
-                 "PolyhedralSurface": W.polyhedralsurface_wkb}[t]
-        return build(parts, dims)
+        return W.collection_wkb(_CODE[t], parts, dims)
     raise ValueError(f"unsupported JSON-FG geometry type {t!r}")
 
 
@@ -223,9 +219,7 @@ def prism_to_wkb(place: dict) -> bytes:
             ring = np.array([[x1, y1, lo], [x2, y2, lo], [x2, y2, hi],
                              [x1, y1, hi], [x1, y1, lo]])
             quads.append(W.polygon_wkb_d([ring], "xyz"))
-        import struct
-        return (struct.pack("<BII", 1, W._iso_code(W.MULTIPOLYGON, "xyz"),
-                            len(quads)) + b"".join(quads))
+        return W.collection_wkb(W.MULTIPOLYGON, quads, "xyz")
     if t == "Polygon":
         ring = np.asarray(base["coordinates"][0], dtype=np.float64)[:, :2]
         faces = []
@@ -238,7 +232,7 @@ def prism_to_wkb(place: dict) -> bytes:
             faces.append(W.polygon_wkb_d([quad], "xyz"))
         top = np.hstack([ring, np.full((len(ring), 1), hi)])
         faces.append(W.polygon_wkb_d([top], "xyz"))
-        return W.polyhedralsurface_wkb(faces, "xyz")
+        return W.collection_wkb(W.POLYHEDRALSURFACE, faces, "xyz")
     raise ValueError(f"unsupported Prism base type {t!r}")
 
 

@@ -10,11 +10,12 @@ without MID (gdal #5141) yields geometry-only features.
 
 Geometries → ISO WKB: Point, Line (2-pt LineString), Pline
 [MULTIPLE] (LineString / MultiLineString, optional count-on-same-
-line or next-line form), Region (first ring = shell; subsequent
-rings inside it = holes, others = additional MULTIPOLYGON parts —
-rings auto-closed), Rect (5-point polygon), MultiPoint, Collection,
-NONE (null geometry).  Style clauses (Pen/Brush/Symbol/Font/Smooth/
-Center) are consumed and ignored; RoundRect / Ellipse / Arc / Text
+line or next-line form), Region (a ring inside an even number of
+other rings is a shell, one inside an odd number a hole of the
+smallest shell around it — rings auto-closed), Rect (5-point
+polygon), MultiPoint, Collection, NONE (null geometry).  Style
+clauses (Pen/Brush/Symbol/Font/Smooth/Center) are consumed and
+ignored; RoundRect / Ellipse / Arc / Text
 raise a clearly-named NotImplementedError (their MapInfo arc
 discretization is a cosmetic conversion this engine does not
 replicate — honest boundary, same policy as the lossy-VP8 stub).
@@ -34,6 +35,7 @@ import numpy as np
 import pyarrow as pa
 
 from gdal_ray.geom import wkb as W
+from gdal_ray.geom.ops import organize_polygons
 
 
 def _split_mid(line: str, delim: str) -> list[str]:
@@ -100,33 +102,17 @@ def _close(ring: np.ndarray) -> np.ndarray:
     return ring
 
 
-def _point_in_ring(pt, ring) -> bool:
-    x, y = pt
-    xs, ys = ring[:-1, 0], ring[:-1, 1]
-    xe, ye = ring[1:, 0], ring[1:, 1]
-    cond = (ys > y) != (ye > y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xint = xs + (y - ys) * (xe - xs) / (ye - ys)
-    return bool(np.count_nonzero(cond & (x < xint)) & 1)
-
-
 def _region_wkb(rings: list[np.ndarray]) -> bytes:
+    """MIF fixes no ring orientation: shells and holes by containment
+    depth (geom.ops.organize_polygons)."""
     rings = [_close(r) for r in rings if len(r) >= 3]
     if not rings:
         raise ValueError("MIF: empty region")
-    shells = [[rings[0], []]]
-    for r in rings[1:]:
-        placed = False
-        for sh in shells:
-            if _point_in_ring(r[0], sh[0]):
-                sh[1].append(r)
-                placed = True
-                break
-        if not placed:
-            shells.append([r, []])
-    if len(shells) == 1:
-        return W.polygon_wkb(shells[0][0], shells[0][1])
-    return W.multipolygon_wkb([(sh, holes) for sh, holes in shells])
+    polys = [W.polygon_wkb(rings[g[0]], [rings[i] for i in g[1:]])
+             for g in organize_polygons(rings, by_winding=False)]
+    if len(polys) == 1:
+        return polys[0]
+    return W.collection_wkb(W.MULTIPOLYGON, polys)
 
 
 def _parse_geometry(src: _Lines):
@@ -149,10 +135,7 @@ def _parse_geometry(src: _Lines):
             for _ in range(nsec):
                 n = int(src.next().split()[0])
                 parts.append(W.linestring_wkb(_read_ring(src, n)))
-            import struct
-
-            return (b"\x01" + struct.pack("<I", 5)
-                    + struct.pack("<I", len(parts)) + b"".join(parts))
+            return W.collection_wkb(W.MULTILINESTRING, parts)
         n = int(rest[0]) if rest else int(src.next().split()[0])
         return W.linestring_wkb(_read_ring(src, n))
     if kw == "region":
@@ -169,11 +152,8 @@ def _parse_geometry(src: _Lines):
     if kw == "multipoint":
         n = int(t[1]) if len(t) > 1 else int(src.next().split()[0])
         pts = _read_ring(src, n)
-        import struct
-
-        parts = [W.point_wkb(x, y) for x, y in pts]
-        return (b"\x01" + struct.pack("<I", 4)
-                + struct.pack("<I", len(parts)) + b"".join(parts))
+        return W.collection_wkb(W.MULTIPOINT,
+                                [W.point_wkb(x, y) for x, y in pts])
     if kw == "collection":
         n = int(t[1])
         parts = []
@@ -184,7 +164,7 @@ def _parse_geometry(src: _Lines):
                 g = g[1]
             if g is not None:
                 parts.append(g)
-        return W.geometrycollection_wkb(parts)
+        return W.collection_wkb(W.GEOMETRYCOLLECTION, parts)
     if kw in ("roundrect", "ellipse", "arc", "text"):
         # MapInfo's exact discretizations (mitab_feature.cpp roles),
         # shared with the TAB binary driver

@@ -59,6 +59,8 @@ import struct
 import numpy as np
 import pyarrow as pa
 
+from gdal_ray.geom import wkb as gwkb
+
 NODATA_Z = -1.0e300
 
 _CHARSETS = {0x14: "cp850", 0x58: "cp1252", 0xFF: "utf-8"}
@@ -338,16 +340,12 @@ def _attr_columns(fields, rows, element_ids, multi_record_index):
 
 
 def _mk_point(xy, z) -> bytes:
-    from gdal_ray.geom import wkb as gwkb
-
     if z is not None:
         return gwkb.point_wkb_d([xy[0], xy[1], z], "xyz")
     return gwkb.point_wkb_d(list(xy), "xy")
 
 
 def _mk_linestring(coords, z) -> bytes:
-    from gdal_ray.geom import wkb as gwkb
-
     if z is not None:
         return gwkb.linestring_wkb_d(
             np.column_stack([coords, z]), "xyz")
@@ -355,15 +353,7 @@ def _mk_linestring(coords, z) -> bytes:
 
 
 def _mk_polygon(rings, is3d: bool) -> bytes:
-    from gdal_ray.geom import wkb as gwkb
-
     return gwkb.polygon_wkb_d(rings, "xyz" if is3d else "xy")
-
-
-def _mk_multipolygon(parts: list[bytes], is3d: bool) -> bytes:
-    gtype = 1006 if is3d else 6
-    return (b"\x01" + struct.pack("<II", gtype, len(parts))
-            + b"".join(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +503,9 @@ def _read_polygons(data: bytes, path: str, hdr: dict, height: str):
         elif len(parts) == 1:
             geoms.append(_mk_polygon(parts[0], is3d))
         else:
-            geoms.append(_mk_multipolygon(
-                [_mk_polygon(p, is3d) for p in parts], is3d))
+            geoms.append(gwkb.collection_wkb(
+                gwkb.MULTIPOLYGON, [_mk_polygon(p, is3d) for p in parts],
+                "xyz" if is3d else "xy"))
         element_ids.append(i)
     return geoms, element_ids
 

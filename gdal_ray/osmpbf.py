@@ -548,8 +548,9 @@ def osm_layers(path: str) -> dict[str, pa.Table]:
                      for m, t in zip(mids, mtypes)
                      if t == MEMBER_WAY and m in ways_by_id]
             named, other = _split_tags(k, v, _MLS_FIELDS)
-            geom = (b"".join([])
-                    if not parts else _multilinestring_wkb(parts))
+            geom = gwkb.collection_wkb(
+                gwkb.MULTILINESTRING,
+                [gwkb.linestring_wkb(p) for p in parts]) if parts else b""
             mls_rows.append({"osm_id": str(rid), **named,
                              "other_tags": other, "geometry": geom})
         else:
@@ -565,8 +566,8 @@ def osm_layers(path: str) -> dict[str, pa.Table]:
             named, other = _split_tags(k, v, _MLS_FIELDS)
             other_rows.append({"osm_id": str(rid), **named,
                                "other_tags": other,
-                               "geometry":
-                               gwkb.geometrycollection_wkb(parts)})
+                               "geometry": gwkb.collection_wkb(
+                                   gwkb.GEOMETRYCOLLECTION, parts)})
 
     mp_all = mp_rows + way_poly_rows
 
@@ -596,13 +597,6 @@ def read_osm_dataset(path: str, layer: str = "points"):
     import ray.data as rd
 
     return rd.from_arrow(osm_layers(path)[layer])
-
-
-def _multilinestring_wkb(parts: list[np.ndarray]) -> bytes:
-    import struct
-
-    body = b"".join(gwkb.linestring_wkb(p) for p in parts)
-    return struct.pack("<BII", 1, 5, len(parts)) + body
 
 
 # ---------------------------------------------------------------------------
@@ -855,16 +849,11 @@ def assemble_way_geometries(elements):
         geoms = np.array(lines["geometry"].to_pylist(), dtype=object)
         is_poly = np.zeros(len(geoms), dtype=bool)
         for i in np.flatnonzero(is_area):
-            g = geoms[i]
-            # little-endian LINESTRING wkb: [0]=1, [1:5]=type,
-            # [5:9]=npoints, then npoints × 16 coord bytes
-            npts = int.from_bytes(g[5:9], "little")
-            if npts >= 4 and g[9:25] == g[-16:]:
-                # splice: POLYGON header + nrings=1 + (npoints+coords)
-                geoms[i] = (b"\x01\x03\x00\x00\x00"
-                            b"\x01\x00\x00\x00" + g[5:])
+            poly = gwkb.closed_line_to_polygon(geoms[i])
+            # None: refs lost to a partial extract — stays a line
+            if poly is not None:
+                geoms[i] = poly
                 is_poly[i] = True
-            # else: refs lost to a partial extract — stays a line
         return pa.table({
             "osm_id": lines["osm_id"],
             "is_polygon": pa.array(is_poly),

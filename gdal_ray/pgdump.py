@@ -9,17 +9,14 @@ SELECT AddGeometryColumn(...), per-field ALTER TABLE ADD COLUMN with
 laundered (lowercased) names, INSERT mode with quoted literals or
 COPY … FROM STDIN mode with tab-separated rows + \\N nulls and the
 terminating \\., a GIST index in INSERT mode, COMMIT.  Geometry goes
-as hex EWKB (little-endian; 0x80000000 Z flag for DIM=3, 0x20000000 +
-int32 SRID flag when a positive SRID is set).
+as hex EWKB from geom.wkb.to_ewkb (little-endian; 0x80000000 Z flag
+for DIM=3, 0x20000000 + int32 SRID flag when a positive SRID is set).
 
 Streaming: a Ray Dataset writes batch-by-batch (COPY rows append as
 blocks stream in) — nothing materializes.
 """
 from __future__ import annotations
 
-import struct
-
-import numpy as np
 import pyarrow as pa
 
 from gdal_ray.geom import wkb as gwkb
@@ -47,52 +44,6 @@ def _lit(name: str) -> str:
 
 def _launder(name: str) -> str:
     return name.lower().replace("-", "_").replace("#", "_")
-
-
-def _to_ewkb(buf: bytes, srid: int, dim: int) -> str:
-    """ISO WKB → hex EWKB with the PostGIS flag bits."""
-    g = gwkb.parse(buf)
-    base = g["type"] % 1000
-    has_z = dim == 3 or g["type"] >= 1000
-
-    def coords(c: np.ndarray) -> bytes:
-        c = np.asarray(c, np.float64)
-        if has_z:
-            if c.shape[1] == 2:
-                c = np.column_stack([c, np.zeros(len(c))])
-            c = c[:, :3]
-        else:
-            c = c[:, :2]
-        return c.tobytes()
-
-    etype = base
-    if has_z:
-        etype |= 0x80000000
-    if srid > 0:
-        etype |= 0x20000000
-    head = struct.pack("<BI", 1, etype)
-    if srid > 0:
-        head += struct.pack("<i", srid)
-
-    if base == 1:
-        c = np.asarray(g["coords"], np.float64).reshape(1, -1)
-        body = coords(c)
-    elif base == 2:
-        c = np.asarray(g["coords"])
-        body = struct.pack("<I", len(c)) + coords(c)
-    elif base == 3:
-        rings = g["rings"]
-        body = struct.pack("<I", len(rings))
-        for r in rings:
-            body += struct.pack("<I", len(r)) + coords(np.asarray(r))
-    else:  # multi/collection: recurse on parts
-        parts = g["parts"]
-        body = struct.pack("<I", len(parts))
-        body = body + b"".join(
-            bytes.fromhex(_to_ewkb(p if isinstance(p, bytes) else p,
-                                   0, dim))
-            for p in parts)
-    return (head + body).hex().upper()
 
 
 def _format_value(v, typ: pa.DataType, copy_mode: bool) -> str:
@@ -171,7 +122,7 @@ def write_pgdump(data, path: str, table: str, schema: str = "public",
                         vals.append("\\N" if use_copy else "NULL")
                         skip.append(use_copy is False)
                     else:
-                        hexg = _to_ewkb(g, srid, dim)
+                        hexg = gwkb.to_ewkb(g, srid, dim == 3).hex().upper()
                         vals.append(hexg if use_copy
                                     else "'" + hexg + "'")
                 for lname, name, typ in laundered:

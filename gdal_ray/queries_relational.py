@@ -978,7 +978,8 @@ def q_box_union(sf_dir: str):
     import ray.data as rd
 
     from gdal_ray.fixtures import boundary_boxes
-    from gdal_ray.geom.clip import _area, polygon_union
+    from gdal_ray.geom.clip import polygon_union
+    from gdal_ray.geom.ops import ring_area
 
     strips = _QBOXES
 
@@ -1005,7 +1006,7 @@ def q_box_union(sf_dir: str):
             iy = np.abs(r[:, 1][:, None] - ys[None, :]).argmin(1)
             near = np.abs(r[:, 1] - ys[iy]) < 1e-6
             r[:, 1] = np.where(near, ys[iy], r[:, 1])
-            tot += _area(r)
+            tot += ring_area(r)
         return round(tot, 4)
 
     def compute(batch: pa.Table) -> pa.Table:

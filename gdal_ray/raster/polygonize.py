@@ -28,6 +28,7 @@ import numpy as np
 import pyarrow as pa
 
 from gdal_ray.geom import wkb as gwkb
+from gdal_ray.geom.ops import ring_area
 from gdal_ray.raster import model
 
 
@@ -181,7 +182,7 @@ def polygonize_array(
         if exclude is not None and val == exclude:
             continue
         rings = trace_rings(mask)
-        areas = [abs(_ring_area(r)) for r in rings]
+        areas = [abs(ring_area(r)) for r in rings]
         ext = int(np.argmax(areas))
         ordered = [rings[ext]] + [r for i, r in enumerate(rings) if i != ext]
         world = []
@@ -197,12 +198,6 @@ def polygonize_array(
             }
         )
     return pa.Table.from_pylist(rows)
-
-
-def _ring_area(r: np.ndarray) -> float:
-    x = r[:, 0]
-    y = r[:, 1]
-    return 0.5 * float(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))
 
 
 def sieve_array(arr: np.ndarray, threshold: int, connectivity: int = 4) -> np.ndarray:
@@ -329,7 +324,7 @@ def dissolve_components(tiles_table: pa.Table, parts_df, tile_size: int,
             ox = (bx - bx0) * tile_size
             canvas[oy : oy + arr.shape[0], ox : ox + arr.shape[1]] = m
         rings = trace_rings(canvas)
-        areas = [abs(_ring_area(r)) for r in rings]
+        areas = [abs(ring_area(r)) for r in rings]
         ext = int(np.argmax(areas))
         ordered = [rings[ext]] + [r for i, r in enumerate(rings) if i != ext]
         world = []

@@ -35,7 +35,6 @@ parallelizes across files (per-file shard contract).
 from __future__ import annotations
 
 import os
-import struct
 
 import numpy as np
 import pyarrow as pa
@@ -386,15 +385,13 @@ class S57Cell:
             if snd:
                 parts = [gwkb.point_wkb_d([x, y, z], "xyz")
                          for x, y, z in snd]
-                return (struct.pack("<BII", 1, 1004, len(parts))
-                        + b"".join(parts))
+                return gwkb.collection_wkb(gwkb.MULTIPOINT, parts, "xyz")
             if not pts2:
                 return None
             if len(pts2) == 1:
                 return gwkb.point_wkb(pts2[0][0], pts2[0][1])
-            parts = [gwkb.point_wkb(x, y) for x, y in pts2]
-            return (struct.pack("<BII", 1, 4, len(parts))
-                    + b"".join(parts))
+            return gwkb.collection_wkb(
+                gwkb.MULTIPOINT, [gwkb.point_wkb(x, y) for x, y in pts2])
 
         if prim == 2:  # line: ORNT applied, FSPT order (reference
             # AssembleLineGeometry role)
@@ -410,8 +407,8 @@ class S57Cell:
             chains = self._merge_chains(lines)
             if len(chains) == 1:
                 return gwkb.linestring_wkb(chains[0])
-            segs = [gwkb.linestring_wkb(c) for c in chains]
-            return (struct.pack("<BII", 1, 5, len(segs)) + b"".join(segs))
+            return gwkb.collection_wkb(
+                gwkb.MULTILINESTRING, [gwkb.linestring_wkb(c) for c in chains])
 
         # area: natural edge direction (ORNT ignored), rings chained by
         # endpoint matching from the first edge on (the reference's

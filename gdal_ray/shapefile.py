@@ -8,8 +8,8 @@ Scope: shape types Point/PolyLine/Polygon/MultiPoint and their Z/M
 variants, dBASE C/N/F/L/D fields, .prj ESRI-WKT → EPSG for the
 common frames.  Geometries convert to the engine's ISO WKB column;
 polygon ring winding follows the spec (clockwise outer, counter-
-clockwise holes — holes attached to the ring containing them, the
-shapelib organize-polygons role).
+clockwise holes — holes attached to the smallest shell containing
+them by geom.ops.organize_polygons, the organize-polygons role).
 
 Ray layout: one .shp = one read task (`read_shapefile` →
 `ray.data.read_binary_files` on the pair + per-file parse); shard
@@ -24,6 +24,7 @@ import numpy as np
 import pyarrow as pa
 
 from gdal_ray.geom import wkb as W
+from gdal_ray.geom.ops import organize_polygons, ring_area
 
 SHAPE_NULL = 0
 _BASE = {1: "point", 3: "line", 5: "polygon", 8: "multipoint"}
@@ -36,21 +37,6 @@ _VARIANT.update({11: ("point", "xyz"), 13: ("line", "xyz"),
                  25: ("polygon", "xym"), 28: ("multipoint", "xym")})
 
 
-def _ring_is_cw(r: np.ndarray) -> bool:
-    x, y = r[:, 0], r[:, 1]
-    return float(np.sum((x[1:] - x[:-1]) * (y[1:] + y[:-1]))) > 0.0
-
-
-def _point_in_ring(pt: np.ndarray, r: np.ndarray) -> bool:
-    x, y = pt
-    xs, ys = r[:-1, 0], r[:-1, 1]
-    xe, ye = r[1:, 0], r[1:, 1]
-    cond = (ys > y) != (ye > y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xi = xs + (y - ys) / (ye - ys) * (xe - xs)
-    return bool(np.count_nonzero(cond & (x < xi)) & 1)
-
-
 def _full(xy: np.ndarray, z, m, dims: str) -> np.ndarray:
     cols = [xy]
     if "z" in dims:
@@ -61,49 +47,16 @@ def _full(xy: np.ndarray, z, m, dims: str) -> np.ndarray:
 
 
 def _polygon_wkb(rings: list[np.ndarray], zs, ms, dims: str) -> bytes:
-    """Spec winding: CW = outer, CCW = hole; holes join the outer
-    ring containing their first vertex. One outer → Polygon, many →
-    MultiPolygon (the reference driver's SHPReadOGRObject shape)."""
-    outers = []
-    holes = []
-    for i, r in enumerate(rings):
-        (outers if _ring_is_cw(r) else holes).append(i)
-    if not outers:       # degenerate: treat every ring as outer
-        outers, holes = list(range(len(rings))), []
-    # winding can lie (OrganizePolygons AUTO role): if any "hole" is
-    # not inside any "outer", reclassify by containment depth — even
-    # depth = outer, odd = hole of the ring directly containing it
-    valid = all(
-        any(_point_in_ring(rings[h][0], rings[o]) for o in outers)
-        for h in holes
-    )
-    if not valid and len(rings) > 1:
-        depth = [
-            sum(1 for j in range(len(rings))
-                if j != i and _point_in_ring(rings[i][0], rings[j]))
-            for i in range(len(rings))
-        ]
-        outers = [i for i in range(len(rings)) if depth[i] % 2 == 0]
-        holes = [i for i in range(len(rings)) if depth[i] % 2 == 1]
-    polys: list[list[int]] = [[i] for i in outers]
-    for h in holes:
-        target = 0
-        if len(outers) > 1:
-            for k, o in enumerate(outers):
-                if _point_in_ring(rings[h][0], rings[o]):
-                    target = k
-                    break
-        polys[target].append(h)
-    built = []
-    for ring_ids in polys:
-        built.append(W.polygon_wkb_d(
-            [_full(rings[i], zs[i] if zs else None,
-                   ms[i] if ms else None, dims) for i in ring_ids],
-            dims))
+    """Spec winding: clockwise = shell (geom.ops.organize_polygons).
+    One shell → Polygon, many → MultiPolygon (the reference driver's
+    SHPReadOGRObject shape)."""
+    built = [W.polygon_wkb_d(
+        [_full(rings[i], zs[i] if zs else None, ms[i] if ms else None, dims)
+         for i in group], dims)
+        for group in organize_polygons(rings, by_winding=True)]
     if len(built) == 1:
         return built[0]
-    head = b"\x01" + W._iso_code(W.MULTIPOLYGON, dims).to_bytes(4, "little")
-    return head + len(built).to_bytes(4, "little") + b"".join(built)
+    return W.collection_wkb(W.MULTIPOLYGON, built, dims)
 
 
 def parse_shp(data: bytes) -> list[bytes | None]:
@@ -171,8 +124,7 @@ def _parse_shape(body: bytes, kind: str, dims: str) -> bytes:
                       + ([z[i]] if z is not None and "z" in dims else [])
                       + ([m[i]] if m is not None and "m" in dims else [])]),
             dims) for i in range(npts)]
-        head = b"\x01" + W._iso_code(W.MULTIPOINT, dims).to_bytes(4, "little")
-        return head + npts.to_bytes(4, "little") + b"".join(pts)
+        return W.collection_wkb(W.MULTIPOINT, pts, dims)
 
     # line / polygon: bbox(32) numparts numpoints parts points [Z][M]
     nparts, npts = struct.unpack_from("<ii", body, 36)
@@ -204,9 +156,7 @@ def _parse_shape(body: bytes, kind: str, dims: str) -> bytes:
             _full(segs[i], zsegs[i] if zsegs else None,
                   msegs[i] if msegs else None, dims), dims)
             for i in range(nparts)]
-        head = b"\x01" + W._iso_code(W.MULTILINESTRING, dims).to_bytes(
-            4, "little")
-        return head + nparts.to_bytes(4, "little") + b"".join(lines)
+        return W.collection_wkb(W.MULTILINESTRING, lines, dims)
     return _polygon_wkb(segs, zsegs, msegs, dims)
 
 
@@ -361,7 +311,7 @@ def _shape_record(geom: bytes | None):
             for i, r in enumerate(p["rings"]):
                 r = np.asarray(r, dtype=np.float64)
                 # spec winding: CW outer, CCW holes
-                cw = _ring_is_cw(r)
+                cw = ring_area(r) < 0
                 if (i == 0 and not cw) or (i > 0 and cw):
                     r = r[::-1]
                 rings.append(r)

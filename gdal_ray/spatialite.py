@@ -68,16 +68,14 @@ def _sl_parse_class(buf: bytes, pos: int, bo: str) -> tuple[bytes, int]:
     has_z = dim_code in (1, 3)
     has_m = dim_code in (2, 3)
     ncoord = 2 + has_z + has_m
-    iso_type = base + (1000 if has_z else 0) + (2000 if has_m else 0)
-    head = b"\x01" + struct.pack("<I", iso_type)
+    dims = "xy" + "z" * has_z + "m" * has_m
 
-    def read_points(n: int) -> tuple[bytes, int]:
+    def read_points(n: int) -> np.ndarray:
         nonlocal pos
         if not compressed or n <= 2:
             a = np.frombuffer(buf, bo + "f8", n * ncoord, pos)
             pos += n * ncoord * 8
-            out = a.astype("<f8").tobytes()
-            return out, pos
+            return a.astype(np.float64).reshape(n, ncoord)
         # compressed (gaiaCompress / ogrsqlitelayer.cpp:1417): first
         # and LAST vertices are uncompressed absolute f64; every
         # intermediate vertex is f32 DELTAS vs the previous point for
@@ -96,37 +94,30 @@ def _sl_parse_class(buf: bytes, pos: int, bo: str) -> tuple[bytes, int]:
                 full[i, ncoord - 1] = mv
         full[n - 1] = np.frombuffer(buf, bo + "f8", ncoord, pos)
         pos += ncoord * 8
-        return full.astype("<f8").tobytes(), pos
+        return full
 
-    if base == 1:  # point (never compressed in practice)
-        body, pos = read_points(1)
-        return head + body, pos
-    if base == 2:  # linestring
+    def count() -> int:
+        nonlocal pos
         (n,) = struct.unpack_from(bo + "I", buf, pos)
         pos += 4
-        body, pos = read_points(n)
-        return head + struct.pack("<I", n) + body, pos
+        return n
+
+    if base == 1:  # point (never compressed in practice)
+        return W.point_wkb_d(read_points(1), dims), pos
+    if base == 2:  # linestring
+        return W.linestring_wkb_d(read_points(count()), dims), pos
     if base == 3:  # polygon
-        (nr,) = struct.unpack_from(bo + "I", buf, pos)
-        pos += 4
-        out = [head, struct.pack("<I", nr)]
-        for _ in range(nr):
-            (n,) = struct.unpack_from(bo + "I", buf, pos)
-            pos += 4
-            body, pos = read_points(n)
-            out.append(struct.pack("<I", n) + body)
-        return b"".join(out), pos
+        rings = [read_points(count()) for _ in range(count())]
+        return W.polygon_wkb_d(rings, dims), pos
     if base in (4, 5, 6, 7):  # multi* / collection
-        (np_,) = struct.unpack_from(bo + "I", buf, pos)
-        pos += 4
         parts = []
-        for _ in range(np_):
+        for _ in range(count()):
             if buf[pos] != 0x69:
                 raise ValueError("SpatiaLite: missing 0x69 entity mark")
             pos += 1
             child, pos = _sl_parse_class(buf, pos, bo)
             parts.append(child)
-        return head + struct.pack("<I", np_) + b"".join(parts), pos
+        return W.collection_wkb(base, parts, dims), pos
     raise ValueError(f"SpatiaLite: unsupported class type {gtype}")
 
 

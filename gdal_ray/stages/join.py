@@ -172,6 +172,11 @@ def cell_partitioned_pip(
     def point_tiles(batch: pa.Table) -> pa.Table:
         lon = batch[lon_col].to_numpy(zero_copy_only=False)
         lat = batch[lat_col].to_numpy(zero_copy_only=False)
+        # a row without coordinates matches no polygon: keep it out of
+        # the shuffle, not in the -1 tile of the lon -180 edge
+        keep = np.isfinite(lon) & np.isfinite(lat)
+        if not keep.all():
+            batch, lon, lat = batch.filter(pa.array(keep)), lon[keep], lat[keep]
         tx, ty = tl.lonlat_to_tile(lon, lat, zoom)
         cell = tl.tile_id(zoom, tx, ty)
         return batch.append_column("cell", pa.array(cell)).append_column(

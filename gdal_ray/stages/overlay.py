@@ -178,23 +178,13 @@ class ConvexOverlay:
 
 def _rings_to_polygons(rings):
     """Containment-oriented rings (shells CCW, holes CW) → list of
-    (shell, [holes]) with each hole attached to its containing shell."""
-    import numpy as np
-
-    from gdal_ray.geom.clip import PolygonEdges
-
-    shells = [r for r in rings if gops.ring_area(r) > 0]
-    holes = [r for r in rings if gops.ring_area(r) < 0]
-    out = [(s, []) for s in shells]
-    for h in holes:
-        pt = h[:-1].mean(axis=0)
-        for i, (s, hl) in enumerate(out):
-            if PolygonEdges([s]).contains_points(
-                np.array([pt[0]]), np.array([pt[1]])
-            )[0]:
-                hl.append(h)
-                break
-    return out
+    (shell, [holes]) by ``geom.ops.organize_polygons``, which takes
+    clockwise shells, so it sees the rings reversed. Zero-area rings
+    are dropped."""
+    rings = [r for r in rings if gops.ring_area(r) != 0]
+    return [(rings[g[0]], [rings[h] for h in g[1:]])
+            for g in gops.organize_polygons([r[::-1] for r in rings],
+                                            by_winding=True)]
 
 
 def convex_overlay(ds, method_table: pa.Table, mode: str = "intersection",

@@ -263,17 +263,14 @@ class MapFile:
         center = self._obj_block_center(addr) if compressed else (0, 0)
         i2c = self.hdr.int2coord
 
-        def pt_wkb(nx, ny):
-            x, y = i2c(nx, ny)
-            return gwkb.point_wkb(float(x), float(y))
-
         if t in _POINTS:
             if t in (FONTSYMBOL_C, FONTSYMBOL):
                 pos += 12  # symbol/size/style/rgb/3 unknown/angle
             elif t in (CUSTOMSYMBOL_C, CUSTOMSYMBOL):
                 pos += 2
             x, y, pos = self._icoord(pos, compressed, center)
-            return pt_wkb(x, y), None
+            x, y = i2c(x, y)
+            return gwkb.point_wkb(float(x), float(y)), None
 
         if t in (LINE_C, LINE):
             x1, y1, pos = self._icoord(pos, compressed, center)
@@ -413,10 +410,7 @@ class MapFile:
             rd = _CoordReader(self.data, self.bs, blk_ptr, corg)
             a = rd.coords(compressed, npts)
             xs, ys = i2c(a[:, 0], a[:, 1])
-            pts = [gwkb.point_wkb(float(x), float(y))
-                   for x, y in zip(xs, ys)]
-            return (struct.pack("<BII", 1, 4, len(pts)) + b"".join(pts)), \
-                None
+            return _multipoint(xs, ys), None
 
         if t in _COLLECTIONS:
             return self._collection(pos, t, compressed), None
@@ -453,8 +447,8 @@ class MapFile:
         if not is_region:
             if len(rings) == 1:
                 return gwkb.linestring_wkb(rings[0])
-            segs = [gwkb.linestring_wkb(r) for r in rings]
-            return struct.pack("<BII", 1, 5, len(segs)) + b"".join(segs)
+            return gwkb.collection_wkb(
+                gwkb.MULTILINESTRING, [gwkb.linestring_wkb(r) for r in rings])
         # region: group rings by each outer's numHoles count
         polys = []
         i = 0
@@ -465,7 +459,7 @@ class MapFile:
             i += 1 + nh
         if len(polys) == 1:
             return polys[0]
-        return struct.pack("<BII", 1, 6, len(polys)) + b"".join(polys)
+        return gwkb.collection_wkb(gwkb.MULTIPOLYGON, polys)
 
     def _collection(self, pos, t, compressed):
         version = _geom_version(t)
@@ -506,11 +500,13 @@ class MapFile:
             mini_hdr()
             a = rd.coords(compressed, nmp)
             xs, ys = self.hdr.int2coord(a[:, 0], a[:, 1])
-            pts = [gwkb.point_wkb(float(x), float(y))
-                   for x, y in zip(xs, ys)]
-            parts.append(struct.pack("<BII", 1, 4, len(pts))
-                         + b"".join(pts))
-        return gwkb.geometrycollection_wkb(parts)
+            parts.append(_multipoint(xs, ys))
+        return gwkb.collection_wkb(gwkb.GEOMETRYCOLLECTION, parts)
+
+
+def _multipoint(xs, ys) -> bytes:
+    return gwkb.collection_wkb(gwkb.MULTIPOINT, [
+        gwkb.point_wkb(float(x), float(y)) for x, y in zip(xs, ys)])
 
 
 # ------------------------------------------------------------------ .dat

@@ -87,10 +87,12 @@ def pixels_to_meters(px, py, zoom, tile_size: int = TILE_SIZE):
 
 def pixels_to_tile(px, py, tile_size: int = TILE_SIZE):
     """Pixel coords → TMS tile indices: ``ceil(p/size) - 1``
-    (gdal2tiles.py PixelsToTile :467-472)."""
+    (gdal2tiles.py PixelsToTile :467-472); a non-finite coordinate
+    (a row without one) gets -1."""
     tx = np.ceil(np.asarray(px, dtype=np.float64) / float(tile_size)) - 1
     ty = np.ceil(np.asarray(py, dtype=np.float64) / float(tile_size)) - 1
-    return tx.astype(np.int64), ty.astype(np.int64)
+    return (np.where(np.isfinite(tx), tx, -1).astype(np.int64),
+            np.where(np.isfinite(ty), ty, -1).astype(np.int64))
 
 
 def meters_to_tile(mx, my, zoom, tile_size: int = TILE_SIZE):

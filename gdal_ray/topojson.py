@@ -28,23 +28,11 @@ expectations table verbatim, topojson2 (objects-as-dict), topojson3
 from __future__ import annotations
 
 import json
-import struct
 
 import numpy as np
 import pyarrow as pa
 
 from gdal_ray.geom import wkb as W
-
-_EMPTY_POINT = struct.pack("<BIdd", 1, 1, float("nan"), float("nan"))
-
-
-def _empty(code: int) -> bytes:
-    if code == 1:
-        return _EMPTY_POINT
-    if code == 2:
-        return struct.pack("<BII", 1, 2, 0)
-    return struct.pack("<BII", 1, code, 0)
-
 
 class _Topology:
     def __init__(self, doc: dict):
@@ -112,31 +100,30 @@ def _geom_wkb(g: dict, topo: _Topology) -> bytes | None:
         if not isinstance(c, list):
             return None
         p = topo.point(c)
-        return W.point_wkb(*p) if p else _empty(1)
+        return W.point_wkb(*p) if p else W.point_wkb(np.nan, np.nan)
     if t == "MultiPoint":
         c = g.get("coordinates")
         if not isinstance(c, list):
             return None
         pts = [topo.point(p) for p in c]
         if not pts or any(p is None for p in pts):
-            return _empty(4)
-        parts = [W.point_wkb(*p) for p in pts]
-        return (struct.pack("<BII", 1, 4, len(parts)) + b"".join(parts))
+            return W.collection_wkb(W.MULTIPOINT, [])
+        return W.collection_wkb(W.MULTIPOINT, [W.point_wkb(*p) for p in pts])
     if t == "LineString":
         ids = g.get("arcs")
         if not isinstance(ids, list):
             return None
         line = topo.line(ids)
-        return W.linestring_wkb(line) if line is not None else _empty(2)
+        return W.linestring_wkb(line if line is not None else np.empty((0, 2)))
     if t == "MultiLineString":
         ids = g.get("arcs")
         if not isinstance(ids, list):
             return None
         lines = [topo.line(l) for l in ids]
         if not lines or any(l is None for l in lines):
-            return _empty(5)
-        parts = [W.linestring_wkb(l) for l in lines]
-        return (struct.pack("<BII", 1, 5, len(parts)) + b"".join(parts))
+            return W.collection_wkb(W.MULTILINESTRING, [])
+        return W.collection_wkb(W.MULTILINESTRING,
+                                [W.linestring_wkb(l) for l in lines])
     if t == "Polygon":
         ids = g.get("arcs")
         if not isinstance(ids, list):
@@ -144,7 +131,7 @@ def _geom_wkb(g: dict, topo: _Topology) -> bytes | None:
         rings = [topo.line(r) if isinstance(r, list) else None
                  for r in ids]
         if not rings or any(r is None for r in rings):
-            return _empty(3)
+            return W.polygon_wkb_d([])
         return W.polygon_wkb(rings[0], rings[1:])
     if t == "MultiPolygon":
         ids = g.get("arcs")
@@ -153,14 +140,14 @@ def _geom_wkb(g: dict, topo: _Topology) -> bytes | None:
         polys = []
         for poly in ids:
             if not isinstance(poly, list) or not poly:
-                return _empty(6)
+                return W.collection_wkb(W.MULTIPOLYGON, [])
             rings = [topo.line(r) if isinstance(r, list) else None
                      for r in poly]
             if any(r is None for r in rings):
-                return _empty(6)
+                return W.collection_wkb(W.MULTIPOLYGON, [])
             polys.append((rings[0], rings[1:]))
         if not polys:
-            return _empty(6)
+            return W.collection_wkb(W.MULTIPOLYGON, [])
         return W.multipolygon_wkb(polys)
     return None  # unknown / non-geometry type
 

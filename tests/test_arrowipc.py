@@ -41,7 +41,7 @@ class TestRoundTrip:
 
         t = _table(30)
         p = str(tmp_path / "pts.arrows")
-        A.write_arrow_ipc(rd.from_arrow(t), p, stream=True)
+        A.write_arrow_ipc(rd.from_arrow(t), p)
         # stream files have no ARROW1 magic
         assert open(p, "rb").read(6) != b"ARROW1"
         out = A.read_arrow_ipc(p).to_pandas().sort_values("fid")

@@ -143,7 +143,8 @@ class TestWkbDispatch:
         assert len(rings) == 1
 
     def test_unsupported_raises(self):
-        gc = gwkb.geometrycollection_wkb([gwkb.point_wkb(0, 0)])
+        gc = gwkb.collection_wkb(gwkb.GEOMETRYCOLLECTION,
+                                 [gwkb.point_wkb(0, 0)])
         with pytest.raises(NotImplementedError):
             buffer_wkb(gc, 1.0)
 

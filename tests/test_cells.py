@@ -27,6 +27,15 @@ class TestS2:
         _, ii, jj = s2.to_face_ij(ids)
         assert (np.abs(np.diff(ii)) + np.abs(np.diff(jj)) == 1).all()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nonfinite_coordinates_get_the_invalid_id(self):
+        nan = float("nan")
+        lon = np.array([nan, 10.0, float("-inf"), 10.0])
+        lat = np.array([10.0, nan, 10.0, 20.0])
+        cells = s2.lonlat_to_cell(lon, lat, 16)
+        assert (cells[:3] == 0).all()
+        assert cells[3] == s2.lonlat_to_cell(lon[3:], lat[3:], 16)[0] != 0
+
     def test_levels_and_parents(self):
         c10 = s2.lonlat_to_cell(LON, LAT, 10)
         c14 = s2.lonlat_to_cell(LON, LAT, 14)

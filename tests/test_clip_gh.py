@@ -41,9 +41,9 @@ class TestBasics:
         assert gh.polygon_intersection(box(0, 0, 1, 1), box(5, 5, 6, 6)) == []
         out = gh.polygon_intersection(box(0, 0, 10, 10), box(2, 2, 4, 4))
         assert len(out) == 1
-        assert abs(gh._area(out[0])) == pytest.approx(4.0)
+        assert abs(gops.ring_area(out[0])) == pytest.approx(4.0)
         out2 = gh.polygon_intersection(box(2, 2, 4, 4), box(0, 0, 10, 10))
-        assert abs(gh._area(out2[0])) == pytest.approx(4.0)
+        assert abs(gops.ring_area(out2[0])) == pytest.approx(4.0)
 
     def test_triangle_box(self):
         tri = np.array([[0, 0], [10, 0], [0, 10], [0, 0]], float)
@@ -58,7 +58,7 @@ class TestBasics:
         bar = box(5, -1, 12, 11)
         out = gh.polygon_intersection(c_shape, bar)
         assert len(out) == 2
-        total = sum(abs(gh._area(r)) for r in out)
+        total = sum(abs(gops.ring_area(r)) for r in out)
         # two bars: x∈[5,10], y∈[0,2] and y∈[8,10] → 2·(5·2)=20
         assert total == pytest.approx(20.0)
 
@@ -132,12 +132,12 @@ class TestUnionDifference:
         b = box(5, 5, 15, 15)
         rings = gh.polygon_union(a, b)
         assert len(rings) == 1
-        assert abs(gh._area(rings[0])) == pytest.approx(100 + 100 - 25)
+        assert abs(gops.ring_area(rings[0])) == pytest.approx(100 + 100 - 25)
 
     def test_union_disjoint(self):
         rings = gh.polygon_union(box(0, 0, 1, 1), box(5, 5, 6, 6))
         assert len(rings) == 2
-        assert sum(abs(gh._area(r)) for r in rings) == pytest.approx(2.0)
+        assert sum(abs(gops.ring_area(r)) for r in rings) == pytest.approx(2.0)
 
     def test_difference_overlapping(self):
         a = box(0, 0, 10, 10)
@@ -149,7 +149,7 @@ class TestUnionDifference:
         b = box(3, 3, 5, 5)
         rings = gh.polygon_difference(a, b)
         assert len(rings) == 2
-        areas = sorted(gh._area(r) for r in rings)
+        areas = sorted(gops.ring_area(r) for r in rings)
         assert areas[0] == pytest.approx(-4.0)   # CW hole
         assert areas[1] == pytest.approx(100.0)
         assert gh.difference_area(a, b) == pytest.approx(96.0)
@@ -167,8 +167,8 @@ class TestUnionDifference:
             ia = gh.intersection_area(a, b)
             ua = gh.union_area(a, b)
             da = gh.difference_area(a, b)
-            area_a = abs(gh._area(a))
-            area_b = abs(gh._area(b))
+            area_a = abs(gops.ring_area(a))
+            area_b = abs(gops.ring_area(b))
             assert ua == pytest.approx(area_a + area_b - ia, abs=1e-6)
             assert da == pytest.approx(area_a - ia, abs=1e-6)
 
@@ -237,7 +237,7 @@ def test_interlocking_concave_union_hole():
     being flipped positive, adding 36 instead of subtracting)."""
     import numpy as np
 
-    from gdal_ray.geom.clip import _area, polygon_union, union_area
+    from gdal_ray.geom.clip import polygon_union, union_area
 
     A = np.array(
         [(0, 0), (10, 0), (10, 6), (8, 6), (8, 2), (2, 2), (2, 6), (0, 6),
@@ -248,7 +248,7 @@ def test_interlocking_concave_union_hole():
     # truth: outer 10x10 square minus the 6x6 enclosed hole = 64
     assert union_area(A, B) == pytest.approx(64.0, abs=1e-5)
     rings = polygon_union(A, B)
-    areas = sorted(_area(r) for r in rings)
+    areas = sorted(gops.ring_area(r) for r in rings)
     assert areas[0] == pytest.approx(-36.0, abs=1e-5)   # hole, CW
     assert areas[-1] == pytest.approx(100.0, abs=1e-5)  # shell, CCW
 
@@ -258,7 +258,7 @@ def test_difference_components_all_ccw():
     must come out CCW (traversal direction alone gives mixed signs)."""
     import numpy as np
 
-    from gdal_ray.geom.clip import _area, polygon_difference
+    from gdal_ray.geom.clip import polygon_difference
 
     U = np.array(
         [(0, 0), (10, 0), (10, 6), (8, 6), (8, 2), (2, 2), (2, 6), (0, 6),
@@ -268,8 +268,9 @@ def test_difference_components_all_ccw():
     rings = polygon_difference(U, slab)
     assert len(rings) == 3
     for r in rings:
-        assert _area(r) > 0
-    assert sum(_area(r) for r in rings) == pytest.approx(28.0, abs=1e-5)
+        assert gops.ring_area(r) > 0
+    assert sum(gops.ring_area(r) for r in rings) == pytest.approx(
+        28.0, abs=1e-5)
 
 
 class TestMultiHoleOverlay:

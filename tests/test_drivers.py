@@ -10,7 +10,8 @@ this module's ``_observe`` with the chains' entry points. Each case is
 a synthetic file or directory under ``tmp_path`` with a crafted head
 and any sidecar it needs. ``CHANGED`` lists the only rows that are
 meant to differ: a path no raster driver claims used to be handed to
-``decode_geotiff`` and now raises ``ValueError``.
+``decode_geotiff`` and now raises ``ValueError``; the vector and write
+rows after it name their reasons.
 """
 
 from __future__ import annotations
@@ -366,6 +367,10 @@ class _Result:
         self.log.append((self.name + "[]", (key,), {}))
         return self
 
+    def select_columns(self, cols):
+        self.log.append((self.name + ".select_columns", (cols,), {}))
+        return self
+
 
 def _norm(v, t):
     if isinstance(v, str):
@@ -507,6 +512,32 @@ CHANGED = {
                 "raster {t}/late.map", "raster {t}/x.foo",
                 "raster {t}/bad.tif.bak")
 }
+CHANGED.update({
+    # --cols reaches readers without a columns keyword as a select
+    "vector {t}/x.vrt layer=L cols=['a']": (
+        ("gdal_ray.vrtvector.read_vrt_vector", ["{t}/x.vrt"], {"layer": "L"}),
+        ("gdal_ray.vrtvector.read_vrt_vector.select_columns", (["a"],), {})),
+    "vector {t}/x.csv layer=L cols=['a']": (
+        ("gdal_ray.formats.read_csv_geom", ["{t}/x.csv"], {}),
+        ("gdal_ray.formats.read_csv_geom.select_columns", (["a"],), {})),
+    "vector {t}/x.gpkg layer=roads cols=['a']": (
+        ("gdal_ray.gpkg.read_gpkg", ["{t}/x.gpkg"], {"layer": "roads"}),
+        ("gdal_ray.gpkg.read_gpkg.select_columns", (["a"],), {})),
+    # a path's prefix wins over its suffix: GTFS, not Shapefile
+    "vector gtfs:{t}/x.shp layer=None cols=None": (
+        ("gdal_ray.gtfs.read_gtfs", ["{t}/x.shp"], {"layer": "stops"}),),
+    # a suffix a vector reader claims goes to that format's writer, or
+    # fails; it no longer becomes a parquet directory of that name
+    "write x.json": (
+        ("gdal_ray.formats.write_geojson", ["<ds>", "{t}/x.json"], {}),),
+    "write x.geojsons": (
+        ("gdal_ray.formats.write_geojson_seq", ["<ds>", "{t}/x.geojsons"],
+         {}),),
+    "write x.dbf": (("raise", "ValueError"),),
+    "write x.arrows": (
+        ("gdal_ray.arrowipc.write_arrow_ipc", ["<ds>", "{t}/x.arrows"],
+         {}),),
+})
 
 
 @pytest.mark.parametrize("cid,case", list(_cases()),
@@ -516,7 +547,7 @@ def test_same_reader_and_arguments_as_the_chains(cid, case, tmp_path):
 
 
 def test_only_unclaimed_raster_paths_changed():
-    for cid in CHANGED:
+    for cid in (c for c in CHANGED if c.startswith("raster ")):
         (first, *_), = [EXPECTED[cid]]
         # the chain handed the path to the GeoTIFF fallback, which
         # either decoded its bytes or failed to read a directory

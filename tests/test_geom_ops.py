@@ -115,7 +115,8 @@ class TestWkbOps:
         assert len(parts) == 1
         assert gwkb.parse(parts[0])["coords"][0].tolist() == [1.0, 2.0]
         # collection of 2
-        gc = gwkb.geometrycollection_wkb([p, gwkb.box_polygon_wkb(0, 0, 1, 1)])
+        gc = gwkb.collection_wkb(gwkb.GEOMETRYCOLLECTION,
+                                 [p, gwkb.box_polygon_wkb(0, 0, 1, 1)])
         parts = ops.explode_wkb(gc)
         assert [gwkb.geometry_type(x) for x in parts] == [gwkb.POINT, gwkb.POLYGON]
 
@@ -180,7 +181,8 @@ class TestVectorStages:
 
         from gdal_ray.stages import vector as vs
 
-        gc = gwkb.geometrycollection_wkb(
+        gc = gwkb.collection_wkb(
+            gwkb.GEOMETRYCOLLECTION,
             [gwkb.point_wkb(1, 2), gwkb.point_wkb(3, 4)]
         )
         t = pa.table({"id": pa.array([7], pa.int64()),

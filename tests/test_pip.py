@@ -79,6 +79,15 @@ class TestGridIndex:
         assert got == expected
         assert len(expected) > 2000  # dense coverage incl. multi-matches
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nonfinite_probe_matches_nothing(self):
+        idx = GridPolygonIndex([gwkb.box_polygon_wkb(0, 0, 1, 1)])
+        px = np.array([np.nan, 0.5, np.inf, 0.5])
+        py = np.array([0.5, np.nan, 0.5, 0.5])
+        assert (idx._bucket_of(px, py)[:3] == -1).all()
+        pts, ids = idx.query_points(px, py)
+        assert pts.tolist() == [3] and ids.tolist() == [0]
+
     def test_empty_probe(self):
         idx = GridPolygonIndex([gwkb.box_polygon_wkb(0, 0, 1, 1)])
         pts, ids = idx.query_points(np.empty(0), np.empty(0))

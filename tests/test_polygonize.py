@@ -6,6 +6,7 @@ import pytest
 
 from gdal_ray.geom import wkb as gwkb
 from gdal_ray.geom.predicates import PolygonEdges
+from gdal_ray.geom.ops import ring_area
 from gdal_ray.raster import model, polygonize
 
 
@@ -35,13 +36,13 @@ class TestTrace:
         m[1, 1] = True
         rings = polygonize.trace_rings(m)
         assert len(rings) == 1
-        assert abs(polygonize._ring_area(rings[0])) == 1.0
+        assert abs(ring_area(rings[0])) == 1.0
 
     def test_square_with_hole(self):
         m = np.ones((5, 5), bool)
         m[2, 2] = False
         rings = polygonize.trace_rings(m)
-        areas = sorted(abs(polygonize._ring_area(r)) for r in rings)
+        areas = sorted(abs(ring_area(r)) for r in rings)
         assert len(rings) == 2
         assert areas == [1.0, 25.0]
 
@@ -51,7 +52,7 @@ class TestTrace:
         m[:, 0] = True
         rings = polygonize.trace_rings(m)
         assert len(rings) == 1
-        assert abs(polygonize._ring_area(rings[0])) == 7.0
+        assert abs(ring_area(rings[0])) == 7.0
 
 
 class TestPolygonize:

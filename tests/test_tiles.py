@@ -75,6 +75,16 @@ def test_boundary_ceil_rule():
     np.testing.assert_array_equal(tx, [-1, 0, 1, 1])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_nonfinite_coordinates_get_tile_minus_one():
+    nan, inf = float("nan"), float("inf")
+    tx, ty = tiles.lonlat_to_tile(np.array([nan, 10.0, inf, 10.0]),
+                                  np.array([10.0, nan, 10.0, 10.0]), 5)
+    ox, oy = _oracle_lonlat_to_tms(10.0, 10.0, 5)
+    np.testing.assert_array_equal(tx, [-1, ox, -1, ox])
+    np.testing.assert_array_equal(ty, [oy, -1, oy, oy])
+
+
 def test_xyz_flip():
     # golden: lon=0+eps,lat=0+eps at z=1 → TMS (1,1) → XYZ y = 2^1-1-1 = 0
     tx, ty = tiles.lonlat_to_tile(0.001, 0.001, 1)
