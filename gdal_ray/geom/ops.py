@@ -166,26 +166,6 @@ def polygon_area(rings: list[np.ndarray]) -> float:
     return a
 
 
-def _vertices_in(ring: np.ndarray, edges: PolygonEdges) -> bool:
-    """Every vertex of ``ring`` in ``edges``' polygon, boundary
-    included. Vertices go in y-sorted runs, each tested only against
-    the edges whose y-span meets the run's (no other edge touches or
-    crosses a run vertex's ray), in blocks of about 2**20 edge×vertex
-    cells; testing stops at the first run with a vertex outside."""
-    y_lo = np.minimum(edges.y1, edges.y2)
-    y_hi = np.maximum(edges.y1, edges.y2)
-    pts = ring[np.argsort(ring[:, 1], kind="stable")]
-    for a in range(0, len(pts), 256):
-        run = pts[a:a + 256]
-        band = edges.take((y_hi >= run[0, 1]) & (y_lo <= run[-1, 1]))
-        step = max(1, 2**20 // max(1, len(band.x1)))
-        if not all(band.contains_points(run[k:k + step, 0],
-                                        run[k:k + step, 1]).all()
-                   for k in range(0, len(run), step)):
-            return False
-    return True
-
-
 def organize_polygons(rings: list[np.ndarray],
                       by_winding: bool) -> list[list[int]]:
     """Rings → ``[shell, holes…]`` ring-index groups, shells in ring
@@ -214,7 +194,8 @@ def organize_polygons(rings: list[np.ndarray],
     def within(i: int, j: int) -> bool:
         return bool(
             i != j and (lo[j] <= lo[i]).all() and (hi[i] <= hi[j]).all()
-            and _vertices_in(rings[i], edges_of(j)))
+            and edges_of(j).contains_points(rings[i][:, 0],
+                                            rings[i][:, 1]).all())
 
     shell = [by_winding and a < 0 for a in signed]
     if not any(shell) or any(
@@ -469,7 +450,7 @@ def promote_to_multi_wkb(buf: bytes) -> bytes:
     promote = {gwkb.POINT: gwkb.MULTIPOINT, gwkb.LINESTRING: gwkb.MULTILINESTRING,
                gwkb.POLYGON: gwkb.MULTIPOLYGON}
     if t in promote:
-        return gwkb.collection_wkb(promote[t], [buf])
+        return gwkb.collection_wkb(promote[t], [buf], gwkb.geometry_dims(buf))
     return buf
 
 

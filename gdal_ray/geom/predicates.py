@@ -6,22 +6,92 @@ even-odd fill) — with explicit boundary inclusion so the predicate is
 ``intersects`` (a point on a shared edge matches BOTH neighboring
 polygons, the FIXTURES.md §3 disambiguation; GEOS Intersects
 semantics per ogr/ogrgeometry.cpp:569).
+
+One kernel answers every point-in-polygon question:
+``PolygonEdges.contains`` tests (point, polygon) probe pairs against
+one or more stacked polygons. ``contains_points`` is its one-polygon
+case and ``geom.index.GridPolygonIndex.query_points`` its
+many-polygon case. The y-range of a polygon of more than 16 edges is
+cut into slabs, and an edge is stored in every slab its y-span meets,
+so a probe reads only the edges of its own slab: an edge whose y-span
+misses the point can neither touch it nor cross its ray, and the
+answer is the one over all edges. The (probe, edge) work runs in
+chunks of at most ``CHUNK`` elements, never as one edges × points
+matrix over all points.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+# (probe, edge) elements per kernel call — GridKNN._block_knn's bound
+CHUNK = 1 << 18
+
+
+def expand(first: np.ndarray, count: np.ndarray):
+    """The ranges ``[first[k], first[k] + count[k])`` flattened →
+    ``(k, value)`` per element."""
+    k = np.repeat(np.arange(len(count)), count)
+    return k, first[k] + np.arange(len(k)) - (np.cumsum(count) - count)[k]
+
+
+def ragged(first: np.ndarray, count: np.ndarray):
+    """``expand`` in chunks of at most ``CHUNK`` elements: yields
+    ``(k, value)``, k non-decreasing within and across chunks."""
+    ends = np.cumsum(count)
+    starts = ends - count
+    shift = first - starts
+    total = int(ends[-1]) if len(ends) else 0
+    for a in range(0, total, CHUNK):
+        b = min(a + CHUNK, total)
+        # the rows meeting [a, b), each with its share of the chunk
+        r0, r1 = np.searchsorted(ends, [a, b - 1], side="right")
+        rows = np.arange(r0, r1 + 1)
+        k = np.repeat(rows, np.minimum(ends[rows], b) - np.maximum(starts[rows], a))
+        yield k, np.arange(a, b) + shift[k]
+
+
+def edge_terms(px, py, x1, y1, x2, y2):
+    """Element-wise over (point, edge) pairs: the point lies on the
+    edge; the edge crosses the point's +x ray."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # on-edge: zero cross product + inside the segment envelope
+        cross = (x2 - x1) * (py - y1) - (y2 - y1) * (px - x1)
+        on = (
+            (cross == 0.0)
+            & (px >= np.minimum(x1, x2))
+            & (px <= np.maximum(x1, x2))
+            & (py >= np.minimum(y1, y2))
+            & (py <= np.maximum(y1, y2))
+        )
+        # half-open in y, so a ray through a vertex counts it once
+        straddles = (y1 > py) != (y2 > py)
+        xint = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
+    return on, straddles & (px < xint)
+
+
+def _slab(y, y0, h, nslab):
+    """Slab of ``y``: monotone in y, so an edge stored in the slabs of
+    its two end y's and all between covers the slab of every y it
+    spans."""
+    return np.clip(np.floor((y - y0) / h), 0, nslab - 1).astype(np.int64)
+
 
 class PolygonEdges:
-    """Precomputed edge arrays of one polygon (all rings, even-odd).
+    """Edge arrays of one or more polygons (all rings, even-odd).
 
-    Built once (per broadcast polygon, in an actor's ``__init__``);
-    ``contains_points`` is vectorized over N probe points with an
-    (E×N) broadcast — E (vertex count) is small for admin polygons.
+    ``PolygonEdges(rings)`` holds one polygon and
+    ``PolygonEdges.stack(parts)`` several, polygon p being
+    ``parts[p]``. Built once (per broadcast polygon side, in an actor's
+    ``__init__``), probed per batch. Per polygon: ``boxes`` (envelope),
+    ``ylim`` (the y-range a point must lie in to meet an edge),
+    ``nslab`` slabs of height ``h`` from ``y0``, the first at
+    ``slab0``; slab g's edges are ``slab_off[g]:slab_off[g + 1]`` of
+    ``x1, y1, x2, y2``.
     """
 
-    __slots__ = ("x1", "y1", "x2", "y2", "bounds")
+    __slots__ = ("x1", "y1", "x2", "y2", "boxes", "ylim", "y0", "h",
+                 "nslab", "slab0", "slab_off")
 
     def __init__(self, rings: list[np.ndarray]):
         xs1, ys1, xs2, ys2 = [], [], [], []
@@ -36,59 +106,103 @@ class PolygonEdges:
             ys1.append(r[:-1, 1])
             xs2.append(r[1:, 0])
             ys2.append(r[1:, 1])
-        self.x1 = np.concatenate(xs1) if xs1 else np.empty(0)
-        self.y1 = np.concatenate(ys1) if ys1 else np.empty(0)
-        self.x2 = np.concatenate(xs2) if xs2 else np.empty(0)
-        self.y2 = np.concatenate(ys2) if ys2 else np.empty(0)
-        allx = np.concatenate([self.x1, self.x2]) if len(self.x1) else np.empty(0)
-        ally = np.concatenate([self.y1, self.y2]) if len(self.y1) else np.empty(0)
-        self.bounds = (
-            (allx.min(), ally.min(), allx.max(), ally.max())
-            if len(allx)
-            else (np.inf, np.inf, -np.inf, -np.inf)
-        )
+        x1 = np.concatenate(xs1) if xs1 else np.empty(0)
+        y1 = np.concatenate(ys1) if ys1 else np.empty(0)
+        x2 = np.concatenate(xs2) if xs2 else np.empty(0)
+        y2 = np.concatenate(ys2) if ys2 else np.empty(0)
+        n = len(x1)
+        if n:
+            allx, ally = np.concatenate([x1, x2]), np.concatenate([y1, y2])
+            box = (allx.min(), ally.min(), allx.max(), ally.max())
+        else:
+            box = (np.inf, np.inf, -np.inf, -np.inf)
+        ylo, yhi = np.minimum(y1, y2), np.maximum(y1, y2)
+        # a non-finite y never meets an edge; a polygon with a
+        # non-finite vertex is tested whole, in one slab
+        big = np.finfo(np.float64).max
+        ylim = box[1::2] if np.isfinite(box).all() else (-big, big)
+        height = box[3] - box[1]
+        y0, nslab, h = 0.0, 1, np.inf
+        if n > 16 and np.isfinite(height) and height > 0:
+            # up to one slab per two edges, as long as an edge is stored
+            # in about 4 slabs or fewer on average
+            nslab = int(max(1, min(n // 2, 3 * n * height / (yhi - ylo).sum())))
+        if nslab > 1:
+            y0, h = box[1], height / nslab
+            s0 = _slab(ylo, y0, h, nslab)
+            edge, slab = expand(s0, _slab(yhi, y0, h, nslab) - s0 + 1)
+            edge = edge[np.argsort(slab, kind="stable")]
+            x1, y1, x2, y2 = x1[edge], y1[edge], x2[edge], y2[edge]
+            slab_off = np.r_[0, np.cumsum(np.bincount(slab, minlength=nslab))]
+        else:
+            slab_off = np.array([0, n])
+        self.x1, self.y1, self.x2, self.y2 = x1, y1, x2, y2
+        self.boxes = np.array([box], dtype=np.float64)
+        self.ylim = np.array([ylim], dtype=np.float64)
+        self.y0 = np.array([y0], dtype=np.float64)
+        self.h = np.array([h], dtype=np.float64)
+        self.nslab = np.array([nslab], dtype=np.int64)
+        self.slab0 = np.zeros(1, dtype=np.int64)
+        self.slab_off = slab_off.astype(np.int64)
 
-    def take(self, mask: np.ndarray) -> "PolygonEdges":
-        """The edges selected by ``mask`` (``bounds`` kept)."""
-        out = PolygonEdges([])
-        out.x1, out.y1 = self.x1[mask], self.y1[mask]
-        out.x2, out.y2 = self.x2[mask], self.y2[mask]
-        out.bounds = self.bounds
+    @property
+    def bounds(self) -> tuple:
+        """(minx, miny, maxx, maxy) of polygon 0; (inf, inf, -inf,
+        -inf) when it has no edge."""
+        return tuple(self.boxes[0])
+
+    @classmethod
+    def stack(cls, parts: list["PolygonEdges"]) -> "PolygonEdges":
+        """One-polygon ``parts`` as one table (polygon p = parts[p])."""
+        out = cls([])
+        for name in ("x1", "y1", "x2", "y2", "boxes", "ylim", "y0", "h",
+                     "nslab"):
+            empty = getattr(out, name)[:0]  # dtype and shape for no parts
+            setattr(out, name, np.concatenate(
+                [getattr(p, name) for p in parts] + [empty]))
+        shift = np.cumsum([0] + [len(p.x1) for p in parts])
+        out.slab_off = np.concatenate(
+            [p.slab_off[:-1] + s for p, s in zip(parts, shift)] + [shift[-1:]])
+        out.slab0 = np.cumsum(out.nslab) - out.nslab
+        return out
+
+    def contains(self, px, py, poly) -> np.ndarray:
+        """Boundary-inclusive even-odd test of point (px[i], py[i]) in
+        polygon poly[i], for every i."""
+        px = np.asarray(px, dtype=np.float64)
+        py = np.asarray(py, dtype=np.float64)
+        poly = np.asarray(poly, dtype=np.int64)
+        lim = self.ylim[poly]
+        i = np.flatnonzero((py >= lim[:, 0]) & (py <= lim[:, 1]))
+        q, x, y = poly[i], px[i], py[i]
+        g = self.slab0[q] + _slab(y, self.y0[q], self.h[q], self.nslab[q])
+        lo = self.slab_off[g]
+        on = np.zeros(len(i), dtype=bool)
+        odd = np.zeros(len(i), dtype=bool)
+        for k, e in ragged(lo, self.slab_off[g + 1] - lo):
+            a, b = k[0], k[-1] + 1
+            hit, cr = edge_terms(x[k], y[k], self.x1[e], self.y1[e],
+                                 self.x2[e], self.y2[e])
+            on[a:b] |= np.bincount(k - a, hit, b - a) > 0
+            odd[a:b] ^= np.bincount(k - a, cr, b - a) % 2 == 1
+        out = np.zeros(len(px), dtype=bool)
+        out[i] = on | odd
         return out
 
     def contains_points(self, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-        """Boundary-inclusive even-odd test, vectorized over points."""
+        """Boundary-inclusive even-odd test of every point against the
+        one polygon."""
         px = np.asarray(px, dtype=np.float64)
         py = np.asarray(py, dtype=np.float64)
-        if len(self.x1) == 0 or len(px) == 0:
-            return np.zeros(len(px), dtype=bool)
-        x1 = self.x1[:, None]
-        y1 = self.y1[:, None]
-        x2 = self.x2[:, None]
-        y2 = self.y2[:, None]
-        pxb = px[None, :]
-        pyb = py[None, :]
+        if self.nslab[0] > 1:
+            return self.contains(px, py, np.zeros(len(px), dtype=np.int64))
+        # one slab: every point reads every edge, in (point × edge) blocks
+        out = np.zeros(len(px), dtype=bool)
+        step = max(1, CHUNK // max(1, len(self.x1)))
+        for a in range(0, len(px), step):
+            on, cr = edge_terms(px[None, a:a + step], py[None, a:a + step],
+                                self.x1[:, None], self.y1[:, None],
+                                self.x2[:, None], self.y2[:, None])
+            out[a:a + step] = on.any(axis=0) | (cr.sum(axis=0) % 2 == 1)
+        return out
 
-        # on-edge: zero cross product + inside the segment envelope
-        cross = (x2 - x1) * (pyb - y1) - (y2 - y1) * (pxb - x1)
-        on_edge = (
-            (cross == 0.0)
-            & (pxb >= np.minimum(x1, x2))
-            & (pxb <= np.maximum(x1, x2))
-            & (pyb >= np.minimum(y1, y2))
-            & (pyb <= np.maximum(y1, y2))
-        ).any(axis=0)
-
-        # even-odd crossing count (half-open rule avoids double-count at
-        # vertices): edge crosses the horizontal ray at py
-        straddles = (y1 > pyb) != (y2 > pyb)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xint = x1 + (pyb - y1) * (x2 - x1) / (y2 - y1)
-        crossings = (straddles & (pxb < xint)).sum(axis=0)
-        return on_edge | (crossings % 2 == 1)
-
-
-def points_in_box(px, py, minx, miny, maxx, maxy) -> np.ndarray:
-    """Boundary-inclusive box test (envelope pretest,
-    ogrlayer.cpp:5361 envelope pre-filter)."""
-    return (px >= minx) & (px <= maxx) & (py >= miny) & (py <= maxy)

@@ -379,10 +379,20 @@ def parse(buf: bytes, offset: int = 0) -> dict:
     raise ValueError(f"unsupported WKB geometry type {gtype}")
 
 
-def geometry_type(buf: bytes) -> int:
+def _header(buf: bytes) -> tuple[int, bool, bool]:
     bo = "<" if buf[0] == 1 else ">"
     (gtype,) = struct.unpack_from(bo + "I", buf, 1)
-    return _decode_type(gtype)[0]
+    return _decode_type(gtype)
+
+
+def geometry_type(buf: bytes) -> int:
+    return _header(buf)[0]
+
+
+def geometry_dims(buf: bytes) -> str:
+    """"xy" / "xyz" / "xym" / "xyzm", from the header alone."""
+    _, has_z, has_m = _header(buf)
+    return "xy" + "z" * has_z + "m" * has_m
 
 
 def polygon_rings(buf: bytes) -> list[np.ndarray]:

@@ -548,9 +548,9 @@ def osm_layers(path: str) -> dict[str, pa.Table]:
                      for m, t in zip(mids, mtypes)
                      if t == MEMBER_WAY and m in ways_by_id]
             named, other = _split_tags(k, v, _MLS_FIELDS)
+            # no member way in the extract: MULTILINESTRING EMPTY
             geom = gwkb.collection_wkb(
-                gwkb.MULTILINESTRING,
-                [gwkb.linestring_wkb(p) for p in parts]) if parts else b""
+                gwkb.MULTILINESTRING, [gwkb.linestring_wkb(p) for p in parts])
             mls_rows.append({"osm_id": str(rid), **named,
                              "other_tags": other, "geometry": geom})
         else:

@@ -11,7 +11,14 @@ batch (SURVEY.md §2.4 mapping):
   ``ray.put`` on the driver, ``ray.get`` in each actor's ``__init__``
   — never re-shipped per batch;
 - the point side streams through ``map_batches(PIPJoiner,
-  concurrency=N)``.
+  concurrency=N)``;
+- each batch is one vectorised probe (``GridPolygonIndex.query_points``):
+  its points expand to (point, candidate polygon) pairs over the
+  index's CSR bucket lists, the pairs whose polygon envelope holds the
+  point go to one even-odd kernel over their edges, in chunks of at
+  most 2**18 (pair, edge) elements, and matches come out ordered by
+  bucket, candidate rank, then point — no Python loop per bucket or
+  per polygon.
 
 For polygon sides too large to broadcast, partition BOTH sides by
 covering tile/cell and probe per group (``cell_partitioned_pip`` —

@@ -1,5 +1,7 @@
 """Geometry-operation kernels: unit tests + scalar-oracle parity."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,22 @@ class TestWkbOps:
                                  [p, gwkb.box_polygon_wkb(0, 0, 1, 1)])
         parts = ops.explode_wkb(gc)
         assert [gwkb.geometry_type(x) for x in parts] == [gwkb.POINT, gwkb.POLYGON]
+
+    @pytest.mark.parametrize("single,dims,multi", [
+        (gwkb.point_wkb_d([1, 2, 3], "xyz"), "xyz", 1004),
+        (gwkb.point_wkb_d([1, 2, 4], "xym"), "xym", 2004),
+        (gwkb.point_wkb_d([1, 2, 3, 4], "xyzm"), "xyzm", 3004),
+        (gwkb.linestring_wkb_d([[0, 0, 1], [1, 1, 2]], "xyz"), "xyz", 1005),
+        (gwkb.polygon_wkb_d([[[0, 0, 5], [1, 0, 6], [1, 1, 7], [0, 0, 5]]],
+                            "xym"), "xym", 2006),
+    ], ids=["point_z", "point_m", "point_zm", "linestring_z", "polygon_m"])
+    def test_promote_keeps_dims(self, single, dims, multi):
+        out = ops.promote_to_multi_wkb(single)
+        assert struct.unpack_from("<I", out, 1)[0] == multi
+        g = gwkb.parse(out)
+        assert g["dims"] == dims
+        assert [p["dims"] for p in g["parts"]] == [dims]
+        assert out.endswith(single)
 
     def test_make_valid_basic(self):
         # unclosed ring with duplicate vertex

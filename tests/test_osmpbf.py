@@ -184,6 +184,32 @@ class TestSyntheticAssembly:
         assert np.array_equal(gwkb.parse(lines[11])["coords"], ring)
 
 
+class TestSyntheticRelations:
+    def test_route_without_member_ways_is_empty_multilinestring(self, tmp_path):
+        """Every multilinestrings geometry is WKB, also for a route
+        whose way members are all missing from the extract."""
+        from gdal_ray.geom import wkb as gwkb
+        from gdal_ray.osmpbf import MEMBER_WAY, write_osm_pbf
+
+        nodes = [(i, 2.0 + 0.5 * i, 49.0 + 0.25 * i, [], []) for i in range(1, 4)]
+        ways = [(10, [1, 2, 3], ["highway"], ["residential"])]
+        relations = [
+            (20, [10], [MEMBER_WAY], [""], ["type", "route"], ["route", "bus"]),
+            (21, [900, 901], [MEMBER_WAY, MEMBER_WAY], ["", ""],
+             ["type", "route"], ["route", "bus"]),
+        ]
+        p = str(tmp_path / "routes.osm.pbf")
+        write_osm_pbf(p, {"nodes": nodes, "ways": ways, "relations": relations})
+        rows = {r["osm_id"]: r["geometry"]
+                for r in osm_layers(p)["multilinestrings"].to_pylist()}
+        assert set(rows) == {"20", "21"}
+        parsed = {k: gwkb.parse(g) for k, g in rows.items()}
+        assert all(g["type"] == gwkb.MULTILINESTRING for g in parsed.values())
+        assert len(parsed["20"]["parts"]) == 1
+        assert parsed["21"]["parts"] == []
+        assert rows["21"] == gwkb.collection_wkb(gwkb.MULTILINESTRING, [])
+
+
 class TestCLI:
     def test_pipeline_read_osm_layer(self, tmp_path):
         import glob
