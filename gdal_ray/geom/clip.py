@@ -221,18 +221,14 @@ def _orient_nested(rings: list[np.ndarray]) -> list[np.ndarray]:
     if len(rings) <= 1:
         return [r if ring_area(r) > 0 else r[::-1] for r in rings]
     all_ys = np.unique(np.concatenate([r[:, 1] for r in rings]))
-    pts = [_interior_point(r, all_ys) for r in rings]
+    pts = np.array([_interior_point(r, all_ys) for r in rings])
+    # every ring's interior point against every other ring, one call
+    i, j = np.nonzero(~np.eye(len(rings), dtype=bool))
+    inside = PolygonEdges.stack([[r] for r in rings]).contains(
+        pts[i, 0], pts[i, 1], j)
+    depths = np.bincount(i[inside], minlength=len(rings))
     out = []
-    for i, r in enumerate(rings):
-        depth = 0
-        for j, other in enumerate(rings):
-            if i == j:
-                continue
-            e = PolygonEdges([other])
-            if e.contains_points(
-                np.array([pts[i][0]]), np.array([pts[i][1]])
-            )[0]:
-                depth += 1
+    for r, depth in zip(rings, depths):
         want_ccw = depth % 2 == 0
         a = ring_area(r)
         if (a > 0) != want_ccw:

@@ -40,8 +40,7 @@ class GridPolygonIndex:
         nx: int | None = None,
         ny: int | None = None,
     ):
-        self.edges = PolygonEdges.stack(
-            [PolygonEdges(gwkb.polygon_rings(w)) for w in wkbs])
+        self.edges = PolygonEdges.stack([gwkb.polygon_rings(w) for w in wkbs])
         self.ids = (
             np.asarray(ids, dtype=np.int64)
             if ids is not None

@@ -660,23 +660,20 @@ def make_valid_wkb(buf: bytes, max_pair_iters: int = 200) -> bytes:
 
     loops.sort(key=lambda rg: -abs(ring_area(rg)))
     all_ys = np.unique(np.concatenate([rg[:, 1] for rg in loops]))
-    pts = [_interior_point(rg, all_ys) for rg in loops]
-    edges = [PolygonEdges([rg]) for rg in loops]
+    pts = np.array([_interior_point(rg, all_ys) for rg in loops])
+    # every loop's interior point against every other loop, one call
+    ia, ib = np.nonzero(~np.eye(len(loops), dtype=bool))
+    inside = PolygonEdges.stack([[rg] for rg in loops]).contains(
+        pts[ia, 0], pts[ia, 1], ib)
     depth = np.zeros(len(loops), dtype=np.int64)
     parent = [-1] * len(loops)
-    for a in range(len(loops)):
-        for b in range(len(loops)):
-            if a == b:
-                continue
-            if edges[b].contains_points(
-                np.array([pts[a][0]]), np.array([pts[a][1]])
-            )[0]:
-                depth[a] += 1
-                # loops are sorted big→small: the LAST larger loop
-                # containing a is its immediate parent
-                parent[a] = b if (parent[a] < 0 or
-                                  abs(ring_area(loops[b]))
-                                  < abs(ring_area(loops[parent[a]]))) else parent[a]
+    for a, b in zip(ia[inside].tolist(), ib[inside].tolist()):
+        depth[a] += 1
+        # loops are sorted big→small: the LAST larger loop
+        # containing a is its immediate parent
+        parent[a] = b if (parent[a] < 0 or
+                          abs(ring_area(loops[b]))
+                          < abs(ring_area(loops[parent[a]]))) else parent[a]
     polys: list[tuple[np.ndarray, list[np.ndarray]]] = []
     slot = {}
     for a in range(len(loops)):

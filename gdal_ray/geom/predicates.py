@@ -11,13 +11,13 @@ One kernel answers every point-in-polygon question:
 ``PolygonEdges.contains`` tests (point, polygon) probe pairs against
 one or more stacked polygons. ``contains_points`` is its one-polygon
 case and ``geom.index.GridPolygonIndex.query_points`` its
-many-polygon case. The y-range of a polygon of more than 16 edges is
-cut into slabs, and an edge is stored in every slab its y-span meets,
-so a probe reads only the edges of its own slab: an edge whose y-span
-misses the point can neither touch it nor cross its ray, and the
-answer is the one over all edges. The (probe, edge) work runs in
-chunks of at most ``CHUNK`` elements, never as one edges × points
-matrix over all points.
+many-polygon case. On the first call with more than one probe, the
+y-range of a polygon of more than 16 edges is cut into slabs, and an
+edge is indexed in every slab its y-span meets, so a probe reads only
+the edges of its own slab: an edge whose y-span misses the point can
+neither touch it nor cross its ray, and the answer is the one over all
+edges. The (probe, edge) work runs in chunks of at most ``CHUNK``
+elements, never as one edges × points matrix over all points.
 """
 
 from __future__ import annotations
@@ -32,7 +32,9 @@ def expand(first: np.ndarray, count: np.ndarray):
     """The ranges ``[first[k], first[k] + count[k])`` flattened →
     ``(k, value)`` per element."""
     k = np.repeat(np.arange(len(count)), count)
-    return k, first[k] + np.arange(len(k)) - (np.cumsum(count) - count)[k]
+    v = np.repeat(first - (np.cumsum(count) - count), count)
+    v += np.arange(len(k))
+    return k, v
 
 
 def ragged(first: np.ndarray, count: np.ndarray):
@@ -74,76 +76,39 @@ def _slab(y, y0, h, nslab):
     """Slab of ``y``: monotone in y, so an edge stored in the slabs of
     its two end y's and all between covers the slab of every y it
     spans."""
-    return np.clip(np.floor((y - y0) / h), 0, nslab - 1).astype(np.int64)
+    return np.minimum(np.maximum(np.floor((y - y0) / h), 0),
+                      nslab - 1).astype(np.int64)
 
 
 class PolygonEdges:
     """Edge arrays of one or more polygons (all rings, even-odd).
 
     ``PolygonEdges(rings)`` holds one polygon and
-    ``PolygonEdges.stack(parts)`` several, polygon p being
-    ``parts[p]``. Built once (per broadcast polygon side, in an actor's
-    ``__init__``), probed per batch. Per polygon: ``boxes`` (envelope),
-    ``ylim`` (the y-range a point must lie in to meet an edge),
-    ``nslab`` slabs of height ``h`` from ``y0``, the first at
-    ``slab0``; slab g's edges are ``slab_off[g]:slab_off[g + 1]`` of
-    ``x1, y1, x2, y2``.
+    ``PolygonEdges.stack(polygons)`` several, polygon p having the
+    rings ``polygons[p]``. Built once (per broadcast polygon side, in an
+    actor's ``__init__``), probed per batch. Per polygon: its edges
+    ``edge_off[p]:edge_off[p + 1]`` of ``x1, y1, x2, y2``, ``boxes``
+    (envelope), ``ylim`` (the y-range a point must lie in to meet an
+    edge), and ``nslab`` slabs of height ``h`` from ``y0``, the first at
+    ``slab0``; slab g holds the edges ``slab_edge[slab_off[g]:slab_off[g
+    + 1]]``. Until the first call with more than one probe every polygon
+    is one slab of all its edges: a single probe reads each edge once,
+    which no slab layout beats, and the layout costs a sort.
     """
 
-    __slots__ = ("x1", "y1", "x2", "y2", "boxes", "ylim", "y0", "h",
-                 "nslab", "slab0", "slab_off")
+    __slots__ = ("x1", "y1", "x2", "y2", "edge_off", "boxes", "ylim",
+                 "y0", "h", "nslab", "slab0", "slab_off", "slab_edge",
+                 "sliced")
 
     def __init__(self, rings: list[np.ndarray]):
-        xs1, ys1, xs2, ys2 = [], [], [], []
-        for ring in rings:
-            r = np.asarray(ring, dtype=np.float64)
-            if len(r) < 2:
-                continue
-            # ensure closure (GDAL auto-closes rings on import)
-            if (r[0] != r[-1]).any():
-                r = np.vstack([r, r[:1]])
-            xs1.append(r[:-1, 0])
-            ys1.append(r[:-1, 1])
-            xs2.append(r[1:, 0])
-            ys2.append(r[1:, 1])
-        x1 = np.concatenate(xs1) if xs1 else np.empty(0)
-        y1 = np.concatenate(ys1) if ys1 else np.empty(0)
-        x2 = np.concatenate(xs2) if xs2 else np.empty(0)
-        y2 = np.concatenate(ys2) if ys2 else np.empty(0)
-        n = len(x1)
-        if n:
-            allx, ally = np.concatenate([x1, x2]), np.concatenate([y1, y2])
-            box = (allx.min(), ally.min(), allx.max(), ally.max())
-        else:
-            box = (np.inf, np.inf, -np.inf, -np.inf)
-        ylo, yhi = np.minimum(y1, y2), np.maximum(y1, y2)
-        # a non-finite y never meets an edge; a polygon with a
-        # non-finite vertex is tested whole, in one slab
-        big = np.finfo(np.float64).max
-        ylim = box[1::2] if np.isfinite(box).all() else (-big, big)
-        height = box[3] - box[1]
-        y0, nslab, h = 0.0, 1, np.inf
-        if n > 16 and np.isfinite(height) and height > 0:
-            # up to one slab per two edges, as long as an edge is stored
-            # in about 4 slabs or fewer on average
-            nslab = int(max(1, min(n // 2, 3 * n * height / (yhi - ylo).sum())))
-        if nslab > 1:
-            y0, h = box[1], height / nslab
-            s0 = _slab(ylo, y0, h, nslab)
-            edge, slab = expand(s0, _slab(yhi, y0, h, nslab) - s0 + 1)
-            edge = edge[np.argsort(slab, kind="stable")]
-            x1, y1, x2, y2 = x1[edge], y1[edge], x2[edge], y2[edge]
-            slab_off = np.r_[0, np.cumsum(np.bincount(slab, minlength=nslab))]
-        else:
-            slab_off = np.array([0, n])
-        self.x1, self.y1, self.x2, self.y2 = x1, y1, x2, y2
-        self.boxes = np.array([box], dtype=np.float64)
-        self.ylim = np.array([ylim], dtype=np.float64)
-        self.y0 = np.array([y0], dtype=np.float64)
-        self.h = np.array([h], dtype=np.float64)
-        self.nslab = np.array([nslab], dtype=np.int64)
-        self.slab0 = np.zeros(1, dtype=np.int64)
-        self.slab_off = slab_off.astype(np.int64)
+        self._build([rings])
+
+    @classmethod
+    def stack(cls, polygons: list[list[np.ndarray]]) -> "PolygonEdges":
+        """Several polygons as one table (polygon p = polygons[p])."""
+        out = cls.__new__(cls)
+        out._build(polygons)
+        return out
 
     @property
     def bounds(self) -> tuple:
@@ -151,20 +116,105 @@ class PolygonEdges:
         -inf) when it has no edge."""
         return tuple(self.boxes[0])
 
-    @classmethod
-    def stack(cls, parts: list["PolygonEdges"]) -> "PolygonEdges":
-        """One-polygon ``parts`` as one table (polygon p = parts[p])."""
-        out = cls([])
-        for name in ("x1", "y1", "x2", "y2", "boxes", "ylim", "y0", "h",
-                     "nslab"):
-            empty = getattr(out, name)[:0]  # dtype and shape for no parts
-            setattr(out, name, np.concatenate(
-                [getattr(p, name) for p in parts] + [empty]))
-        shift = np.cumsum([0] + [len(p.x1) for p in parts])
-        out.slab_off = np.concatenate(
-            [p.slab_off[:-1] + s for p, s in zip(parts, shift)] + [shift[-1:]])
-        out.slab0 = np.cumsum(out.nslab) - out.nslab
-        return out
+    def _build(self, polygons):
+        xs1, ys1, xs2, ys2, sizes = [], [], [], [], []
+        for rings in polygons:
+            sizes.append(0)
+            for ring in rings:
+                r = np.asarray(ring, dtype=np.float64)
+                if len(r) < 2:
+                    continue
+                # ensure closure (GDAL auto-closes rings on import)
+                if (r[0] != r[-1]).any():
+                    r = np.vstack([r, r[:1]])
+                xs1.append(r[:-1, 0])
+                ys1.append(r[:-1, 1])
+                xs2.append(r[1:, 0])
+                ys2.append(r[1:, 1])
+                sizes[-1] += len(r) - 1
+        self.x1, self.y1, self.x2, self.y2 = (
+            np.concatenate(v) if v else np.empty(0)
+            for v in (xs1, ys1, xs2, ys2))
+        self.edge_off = np.cumsum([0] + sizes)
+        # a closed ring's first points are all its vertices; NaN
+        # propagates, so a polygon with a NaN vertex has a NaN box
+        self.boxes = np.empty((len(sizes), 4))
+        self.boxes[:] = (np.inf, np.inf, -np.inf, -np.inf)
+        p = np.flatnonzero(sizes)
+        if len(p):
+            at = self.edge_off[p]
+            self.boxes[p, 0] = np.minimum.reduceat(self.x1, at)
+            self.boxes[p, 1] = np.minimum.reduceat(self.y1, at)
+            self.boxes[p, 2] = np.maximum.reduceat(self.x1, at)
+            self.boxes[p, 3] = np.maximum.reduceat(self.y1, at)
+        self._unsliced()
+
+    def _unsliced(self):
+        """Every polygon one slab of all its edges."""
+        n = len(self.boxes)
+        # a non-finite y never meets an edge; a polygon with a
+        # non-finite vertex is tested whole
+        big = np.finfo(np.float64).max
+        self.ylim = self.boxes[:, 1::2].copy()
+        self.ylim[~np.isfinite(self.boxes).all(axis=1)] = (-big, big)
+        self.y0 = np.zeros(n)
+        self.h = np.full(n, np.inf)
+        self.nslab = np.ones(n, dtype=np.int64)
+        self.slab0 = np.arange(n)
+        self.slab_off = self.edge_off
+        self.slab_edge = np.arange(len(self.x1))
+        self.sliced = False
+
+    def _slice(self):
+        """Cut the y-range of each polygon of more than 16 edges into
+        slabs, and index each edge in every slab its y-span meets."""
+        # runs of whole polygons of about CHUNK // 4 edges each, so the
+        # build's temporaries stay bounded; a run's slabs follow the
+        # previous run's
+        first = np.searchsorted(self.edge_off, np.arange(
+            0, len(self.x1), CHUNK // 4), side="right") - 1
+        runs = np.r_[0, np.unique(first[first > 0]), len(self.boxes)]
+        self.nslab, self.y0, self.h, count, self.slab_edge = (
+            np.concatenate(c) for c in zip(*(
+                self._slab_run(pa, pb) for pa, pb in zip(runs[:-1], runs[1:]))))
+        self.slab0 = np.cumsum(self.nslab) - self.nslab
+        self.slab_off = np.r_[0, np.cumsum(count)]
+        self.sliced = True
+
+    def _slab_run(self, pa: int, pb: int):
+        """Slab layout of polygons ``pa:pb`` → per polygon ``nslab``,
+        ``y0``, ``h``; per slab its edge count; the slabs' edges."""
+        a = self.edge_off[pa]
+        n = np.diff(self.edge_off[pa:pb + 1])
+        pe = np.repeat(np.arange(len(n)), n)  # polygon of each edge
+        y1, y2 = self.y1[a:a + len(pe)], self.y2[a:a + len(pe)]
+        box = self.boxes[pa:pb]
+        with np.errstate(invalid="ignore"):  # non-finite vertices
+            height = box[:, 3] - box[:, 1]
+            span = np.bincount(pe, np.abs(y2 - y1), len(n))
+        cut = (n > 16) & np.isfinite(height) & (height > 0)
+        # up to one slab per two edges, as long as an edge is indexed in
+        # about 4 slabs or fewer on average (a closed ring's y-spans sum
+        # to at least twice its height)
+        nslab = np.ones(len(n), dtype=np.int64)
+        nslab[cut] = np.maximum(
+            1, np.minimum(n[cut] // 2, 3 * n[cut] * (height[cut] / span[cut])))
+        cut = nslab > 1
+        y0 = np.where(cut, box[:, 1], 0.0)
+        h = np.where(cut, height / nslab, np.inf)
+        # each edge's first and last slab
+        s0 = (np.cumsum(nslab) - nslab)[pe]
+        s1 = s0.copy()
+        e = np.flatnonzero(cut[pe])
+        q = pe[e]
+        s0[e] += _slab(np.minimum(y1[e], y2[e]), y0[q], h[q], nslab[q])
+        s1[e] += _slab(np.maximum(y1[e], y2[e]), y0[q], h[q], nslab[q])
+        edge, slab = expand(s0, s1 - s0 + 1)
+        edge = edge[np.argsort(slab, kind="stable")] + a
+        # int32 edge numbers while they fit
+        small = np.int32 if len(self.x1) < 2**31 else np.int64
+        return (nslab, y0, h, np.bincount(slab, minlength=int(nslab.sum())),
+                edge.astype(small))
 
     def contains(self, px, py, poly) -> np.ndarray:
         """Boundary-inclusive even-odd test of point (px[i], py[i]) in
@@ -172,6 +222,8 @@ class PolygonEdges:
         px = np.asarray(px, dtype=np.float64)
         py = np.asarray(py, dtype=np.float64)
         poly = np.asarray(poly, dtype=np.int64)
+        if len(px) > 1 and not self.sliced:
+            self._slice()
         lim = self.ylim[poly]
         i = np.flatnonzero((py >= lim[:, 0]) & (py <= lim[:, 1]))
         q, x, y = poly[i], px[i], py[i]
@@ -179,8 +231,9 @@ class PolygonEdges:
         lo = self.slab_off[g]
         on = np.zeros(len(i), dtype=bool)
         odd = np.zeros(len(i), dtype=bool)
-        for k, e in ragged(lo, self.slab_off[g + 1] - lo):
+        for k, s in ragged(lo, self.slab_off[g + 1] - lo):
             a, b = k[0], k[-1] + 1
+            e = self.slab_edge[s]
             hit, cr = edge_terms(x[k], y[k], self.x1[e], self.y1[e],
                                  self.x2[e], self.y2[e])
             on[a:b] |= np.bincount(k - a, hit, b - a) > 0
@@ -192,17 +245,4 @@ class PolygonEdges:
     def contains_points(self, px: np.ndarray, py: np.ndarray) -> np.ndarray:
         """Boundary-inclusive even-odd test of every point against the
         one polygon."""
-        px = np.asarray(px, dtype=np.float64)
-        py = np.asarray(py, dtype=np.float64)
-        if self.nslab[0] > 1:
-            return self.contains(px, py, np.zeros(len(px), dtype=np.int64))
-        # one slab: every point reads every edge, in (point × edge) blocks
-        out = np.zeros(len(px), dtype=bool)
-        step = max(1, CHUNK // max(1, len(self.x1)))
-        for a in range(0, len(px), step):
-            on, cr = edge_terms(px[None, a:a + step], py[None, a:a + step],
-                                self.x1[:, None], self.y1[:, None],
-                                self.x2[:, None], self.y2[:, None])
-            out[a:a + step] = on.any(axis=0) | (cr.sum(axis=0) % 2 == 1)
-        return out
-
+        return self.contains(px, py, np.zeros(len(px), dtype=np.int64))

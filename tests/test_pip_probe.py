@@ -296,7 +296,8 @@ def test_chunk_boundary_at_full_chunk_size():
     px = np.r_[rng.uniform(0, teeth, 400), np.arange(0, teeth, 0.5)]
     py = np.r_[rng.uniform(-3, 10, 400), np.full(2 * teeth, 5.0)]
     pe = PolygonEdges(gwkb.polygon_rings(wkbs[0]))
-    assert len(px) * len(pe.x1) / pe.nslab[0] > predicates.CHUNK
+    pe.contains_points(px, py)  # slices it
+    assert len(px) * len(pe.slab_edge) / pe.nslab[0] > predicates.CHUNK
     pts, _ = _assert_same(wkbs, px, py)
     assert len(pts) > 500
 
