@@ -226,7 +226,7 @@ def check_coverage(
                 d = _seg_point_dist(
                     np.array([p0[0], p1[0]]), np.array([p0[1], p1[1]]),
                     b0[:, 0], b0[:, 1], b1[:, 0], b1[:, 1],
-                ).min(axis=1)
+                )
                 if (d < gap_tolerance).all() and d.size:
                     findings.append(
                         {"kind": "misaligned_edge", "rings": (i, j),

@@ -59,9 +59,10 @@ class GridPolygonIndex:
         self._dy = max((self.maxy - self.miny) / self.ny, 1e-12)
         # every bucket a polygon's envelope covers, polygon order kept
         # within a bucket: CSR offsets (one slot per bucket) + cand
-        cx0 = ((b[poly, 0] - self.minx) / self._dx).astype(np.int64)
+        # (the envelope's max edge lies in the last cell, as in _bucket_of)
+        cx0 = np.minimum((b[poly, 0] - self.minx) / self._dx, self.nx - 1).astype(np.int64)
         cx1 = ((b[poly, 2] - self.minx) / self._dx).astype(np.int64)
-        cy0 = ((b[poly, 1] - self.miny) / self._dy).astype(np.int64)
+        cy0 = np.minimum((b[poly, 1] - self.miny) / self._dy, self.ny - 1).astype(np.int64)
         cy1 = ((b[poly, 3] - self.miny) / self._dy).astype(np.int64)
         ncx = np.maximum(np.minimum(self.nx - 1, cx1) - cx0 + 1, 0)
         ncy = np.maximum(np.minimum(self.ny - 1, cy1) - cy0 + 1, 0)
@@ -72,10 +73,14 @@ class GridPolygonIndex:
         self.cand = poly[k[np.argsort(key, kind="stable")]]
 
     def _bucket_of(self, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-        """Grid bucket per point; -1 outside the grid or non-finite."""
+        """Grid bucket per point; -1 outside the grid or non-finite. A
+        point on the envelope's max edge (x == maxx or y == maxy) lies
+        in the last cell."""
         with np.errstate(over="ignore"):  # a far point lands outside
             fx = np.floor((px - self.minx) / self._dx)
             fy = np.floor((py - self.miny) / self._dy)
+        fx[(fx == self.nx) & (px <= self.maxx)] = self.nx - 1
+        fy[(fy == self.ny) & (py <= self.maxy)] = self.ny - 1
         inside = (fx >= 0) & (fx < self.nx) & (fy >= 0) & (fy < self.ny)
         cx = np.where(inside, fx, 0).astype(np.int64)
         cy = np.where(inside, fy, 0).astype(np.int64)

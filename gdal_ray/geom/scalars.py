@@ -14,36 +14,54 @@ import numpy as np
 from gdal_ray.geom import wkb as gwkb
 from gdal_ray.geom.clip import PolygonEdges
 from gdal_ray.geom.ops import ring_area
+from gdal_ray.geom.predicates import CHUNK
 
 _EPS = 1e-12
 
 
 # ------------------------------------------------------------- distance
+def _blocks(n: int, m: int):
+    """(row, column) slices that tile an n × m pair grid in blocks of
+    at most ``CHUNK`` elements, so no n × m temporary is built."""
+    cols = max(1, min(m, CHUNK))
+    rows = max(1, CHUNK // cols)
+    for j in range(0, m, cols):
+        for i in range(0, n, rows):
+            yield slice(i, i + rows), slice(j, j + cols)
+
+
 def _seg_point_dist(px, py, ax, ay, bx, by):
-    """Vectorized distance from points (px,py) to segments (a,b):
-    broadcasts (P, 1) x (1, S)."""
-    abx = bx - ax
-    aby = by - ay
-    den = abx * abx + aby * aby
-    t = np.where(
-        den > 0,
-        ((px[:, None] - ax) * abx + (py[:, None] - ay) * aby)
-        / np.where(den > 0, den, 1.0),
-        0.0,
-    )
-    t = np.clip(t, 0.0, 1.0)
-    dx = px[:, None] - (ax + t * abx)
-    dy = py[:, None] - (ay + t * aby)
-    return np.sqrt(dx * dx + dy * dy)
+    """Per point (px, py), the minimum distance to the segments (a, b),
+    over (point, segment) blocks of at most ``CHUNK`` elements."""
+    out = np.full(len(px), np.inf)
+    for i, j in _blocks(len(px), len(ax)):
+        abx = bx[j] - ax[j]
+        aby = by[j] - ay[j]
+        den = abx * abx + aby * aby
+        qx, qy = px[i, None], py[i, None]
+        t = np.where(
+            den > 0,
+            ((qx - ax[j]) * abx + (qy - ay[j]) * aby) / np.where(den > 0, den, 1.0),
+            0.0,
+        )
+        t = np.clip(t, 0.0, 1.0)
+        dx = qx - (ax[j] + t * abx)
+        dy = qy - (ay[j] + t * aby)
+        np.minimum(out[i], np.sqrt(dx * dx + dy * dy).min(axis=1), out=out[i])
+    return out
 
 
 def _segments_intersect_any(a0, a1, b0, b1):
     """True if any segment of chain A intersects any of chain B
-    (vectorized orientation tests over the full pair matrix)."""
-    d1x = a1[:, 0] - a0[:, 0]
-    d1y = a1[:, 1] - a0[:, 1]
-    d2x = b1[:, 0] - b0[:, 0]
-    d2y = b1[:, 1] - b0[:, 1]
+    (vectorized orientation tests over blocks of the pair matrix)."""
+    return any(
+        _segments_intersect_block(a0[i], a1[i], b0[j], b1[j])
+        for i, j in _blocks(len(a0), len(b0))
+    )
+
+
+def _segments_intersect_block(a0, a1, b0, b1):
+    """``_segments_intersect_any`` over one block of segment pairs."""
 
     def cross_to(px, py, qx, qy, rx, ry):
         return (qx - px)[:, None] * (ry[None, :] - py[:, None]) - (
@@ -157,8 +175,8 @@ def distance(buf_a: bytes, buf_b: bytes) -> float:
         best = min(best, float(_seg_point_dist(
             bpts[:, 0], bpts[:, 1], a0[:, 0], a0[:, 1], a1[:, 0], a1[:, 1]
         ).min()))
-    if len(apts) and len(bpts):
-        d = apts[:, None, :] - bpts[None, :, :]
+    for i, j in _blocks(len(apts), len(bpts)):
+        d = apts[i, None, :] - bpts[None, j, :]
         best = min(best, float(np.sqrt((d * d).sum(-1)).min()))
     return best
 
@@ -202,7 +220,7 @@ def within(buf_a: bytes, buf_b: bytes) -> bool:
     s0, s1 = _all_segments([], rb)
     d = _seg_point_dist(
         pts[:, 0], pts[:, 1], s0[:, 0], s0[:, 1], s1[:, 0], s1[:, 1]
-    ).min(axis=1)
+    )
     return bool((inside & (d > _EPS)).any())
 
 
@@ -218,7 +236,7 @@ def distance_points_to_line(px, py, line: np.ndarray) -> np.ndarray:
     return _seg_point_dist(
         np.asarray(px, np.float64), np.asarray(py, np.float64),
         a[:, 0], a[:, 1], b[:, 0], b[:, 1],
-    ).min(axis=1)
+    )
 
 
 # ------------------------------------------------------------ is_simple
@@ -305,7 +323,7 @@ def touches(buf_a: bytes, buf_b: bytes) -> bool:
         d = _seg_point_dist(
             probe[:, 0], probe[:, 1], seg[0][:, 0], seg[0][:, 1],
             seg[1][:, 0], seg[1][:, 1],
-        ).min(axis=1)
+        )
         strictly_in = inside & (d > _EPS)
         if strictly_in.any():
             return False
@@ -316,7 +334,7 @@ def touches(buf_a: bytes, buf_b: bytes) -> bool:
             md = _seg_point_dist(
                 mids[:, 0], mids[:, 1], seg[0][:, 0], seg[0][:, 1],
                 seg[1][:, 0], seg[1][:, 1],
-            ).min(axis=1)
+            )
             if (mi & (md > _EPS)).any():
                 return False
         return True
@@ -343,12 +361,8 @@ def crosses(buf_a: bytes, buf_b: bytes) -> bool:
         b = cb[0]
         a0, a1 = a[:-1], a[1:]
         b0, b1 = b[:-1], b[1:]
-        # proper crossing: strict sign changes on both segments
-        o1 = np.cross((a1 - a0)[:, None, :], (b0[None, :, :] - a0[:, None, :]))
-        o2 = np.cross((a1 - a0)[:, None, :], (b1[None, :, :] - a0[:, None, :]))
-        o3 = np.cross((b1 - b0)[None, :, :], (a0[:, None, :] - b0[None, :, :]))
-        o4 = np.cross((b1 - b0)[None, :, :], (a1[:, None, :] - b0[None, :, :]))
-        return bool((((o1 * o2) < -_EPS) & ((o3 * o4) < -_EPS)).any())
+        return any(_proper_cross(a0[i], a1[i], b0[j], b1[j])
+                   for i, j in _blocks(len(a0), len(b0)))
     if (ca and rb) or (cb and ra):
         line = ca[0] if ca else cb[0]
         rings = rb if rb else ra
@@ -360,11 +374,21 @@ def crosses(buf_a: bytes, buf_b: bytes) -> bool:
         d = _seg_point_dist(
             probe[:, 0], probe[:, 1], seg[0][:, 0], seg[0][:, 1],
             seg[1][:, 0], seg[1][:, 1],
-        ).min(axis=1)
+        )
         strict_in = inside & (d > _EPS)
         strict_out = (~inside) & (d > _EPS)
         return bool(strict_in.any() and strict_out.any())
     return False
+
+
+def _proper_cross(a0, a1, b0, b1) -> bool:
+    """Some segment a0→a1 crosses some segment b0→b1 properly: strict
+    sign changes on both segments."""
+    o1 = np.cross((a1 - a0)[:, None, :], (b0[None, :, :] - a0[:, None, :]))
+    o2 = np.cross((a1 - a0)[:, None, :], (b1[None, :, :] - a0[:, None, :]))
+    o3 = np.cross((b1 - b0)[None, :, :], (a0[:, None, :] - b0[None, :, :]))
+    o4 = np.cross((b1 - b0)[None, :, :], (a1[:, None, :] - b0[None, :, :]))
+    return bool((((o1 * o2) < -_EPS) & ((o3 * o4) < -_EPS)).any())
 
 
 def overlaps(buf_a: bytes, buf_b: bytes) -> bool:

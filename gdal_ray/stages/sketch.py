@@ -37,33 +37,91 @@ def _hash64(values: np.ndarray, seed: int = 0) -> np.ndarray:
     return x
 
 
+_FNV = 14695981039346656037
+_P = 1099511628211
+_PINV = pow(_P, -1, 1 << 64)  # P is odd, so it has an inverse mod 2**64
+_CHUNK = 1 << 20  # bytes per vectorised chunk of the string hash
+
+
+def _powers(base: int, n: int) -> np.ndarray:
+    """[1, base, base**2, ..., base**(n-1)] mod 2**64."""
+    out = np.full(n, base, dtype=np.uint64)
+    out[:1] = 1
+    return np.cumprod(out, out=out)
+
+
+def _poly_sums(seg: np.ndarray, s: np.ndarray, e: np.ndarray):
+    """Per row (bytes ``seg[s:e]``): Σ b_j·P^(e-1-j) mod 2**64, and the
+    table of P powers up to len(seg). One cumsum of b_j·P^-j per chunk;
+    a row's sum is its cumsum difference times P^(e-1)."""
+    pw = _powers(_P, len(seg) + 1)
+    c = np.zeros(len(seg) + 1, dtype=np.uint64)
+    np.cumsum(seg.astype(np.uint64) * _powers(_PINV, len(seg)), out=c[1:])
+    return (c[e] - c[s]) * pw[np.maximum(e - 1, 0)], pw
+
+
+def _bytes_hash(arr: pa.Array, h0: np.uint64) -> np.ndarray:
+    """h0·P^n + Σ b_j·P^(n-1-j) mod 2**64 per string/binary row (a null
+    is the empty row), over byte chunks of at most ``_CHUNK``; a longer
+    row takes its pieces in turn (Horner)."""
+    n, bufs = len(arr), arr.buffers()
+    wide = pa.types.is_large_string(arr.type) or pa.types.is_large_binary(arr.type)
+    off = np.frombuffer(bufs[1], np.int64 if wide else np.int32)[
+        arr.offset:arr.offset + n + 1].astype(np.int64)
+    data = np.frombuffer(bufs[2], np.uint8) if bufs[2] is not None else np.zeros(0, np.uint8)
+    size = np.diff(off)
+    if arr.null_count:
+        size[~arr.is_valid().to_numpy(zero_copy_only=False)] = 0
+    out = np.empty(n, dtype=np.uint64)
+    r = 0
+    while r < n:
+        base = off[r]
+        r1 = int(np.searchsorted(off, base + _CHUNK, side="right")) - 1
+        if r1 > r:  # rows r..r1-1 fit in one chunk
+            s = off[r:r1] - base
+            e = s + size[r:r1]
+            d, pw = _poly_sums(data[base:off[r1]], s, e)
+            out[r:r1] = h0 * pw[e - s] + d
+            r = r1
+            continue
+        h = h0  # a row longer than a chunk
+        for a in range(base, base + size[r], _CHUNK):
+            seg = data[a:min(a + _CHUNK, base + size[r])]
+            d, pw = _poly_sums(seg, np.zeros(1, np.int64), np.full(1, len(seg)))
+            h = h * pw[-1] + d[0]
+        out[r] = h
+        r += 1
+    return out
+
+
 def hash_any(arr: pa.ChunkedArray | pa.Array, seed: int = 0) -> np.ndarray:
-    """64-bit hashes for an Arrow column (ints directly; strings via
-    polynomial bytes hash)."""
+    """64-bit hashes for an Arrow column: integers by value, floats by
+    value (-0.0 as 0.0, every NaN as one), strings and binary by a
+    polynomial over their bytes. A null hashes as the empty string."""
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
-    if pa.types.is_integer(arr.type):
-        return _hash64(arr.to_numpy(zero_copy_only=False), seed)
-    # strings/binary: cheap per-row polynomial (hot path note: for pure
-    # text ids prefer a precomputed fingerprint column)
-    out = np.empty(len(arr), dtype=np.uint64)
-    P = np.uint64(1099511628211)
+    if pa.types.is_dictionary(arr.type):
+        arr = arr.dictionary_decode()
+    t = arr.type
+    h0 = np.uint64((_FNV + seed) % (1 << 64))
+    if pa.types.is_fixed_size_binary(t) or pa.types.is_null(t):
+        arr, t = arr.cast(pa.binary()), pa.binary()
     with np.errstate(over="ignore"):
-        for i, v in enumerate(arr.to_pylist()):
-            b = np.frombuffer((v or "").encode() if isinstance(v, str) else (v or b""),
-                              dtype=np.uint8).astype(np.uint64)
-            h = np.uint64(14695981039346656037 + seed)
-            for chunk_start in range(0, len(b), 1 << 20):
-                seg = b[chunk_start : chunk_start + (1 << 20)]
-                pw = np.empty(len(seg), dtype=np.uint64)
-                pw[0] = np.uint64(1)
-                if len(seg) > 1:
-                    pw[1:] = np.cumprod(np.full(len(seg) - 1, P, dtype=np.uint64))
-                h = h * (P ** np.uint64(len(seg))) + (seg * pw[::-1]).sum(
-                    dtype=np.uint64
-                )
-            out[i] = h
-    return _hash64(out, seed)
+        if (pa.types.is_string(t) or pa.types.is_large_string(t)
+                or pa.types.is_binary(t) or pa.types.is_large_binary(t)):
+            return _hash64(_bytes_hash(arr, h0), seed)
+        if pa.types.is_floating(t):
+            f = arr.cast(pa.float64()).fill_null(0).to_numpy() + 0.0
+            vals = np.where(np.isnan(f), np.nan, f).view(np.uint64)
+        elif pa.types.is_integer(t):
+            vals = arr.fill_null(0).to_numpy()
+        else:
+            raise TypeError(f"hash_any: no hash for type {t}")
+        out = _hash64(vals, seed)
+        if arr.null_count:
+            null = ~arr.is_valid().to_numpy(zero_copy_only=False)
+            out[null] = _hash64(np.full(1, h0), seed)[0]
+        return out
 
 
 class HLL:

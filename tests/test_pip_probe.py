@@ -130,9 +130,9 @@ class _LoopGridPolygonIndex:
         self._buckets: dict[int, np.ndarray] = {}
         tmp: dict[int, list[int]] = {}
         for i in range(len(wkbs)):
-            cx0 = int((b[i, 0] - self.minx) / self._dx)
+            cx0 = int(min((b[i, 0] - self.minx) / self._dx, self.nx - 1))
             cx1 = int((b[i, 2] - self.minx) / self._dx)
-            cy0 = int((b[i, 1] - self.miny) / self._dy)
+            cy0 = int(min((b[i, 1] - self.miny) / self._dy, self.ny - 1))
             cy1 = int((b[i, 3] - self.miny) / self._dy)
             for cx in range(max(0, cx0), min(self.nx - 1, cx1) + 1):
                 for cy in range(max(0, cy0), min(self.ny - 1, cy1) + 1):
@@ -143,6 +143,9 @@ class _LoopGridPolygonIndex:
         """Grid bucket per point; -1 outside the grid or non-finite."""
         fx = np.floor((px - self.minx) / self._dx)
         fy = np.floor((py - self.miny) / self._dy)
+        # the envelope's max edge lies in the last cell
+        fx[(fx == self.nx) & (px <= self.maxx)] = self.nx - 1
+        fy[(fy == self.ny) & (py <= self.maxy)] = self.ny - 1
         inside = (fx >= 0) & (fx < self.nx) & (fy >= 0) & (fy < self.ny)
         cx = np.where(inside, fx, 0).astype(np.int64)
         cy = np.where(inside, fy, 0).astype(np.int64)
@@ -413,3 +416,37 @@ def test_empty_polygons_through_pip_joiner():
     assert left.to_pydict()["admin_id"] == [8, 8, None]
     only_empty = PIPJoiner(polys.slice(0, 1), id_cols=("admin_id",))(batch)
     assert only_empty.num_rows == 0
+
+
+# --- the envelope's max edge
+
+
+def test_points_on_the_envelope_max_edge():
+    idx = GridPolygonIndex([gwkb.box_polygon_wkb(0, 0, 1, 1), gwkb.box_polygon_wkb(2, 0, 3, 1)])
+    pts, ids = idx.query_points([3.0, 0.5, 2.5], [0.5, 1.0, 0.5])
+    assert sorted(zip(pts.tolist(), ids.tolist())) == [(0, 1), (1, 0), (2, 1)]
+    # zero-width polygons lying on the max edges
+    idx = GridPolygonIndex([gwkb.box_polygon_wkb(0, 0, 1, 1), gwkb.box_polygon_wkb(1, 0, 1, 1),
+                            gwkb.box_polygon_wkb(0, 1, 1, 1)])
+    pts, ids = idx.query_points([1.0, 0.5, 1.0], [0.5, 1.0, 1.0])
+    assert sorted(zip(pts.tolist(), ids.tolist())) == [
+        (0, 0), (0, 1), (1, 0), (1, 2), (2, 0), (2, 1), (2, 2)]
+
+
+def test_pip_joiner_on_the_top_edge_of_the_admin_grid():
+    """Points at lat 60.0 (the top edge of the top row of admin boxes)
+    and at the largest max x match every box that holds them,
+    boundary included."""
+    from gdal_ray.stages.join import PIPJoiner
+
+    boxes = np.array(fixtures.boundary_boxes())
+    lon = np.r_[np.linspace(-80.0, 80.0, 33), boxes[:, 2].max()]
+    lat = np.r_[np.full(33, 60.0), boxes[np.argmax(boxes[:, 2]), 1]]
+    out = PIPJoiner(fixtures.gen_boundaries(), id_cols=("admin_id",))(
+        pa.table({"lon": lon, "lat": lat, "i": np.arange(len(lon))})).to_pydict()
+    got = sorted(zip(out["i"], out["admin_id"]))
+    inside = ((lon[:, None] >= boxes[:, 0]) & (lon[:, None] <= boxes[:, 2])
+              & (lat[:, None] >= boxes[:, 1]) & (lat[:, None] <= boxes[:, 3]))
+    want = sorted(zip(*map(np.ndarray.tolist, np.nonzero(inside))))
+    assert got == want
+    assert {i for i, _ in got} == set(range(len(lon)))

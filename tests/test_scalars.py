@@ -184,3 +184,76 @@ class TestUpdateLayer:
         assert out["overlay_area"].sum() == pytest.approx(28.0)
         assert len(out[out["fid"].notna()]) >= 1   # cut input piece(s)
         assert len(out[out["fid"].isna()]) == 1    # the method feature
+
+
+def _dense_seg_point_dist(px, py, ax, ay, bx, by):
+    """The dense (points × segments) distance matrix the blocked
+    per-point minimum replaced, kept as its oracle."""
+    abx = bx - ax
+    aby = by - ay
+    den = abx * abx + aby * aby
+    t = np.where(
+        den > 0,
+        ((px[:, None] - ax) * abx + (py[:, None] - ay) * aby)
+        / np.where(den > 0, den, 1.0),
+        0.0,
+    )
+    t = np.clip(t, 0.0, 1.0)
+    dx = px[:, None] - (ax + t * abx)
+    dy = py[:, None] - (ay + t * aby)
+    return np.sqrt(dx * dx + dy * dy)
+
+
+def _circle(n, r=1.0, cx=0.0, cy=0.0):
+    a = np.linspace(0, 2 * np.pi, n, endpoint=False)
+    ring = np.c_[cx + r * np.cos(a), cy + r * np.sin(a)]
+    return np.vstack([ring, ring[:1]])
+
+
+class TestBlockedScalars:
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 1 << 18])
+    def test_seg_point_dist_matches_dense(self, chunk, monkeypatch):
+        monkeypatch.setattr(S, "CHUNK", chunk)
+        rng = np.random.default_rng(chunk)
+        p = rng.normal(size=(37, 2))
+        a, b = rng.normal(size=(23, 2)), rng.normal(size=(23, 2))
+        b[3] = a[3]  # a zero-length segment
+        want = _dense_seg_point_dist(p[:, 0], p[:, 1], a[:, 0], a[:, 1], b[:, 0], b[:, 1])
+        got = S._seg_point_dist(p[:, 0], p[:, 1], a[:, 0], a[:, 1], b[:, 0], b[:, 1])
+        np.testing.assert_array_equal(got, want.min(axis=1))
+
+    @pytest.mark.parametrize("chunk", [1, 5, 1 << 18])
+    def test_predicates_unchanged_by_blocking(self, chunk, monkeypatch):
+        big = gwkb.polygon_wkb(_circle(40, 2.0))
+        small = gwkb.polygon_wkb(_circle(30, 0.5, 0.3))
+        far = gwkb.polygon_wkb(_circle(25, 0.5, 5.0))
+        line = gwkb.linestring_wkb(np.array([(-3.0, 0.1), (0.0, 0.2), (3.0, 0.1)]))
+        pts = gwkb.collection_wkb(gwkb.MULTIPOINT, [gwkb.point_wkb(9.0, 9.0), gwkb.point_wkb(8.0, 7.5)])
+        zig = gwkb.linestring_wkb(np.array([(-1.0, -1.0), (0.0, 1.0), (1.0, -1.0), (2.0, 1.0)]))
+        pairs = [(small, big), (big, far), (line, big), (far, line), (pts, far), (line, pts),
+                 (line, zig), (zig, far)]
+
+        def run():
+            return [(S.distance(a, b), S.within(a, b), S.touches(a, b), S.crosses(a, b))
+                    for a, b in pairs]
+
+        want = run()
+        monkeypatch.setattr(S, "CHUNK", chunk)
+        assert run() == want
+
+    def test_memory_bound(self):
+        import tracemalloc
+
+        a = gwkb.polygon_wkb(_circle(3000, 1.0))
+        b = gwkb.polygon_wkb(_circle(3000, 2.0))
+        x = np.linspace(0, 10, 3000)
+        la = gwkb.linestring_wkb(np.c_[x, np.sin(x * 7)])
+        lb = gwkb.linestring_wkb(np.c_[x, np.cos(x * 5)])
+        for pred in (lambda: S.within(a, b), lambda: S.crosses(la, lb)):
+            tracemalloc.start()
+            try:
+                assert pred()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 * 2**20, peak

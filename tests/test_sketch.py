@@ -43,6 +43,92 @@ class TestHLL:
         assert h[0] != h[1]
 
 
+def _loop_hash_any(arr, seed=0):
+    """The per-row loop ``sketch.hash_any`` replaced, kept verbatim as
+    the oracle for strings, binary and non-null integers."""
+    if isinstance(arr, pa.ChunkedArray):
+        arr = arr.combine_chunks()
+    if pa.types.is_integer(arr.type):
+        return sketch._hash64(arr.to_numpy(zero_copy_only=False), seed)
+    # strings/binary: cheap per-row polynomial (hot path note: for pure
+    # text ids prefer a precomputed fingerprint column)
+    out = np.empty(len(arr), dtype=np.uint64)
+    P = np.uint64(1099511628211)
+    with np.errstate(over="ignore"):
+        for i, v in enumerate(arr.to_pylist()):
+            b = np.frombuffer((v or "").encode() if isinstance(v, str) else (v or b""),
+                              dtype=np.uint8).astype(np.uint64)
+            h = np.uint64(14695981039346656037 + seed)
+            for chunk_start in range(0, len(b), 1 << 20):
+                seg = b[chunk_start : chunk_start + (1 << 20)]
+                pw = np.empty(len(seg), dtype=np.uint64)
+                pw[0] = np.uint64(1)
+                if len(seg) > 1:
+                    pw[1:] = np.cumprod(np.full(len(seg) - 1, P, dtype=np.uint64))
+                h = h * (P ** np.uint64(len(seg))) + (seg * pw[::-1]).sum(
+                    dtype=np.uint64
+                )
+            out[i] = h
+    return sketch._hash64(out, seed)
+
+
+def _random_strings(rng, n):
+    alphabet = "ab\u00e9\u6f22\U0001F600 z"
+    return [None if rng.random() < 0.1 else
+            "".join(rng.choice(list(alphabet), rng.integers(0, 12))) for _ in range(n)]
+
+
+class TestHashAny:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_loop(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        monkeypatch.setattr(sketch, "_CHUNK", int(rng.integers(1, 64)))
+        words = _random_strings(rng, int(rng.integers(0, 60)))
+        blobs = [None if w is None else w.encode() + bytes(rng.integers(0, 256, 3, dtype=np.uint8))
+                 for w in words]
+        cut = int(rng.integers(0, len(words) + 1))
+        cases = [
+            pa.array(words),
+            pa.array(words, pa.large_string()),
+            pa.array(blobs, pa.binary()),
+            pa.array(blobs, pa.large_binary()),
+            pa.array(words).slice(cut),
+            pa.chunked_array([pa.array(words[:cut], pa.string()), pa.array(words[cut:], pa.string())]),
+            pa.array(rng.integers(-2**63, 2**63, 20, dtype=np.int64)),
+            pa.array(rng.integers(0, 2**64, 20, dtype=np.uint64)),
+        ]
+        for arr in cases:
+            np.testing.assert_array_equal(sketch.hash_any(arr, seed), _loop_hash_any(arr, seed))
+
+    def test_long_rows(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        big = bytes(rng.integers(0, 256, 3 * (1 << 20) + 5, dtype=np.uint8))
+        arr = pa.array([b"x", big, None, b"", big[:1 << 20]])
+        want = _loop_hash_any(arr, 3)
+        np.testing.assert_array_equal(sketch.hash_any(arr, 3), want)
+        monkeypatch.setattr(sketch, "_CHUNK", 1000)
+        np.testing.assert_array_equal(sketch.hash_any(arr, 3), want)
+
+    def test_null_slot_garbage(self):
+        valid = pa.array([True, False, True]).buffers()[1]
+        offsets = pa.py_buffer(np.array([0, 1, 4, 5], np.int32).tobytes())
+        dirty = pa.Array.from_buffers(pa.string(), 3, [valid, offsets, pa.py_buffer(b"aXYZb")])
+        np.testing.assert_array_equal(sketch.hash_any(dirty), _loop_hash_any(pa.array(["a", None, "b"])))
+
+    def test_int_nulls_and_floats(self):
+        h = sketch.hash_any(pa.array([2**60, 2**60 + 1, None, 0]))
+        assert len(set(h.tolist())) == 4
+        np.testing.assert_array_equal(
+            h[[0, 1, 3]], _loop_hash_any(pa.array([2**60, 2**60 + 1, 0])))
+        f = sketch.hash_any(pa.array([1.5, -0.0, 0.0, np.nan, float("-nan"), None, 2.5]))
+        assert f[1] == f[2] and f[3] == f[4]
+        assert len({f[0], f[1], f[3], f[5], f[6]}) == 5
+        np.testing.assert_array_equal(
+            sketch.hash_any(pa.array([1.5, None], pa.float32())), f[[0, 5]])
+        with pytest.raises(TypeError):
+            sketch.hash_any(pa.array([[1]]))
+
+
 class TestReservoir:
     def test_exact_size_and_determinism(self, ray_session, sf_small):
         import ray.data as rd
