@@ -3,7 +3,8 @@
 A from-scratch engine reproducing the query and data-processing
 capabilities of GDAL 3.13 (reference: jjimenezshaw/gdal), re-expressed
 as idiomatic Ray Data pipelines: ``ray.data.Dataset`` of Arrow blocks,
-``map_batches`` task/actor-pool stages, ``groupby``/``sort`` shuffles.
+``map_batches`` task stages (stateful ones worker-cached),
+``groupby``/``sort`` shuffles.
 
 Subpackages
 -----------

@@ -8,10 +8,11 @@ gazetteer** (SURVEY.md §2.3/§2.4 "geocoding lookup" mapping):
 1. ``extract_coords`` — vectorized pyarrow regex pull of literal
    ``lat,lon`` coordinate mentions (the FIXTURES.md §1 corpus embeds
    them so parsing is exactly invertible).
-2. ``GazetteerGeoparser`` — an actor-pool stage that compiles one
-   alternation regex over the gazetteer once per actor
-   (``__init__``), then matches place names per batch and joins their
-   coordinates (the broadcast-small-side join pattern).
+2. ``GazetteerGeoparser`` — a stateful stage that compiles one
+   alternation regex over the gazetteer once per worker (``__init__``,
+   run through ``stages.cache.worker_cached``), then matches place
+   names per batch and joins their coordinates (the
+   broadcast-small-side join pattern).
 
 Both keep ``text`` untouched (per-row invariant: byte-identical text
 per url).
@@ -124,15 +125,16 @@ def extract_coords(batch: pa.Table, text_col: str = "text") -> pa.Table:
 
 
 class GazetteerGeoparser:
-    """Actor-pool stage: place-name → lon/lat via the offline gazetteer.
+    """Stateful stage: place-name → lon/lat via the offline gazetteer.
 
-    Regex alternation compiled ONCE per actor (longest-name-first so
+    Regex alternation compiled ONCE per worker (longest-name-first so
     multi-word names win), lookup dict broadcast-free (the gazetteer is
-    a code constant; for a real corpus it would arrive via
-    ``ray.put`` + ``ray.get`` in ``__init__``).
+    a code constant; for a real corpus it would arrive as a
+    ``ray.put`` ref resolved by ``stages.cache.resolve_broadcast`` in
+    ``__init__``).
 
-    Use: ``ds.map_batches(GazetteerGeoparser, batch_format="pyarrow",
-    concurrency=N)``.
+    Use: ``ds.map_batches(worker_cached(GazetteerGeoparser),
+    batch_format="pyarrow")``.
     """
 
     def __init__(self, gazetteer: list[tuple[str, float, float]] | None = None):

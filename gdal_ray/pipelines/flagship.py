@@ -2,7 +2,8 @@
 join → tile assignment (SURVEY.md §7.1 milestone 0 + north_rule).
 
 Every stage is a stateless ``map_batches(batch_format="pyarrow")``
-kernel except the PIP join (actor pool, gdal_ray.stages.join). No
+kernel except the PIP join and kNN features, whose broadcast state
+lives in the per-worker stage cache (gdal_ray.stages.cache). No
 driver-side row loops, no full materialization: the pipeline streams.
 
 The ``html`` column (potentially MBs/row at 100 TB) is projected away
@@ -218,8 +219,6 @@ def admin_rollup(partials: rd.Dataset) -> pa.Table:
 # fused production stage (the ogr2ogr pattern: one task runs the whole
 # per-record option chain, apps/ogr2ogr_lib.cpp:6529 LayerTranslator)
 
-_WORKER_STATE: dict = {}
-
 # dictionary-encode threshold: take the unique-coordinate fast path only
 # when distinct (lon, lat) pairs are at most 1/4 of the rows — geoparsed
 # corpora (coordinates minted from a finite gazetteer) sit far below
@@ -274,15 +273,15 @@ def _factorize_coords(lon: np.ndarray, lat: np.ndarray):
     )
 
 
-def _encode_unique(state, ulon: np.ndarray, ulat: np.ndarray) -> pa.Table:
+def _encode_unique(knn, ulon: np.ndarray, ulat: np.ndarray) -> pa.Table:
     """Run the per-point encoder chain on the unique coordinate set."""
     ub = pa.table(
         {"lon": pa.array(ulon, pa.float64()), "lat": pa.array(ulat, pa.float64())}
     )
     ub = encode_tiles(ub)
     ub = encode_cells(ub)
-    if state["knn"] is not None:
-        ub = state["knn"](ub)
+    if knn is not None:
+        ub = knn(ub)
     return ub
 
 
@@ -298,28 +297,20 @@ def fused_geotag_pip(
     Designed for TASK-based ``map_batches`` (not an actor pool): Ray
     reuses worker processes across tasks and executions, so the
     broadcast state (polygon index, kNN grid) is built once per worker
-    via a module-global cache — actor-pool amortization without
-    actor-pool startup latency (an autoscaling pool never ramps up
-    inside a short job; measured in bench tuning).
+    through ``stages.cache.cached_instance`` — actor-pool amortization
+    without actor-pool startup latency (an autoscaling pool never ramps
+    up inside a short job; measured in bench tuning). ``bnd_ref`` and
+    ``knn_ref`` are ObjectRefs, or tables when called in-process.
 
     ``emit``: "admin_partials" (default, the rollup shuffle input) or
     "rows" (full joined rows).
     """
+    from gdal_ray.stages.cache import cached_instance
     from gdal_ray.stages.join import PIPJoiner
     from gdal_ray.stages.knn import GridKNNFeatures
 
-    def _ref_key(r):
-        return r.hex() if hasattr(r, "hex") else id(r)
-
-    key = ("flagship", _ref_key(bnd_ref), _ref_key(knn_ref) if knn_ref is not None else None)
-    state = _WORKER_STATE.get(key)
-    if state is None:
-        state = {
-            "pip": PIPJoiner(bnd_ref, id_cols=("admin_id",)),
-            "knn": GridKNNFeatures(knn_ref) if knn_ref is not None else None,
-        }
-        _WORKER_STATE.clear()  # one broadcast set per worker at a time
-        _WORKER_STATE[key] = state
+    pip = cached_instance(PIPJoiner, polygons=bnd_ref, id_cols=("admin_id",))
+    knn = None if knn_ref is None else cached_instance(GridKNNFeatures, ref=knn_ref)
     b = extract_coords(batch)
     if emit != "rows":
         # the rollup only needs coordinates downstream: drop the wide
@@ -334,9 +325,9 @@ def fused_geotag_pip(
         # direct path: continuous-coordinate corpora
         b = encode_tiles(b)
         b = encode_cells(b)
-        if state["knn"] is not None:
-            b = state["knn"](b)
-        joined = state["pip"](b)
+        if knn is not None:
+            b = knn(b)
+        joined = pip(b)
         if emit == "rows":
             return joined
         g = (
@@ -348,8 +339,7 @@ def fused_geotag_pip(
 
     # dictionary fast path: encode once per distinct coordinate
     ulon, ulat, codes, counts = fac
-    pip = state["pip"]
-    ub = _encode_unique(state, ulon, ulat)
+    ub = _encode_unique(knn, ulon, ulat)
     upts, upolys = pip.index.query_points(ulon, ulat)
 
     if emit != "rows":

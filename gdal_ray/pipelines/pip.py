@@ -1,6 +1,6 @@
 """PIP-join pipeline: pages → points → admin-boundary join → rollups.
 
-The north-rule core: stateful actor pools hold the broadcast
+The north-rule core: worker-cached stage state holds the broadcast
 boundary index, the point side streams. Includes the hot-cell salting
 pattern for the skewed aggregate (SURVEY.md §7.2 step 6).
 """
@@ -18,7 +18,6 @@ from gdal_ray.stages.join import pip_join
 def pages_pip(
     sf_dir: str,
     keep_unmatched: bool = False,
-    concurrency: int | tuple[int, int] | None = None,
 ) -> rd.Dataset:
     """documents → pages → geoparse → PIP join vs the 100 admin boxes.
 
@@ -33,7 +32,6 @@ def pages_pip(
         boundaries,
         id_cols=("admin_id", "name"),
         keep_unmatched=keep_unmatched,
-        concurrency=concurrency,
     )
 
 

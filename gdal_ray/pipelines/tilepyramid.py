@@ -25,6 +25,7 @@ import ray.data as rd
 
 from gdal_ray import tiles
 from gdal_ray.raster import overview, warp
+from gdal_ray.stages.cache import resolve_broadcast, worker_cached
 
 TILE_SIZE = 256
 
@@ -58,7 +59,7 @@ class BaseTileWarper:
 
     def __init__(self, src_ref, src_gt, src_crs: str, method: str = "bilinear",
                  nodata: float = np.nan):
-        self.src = ray.get(src_ref) if isinstance(src_ref, ray.ObjectRef) else src_ref
+        self.src = resolve_broadcast(src_ref)
         self.src_gt = src_gt
         self.src_crs = src_crs
         self.method = method
@@ -131,7 +132,6 @@ def raster_tile_pyramid(
     zmax: int,
     method: str = "bilinear",
     overview_method: str = "average",
-    concurrency=(1, 4),
 ) -> rd.Dataset:
     """Full pyramid: base tiles at zmax (warp per tile) + overview
     levels down to zmin. Returns the union of all levels."""
@@ -145,15 +145,14 @@ def raster_tile_pyramid(
     )
     src_ref = ray.put(src)
     base = rd.from_arrow(index_tbl).map_batches(
-        BaseTileWarper,
+        worker_cached(
+            BaseTileWarper,
+            src_ref=src_ref,
+            src_gt=tuple(src_gt),  # a list would key by identity
+            src_crs=src_crs,
+            method=method,
+        ),
         batch_format="pyarrow",
-        concurrency=concurrency,
-        fn_constructor_kwargs={
-            "src_ref": src_ref,
-            "src_gt": src_gt,
-            "src_crs": src_crs,
-            "method": method,
-        },
     )
     levels = [base.materialize()]
     cur = levels[0]

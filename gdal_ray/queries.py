@@ -530,8 +530,7 @@ def q_grid_idw(sf_dir: str):
         }
     )
     out = idw_estimate(
-        rd.from_arrow(pix), fixtures.gen_ref_points(500), k=5, power=2.0,
-        concurrency=1,
+        rd.from_arrow(pix), fixtures.gen_ref_points(500), k=5, power=2.0
     )
     return out.select_columns(["pixel_id", "idw_value"])
 
@@ -651,6 +650,7 @@ def q_zonal_stats(sf_dir: str):
 
     from gdal_ray import fixtures
     from gdal_ray.raster import model, zonal
+    from gdal_ray.stages.cache import worker_cached
 
     N = 128
     i, j = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
@@ -667,10 +667,8 @@ def q_zonal_stats(sf_dir: str):
     tiles = model.from_array(vals, "EPSG:4326", gt, tile_size=64)
     ref = ray.put(shapes)
     parts = rd.from_arrow(tiles).map_batches(
-        zonal.ZonalPartialStage,
+        worker_cached(zonal.ZonalPartialStage, shapes_ref=ref, n_zones=100),
         batch_format="pyarrow",
-        concurrency=(1, 2),
-        fn_constructor_kwargs={"shapes_ref": ref, "n_zones": 100},
     )
     from ray.data.aggregate import Max, Min, Sum
 

@@ -137,11 +137,12 @@ def q_lang_quality(sf_dir: str):
     """Language ID + quality scoring over documents (rows-only for the
     heuristic columns; token counts are oracle-checked separately in
     text_stats)."""
+    from gdal_ray.stages.cache import worker_cached
     from gdal_ray.stages.text import LanguageID, quality_score
 
     ds = rd.read_parquet(f"{sf_dir}/documents.parquet",
                          columns=["doc_id", "text"])
-    out = ds.map_batches(LanguageID, batch_format="pyarrow", concurrency=(1, 2))
+    out = ds.map_batches(worker_cached(LanguageID), batch_format="pyarrow")
     out = out.map_batches(quality_score, batch_format="pyarrow")
     return out.select_columns(
         ["doc_id", "lang_pred", "n_tokens", "quality"]

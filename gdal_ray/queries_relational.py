@@ -792,9 +792,7 @@ def q_update_layer(sf_dir: str):
             ),
         }
     )
-    out = update_layer(
-        rd.from_arrow(boxes), method, general=True, concurrency=(1, 4)
-    )
+    out = update_layer(rd.from_arrow(boxes), method, general=True)
 
     def finish(t: pa.Table) -> pa.Table:
         return pa.table(

@@ -99,14 +99,9 @@ class TileRasterizer:
     each tile (tile-local rasterize — the distributed path)."""
 
     def __init__(self, shapes_ref, merge_alg: str = "replace", init: float = 0.0):
-        import ray
+        from gdal_ray.stages.cache import resolve_broadcast
 
-        shapes = (
-            ray.get(shapes_ref)
-            if isinstance(shapes_ref, ray.ObjectRef)
-            else shapes_ref
-        )
-        self.shapes = shapes  # list of (wkb, value)
+        self.shapes = resolve_broadcast(shapes_ref)  # list of (wkb, value)
         self.merge_alg = merge_alg
         self.init = init
 

@@ -203,10 +203,9 @@ class RasterSampler:
         out_col: str = "sampled",
         nodata: float | None = None,
     ):
-        import ray
+        from gdal_ray.stages.cache import resolve_broadcast
 
-        if isinstance(raster, ray.ObjectRef):
-            raster = ray.get(raster)
+        raster = resolve_broadcast(raster)
         if isinstance(raster, pa.Table):
             self.arr = model.to_array(raster)
             self.gt = tuple(raster["geotransform"][0].as_py())

@@ -98,11 +98,9 @@ class ZonalPartialStage:
     ``groupby("zone")`` aggregation of the partial columns."""
 
     def __init__(self, shapes_ref, n_zones: int):
-        import ray
+        from gdal_ray.stages.cache import resolve_broadcast
 
-        self.shapes = (
-            ray.get(shapes_ref) if isinstance(shapes_ref, ray.ObjectRef) else shapes_ref
-        )
+        self.shapes = resolve_broadcast(shapes_ref)
         self.n_zones = n_zones
 
     def __call__(self, batch: pa.Table) -> pa.Table:

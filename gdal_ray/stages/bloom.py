@@ -121,7 +121,7 @@ def _probe_stage(column: str, bloom_ref, capacity: int, fpr: float,
     import ray
 
     def probe(batch: pa.Table) -> pa.Table:
-        data = ray.get(bloom_ref) if hasattr(bloom_ref, "hex") else bloom_ref
+        data = ray.get(bloom_ref)
         b = BloomFilter.deserialize(data, capacity, fpr)
         member = b.contains_hashes(hash_any(batch[column], seed))
         return batch.filter(pa.array(member if keep_members else ~member))

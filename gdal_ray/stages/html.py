@@ -37,7 +37,7 @@ Extraction contract (documented so the invariant is checkable):
 Parsing is inherently per-document (a Python loop over rows inside
 ``map_batches`` — the one hot-path row loop in the engine that cannot
 vectorize; the per-doc parser is stdlib C-regex-driven and the stage
-is a plain stateless callable, safe at any ``concurrency``).
+is a plain stateless callable, safe at any parallelism).
 """
 
 from __future__ import annotations

@@ -8,10 +8,10 @@ matching (feature, method-feature) pair. GDAL's per-feature
 batch (SURVEY.md §2.4 mapping):
 
 - the polygon side (small: admin boundaries) is broadcast ONCE —
-  ``ray.put`` on the driver, ``ray.get`` in each actor's ``__init__``
-  — never re-shipped per batch;
-- the point side streams through ``map_batches(PIPJoiner,
-  concurrency=N)``;
+  ``ray.put`` on the driver, fetched and indexed once per worker
+  process (``stages.cache.worker_cached``) — never re-shipped per
+  batch;
+- the point side streams through those worker-cached tasks;
 - each batch is one vectorised probe (``GridPolygonIndex.query_points``):
   its points expand to (point, candidate polygon) pairs over the
   index's CSR bucket lists, the pairs whose polygon envelope holds the
@@ -35,26 +35,14 @@ import pyarrow as pa
 import ray
 
 from gdal_ray.geom.index import GridPolygonIndex
-
-
-def _resolve(side) -> pa.Table:
-    """Accept a pa.Table, an ObjectRef (broadcast), or a parquet path."""
-    if isinstance(side, ray.ObjectRef):
-        side = ray.get(side)
-    if isinstance(side, str):
-        import pyarrow.parquet as pq
-
-        side = pq.read_table(side)
-    if isinstance(side, pa.Table):
-        return side
-    raise TypeError(f"unsupported side type {type(side)}")
+from gdal_ray.stages.cache import resolve_broadcast, worker_cached
 
 
 class PIPJoiner:
-    """Actor-pool stage: inner point-in-polygon join against a
-    broadcast polygon table.
+    """Stateful stage (run through ``stages.cache.worker_cached``):
+    inner point-in-polygon join against a broadcast polygon table.
 
-    Parameters (pass via ``fn_constructor_kwargs``):
+    Parameters:
     - ``polygons``: pa.Table / ObjectRef / parquet path with columns
       ``geometry`` (WKB) + id/attr columns.
     - ``id_cols``: polygon columns appended to matches.
@@ -75,7 +63,7 @@ class PIPJoiner:
         lat_col: str = "lat",
         keep_unmatched: bool = False,
     ):
-        t = _resolve(polygons).combine_chunks()
+        t = resolve_broadcast(polygons).combine_chunks()
         wkbs = t["geometry"].to_pylist()
         self.index = GridPolygonIndex(wkbs)
         # plain Arrays so .take() returns Arrays
@@ -251,11 +239,6 @@ def cell_partitioned_pip(
     )
 
 
-def broadcast_table(table: pa.Table) -> ray.ObjectRef:
-    """``ray.put`` once on the driver; pass the ref to actor ctors."""
-    return ray.put(table)
-
-
 def broadcast_hash_join(left, small: pa.Table, left_on, right_on=None,
                         join_type: str = "inner",
                         max_broadcast_rows: int = 20_000_000):
@@ -300,34 +283,21 @@ def pip_join(
     lon_col: str = "lon",
     lat_col: str = "lat",
     keep_unmatched: bool = False,
-    concurrency: int | tuple[int, int] | None = None,
     batch_size: int | None = None,
 ):
-    """points Dataset ⋈ broadcast polygon table.
-
-    Default: worker-cached tasks (index built once per warm worker).
-    Pass ``concurrency`` for a dedicated actor pool (long jobs)."""
-    from gdal_ray.stages.cache import worker_cached
-
+    """points Dataset ⋈ broadcast polygon table, as worker-cached tasks
+    (the index builds once per warm worker)."""
     if isinstance(polygons, pa.Table):
-        polygons = broadcast_table(polygons)
-    kwargs = {
-        "polygons": polygons,
-        "id_cols": id_cols,
-        "lon_col": lon_col,
-        "lat_col": lat_col,
-        "keep_unmatched": keep_unmatched,
-    }
-    if concurrency is not None:
-        return points.map_batches(
-            PIPJoiner,
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency,
-            fn_constructor_kwargs=kwargs,
-        )
+        polygons = ray.put(polygons)
     return points.map_batches(
-        worker_cached(PIPJoiner, **kwargs),
+        worker_cached(
+            PIPJoiner,
+            polygons=polygons,
+            id_cols=id_cols,
+            lon_col=lon_col,
+            lat_col=lat_col,
+            keep_unmatched=keep_unmatched,
+        ),
         batch_format="pyarrow",
         batch_size=batch_size,
     )

@@ -8,7 +8,7 @@ units** (degrees here — documented, matching the FIXTURES.md §4
 oracle).
 
 Ray mapping (SURVEY.md §2.3): the reference set is broadcast once
-(``ray.put`` → actor ``__init__`` or worker cache), indexed once per
+(``ray.put`` → ``stages.cache.worker_cached``), indexed once per
 worker by ``GridKNN`` (a cell-sorted CSR grid) and searched locally per
 batch with an exact two-pass block search, vectorized in numpy. At
 100 TB the scale path is cell-partitioned kNN — partition queries by
@@ -26,9 +26,12 @@ import numpy as np
 import pyarrow as pa
 import ray
 
+from gdal_ray.stages.cache import resolve_broadcast, worker_cached
+
 
 class KNNJoiner:
-    """Actor-pool stage: append k nearest reference points per row.
+    """Stateful stage (run through ``stages.cache.worker_cached``):
+    append k nearest reference points per row.
 
     Output: k rows per input row with ``knn_rank`` (1-based),
     ``point_id``, ``dist2`` (squared planar distance — exactly
@@ -44,12 +47,7 @@ class KNNJoiner:
         lat_col: str = "lat",
         include_value: bool = False,
     ):
-        if isinstance(ref, ray.ObjectRef):
-            ref = ray.get(ref)
-        if isinstance(ref, str):
-            import pyarrow.parquet as pq
-
-            ref = pq.read_table(ref)
+        ref = resolve_broadcast(ref)
         self.rx = ref["lon"].to_numpy()
         self.ry = ref["lat"].to_numpy()
         self.rid = ref["point_id"].to_numpy()
@@ -58,7 +56,7 @@ class KNNJoiner:
         self.lon_col = lon_col
         self.lat_col = lat_col
         self.include_value = include_value and self.rval is not None
-        # GridKNN indexes the reference set once per actor/worker;
+        # GridKNN indexes the reference set once per worker;
         # queries are exact and stage time is flat in |ref|
         self.index = GridKNN(self.rx, self.ry, self.rid, k=k)
 
@@ -259,12 +257,7 @@ class GridKNNFeatures:
     flagship rollup without multiplying the stream by k."""
 
     def __init__(self, ref, k: int = 5, lon_col: str = "lon", lat_col: str = "lat"):
-        if isinstance(ref, ray.ObjectRef):
-            ref = ray.get(ref)
-        if isinstance(ref, str):
-            import pyarrow.parquet as pq
-
-            ref = pq.read_table(ref)
+        ref = resolve_broadcast(ref)
         self.index = GridKNN(
             ref["lon"].to_numpy(), ref["lat"].to_numpy(),
             ref["point_id"].to_numpy(), k=k,
@@ -281,6 +274,41 @@ class GridKNNFeatures:
         ).append_column("knn_mean_dist2", pa.array(pd2.mean(axis=1)))
 
 
+class IDWEstimator(KNNJoiner):
+    """Inverse-distance-to-a-power estimate from the k nearest
+    reference values (GDALGridInverseDistanceToAPower semantics,
+    alg/gdalgrid.cpp: weight = 1/dist^power, exact hit → value):
+    appends ``idw_value`` per row."""
+
+    def __init__(self, ref, k: int = 5, power: float = 2.0,
+                 smoothing: float = 0.0, lon_col: str = "lon",
+                 lat_col: str = "lat"):
+        super().__init__(ref, k=k, lon_col=lon_col, lat_col=lat_col,
+                         include_value=True)
+        self.power = power
+        self.smoothing = smoothing
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        qx = batch[self.lon_col].to_numpy(zero_copy_only=False)
+        qy = batch[self.lat_col].to_numpy(zero_copy_only=False)
+        # indexed candidate selection (exact); smoothing shifts all
+        # distances equally so the k-set is unchanged
+        _pid, pd2, pidx = self.index.query(qx, qy)
+        pd2 = pd2 + self.smoothing * self.smoothing
+        vals = self.rval[pidx]
+        with np.errstate(divide="ignore"):
+            w = 1.0 / np.power(np.sqrt(pd2), self.power)
+        exact = ~np.isfinite(w)
+        w = np.where(exact, 0.0, w)
+        num = (w * vals).sum(axis=1)
+        den = w.sum(axis=1)
+        est = np.where(den > 0, num / np.maximum(den, 1e-300), np.nan)
+        # exact hits take the reference value (gdalgrid rule)
+        hit_rows, hit_cols = np.nonzero(exact)
+        est[hit_rows] = vals[hit_rows, hit_cols]
+        return batch.append_column("idw_value", pa.array(est))
+
+
 def knn_join(
     points,
     ref,
@@ -288,35 +316,21 @@ def knn_join(
     lon_col: str = "lon",
     lat_col: str = "lat",
     include_value: bool = False,
-    concurrency: int | tuple[int, int] | None = None,
     batch_size: int | None = None,
 ):
-    """points Dataset → k rows per point with nearest reference ids.
-
-    Default: worker-cached tasks (index built once per warm worker,
-    no actor-pool startup). Pass ``concurrency`` to pin a dedicated
-    actor pool instead (long-running pipelines)."""
-    from gdal_ray.stages.cache import worker_cached
-
+    """points Dataset → k rows per point with nearest reference ids, as
+    worker-cached tasks (the index builds once per warm worker)."""
     if isinstance(ref, pa.Table):
         ref = ray.put(ref)
-    kwargs = {
-        "ref": ref,
-        "k": k,
-        "lon_col": lon_col,
-        "lat_col": lat_col,
-        "include_value": include_value,
-    }
-    if concurrency is not None:
-        return points.map_batches(
-            KNNJoiner,
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency,
-            fn_constructor_kwargs=kwargs,
-        )
     return points.map_batches(
-        worker_cached(KNNJoiner, **kwargs),
+        worker_cached(
+            KNNJoiner,
+            ref=ref,
+            k=k,
+            lon_col=lon_col,
+            lat_col=lat_col,
+            include_value=include_value,
+        ),
         batch_format="pyarrow",
         batch_size=batch_size,
     )
@@ -330,45 +344,20 @@ def idw_estimate(
     smoothing: float = 0.0,
     lon_col: str = "lon",
     lat_col: str = "lat",
-    concurrency: int | tuple[int, int] = (1, 4),
 ):
-    """Inverse-distance-to-a-power estimate from the k nearest
-    reference values (GDALGridInverseDistanceToAPower semantics,
-    alg/gdalgrid.cpp: weight = 1/dist^power, exact hit → value)."""
-
-    class IDW(KNNJoiner):
-        def __call__(self, batch: pa.Table) -> pa.Table:  # noqa: D401
-            qx = batch[self.lon_col].to_numpy(zero_copy_only=False)
-            qy = batch[self.lat_col].to_numpy(zero_copy_only=False)
-            # indexed candidate selection (exact); smoothing shifts all
-            # distances equally so the k-set is unchanged
-            _pid, pd2, pidx = self.index.query(qx, qy)
-            pd2 = pd2 + smoothing * smoothing
-            vals = self.rval[pidx]
-            with np.errstate(divide="ignore"):
-                w = 1.0 / np.power(np.sqrt(pd2), power)
-            exact = ~np.isfinite(w)
-            w = np.where(exact, 0.0, w)
-            num = (w * vals).sum(axis=1)
-            den = w.sum(axis=1)
-            est = np.where(den > 0, num / np.maximum(den, 1e-300), np.nan)
-            # exact hits take the reference value (gdalgrid rule)
-            hit_rows, hit_cols = np.nonzero(exact)
-            est[hit_rows] = vals[hit_rows, hit_cols]
-            return batch.append_column("idw_value", pa.array(est))
-
+    """points Dataset → + ``idw_value`` (``IDWEstimator``)."""
     if isinstance(ref, pa.Table):
         ref = ray.put(ref)
     return points.map_batches(
-        IDW,
+        worker_cached(
+            IDWEstimator,
+            ref=ref,
+            k=k,
+            power=power,
+            smoothing=smoothing,
+            lon_col=lon_col,
+            lat_col=lat_col,
+        ),
         batch_format="pyarrow",
         batch_size=16384,
-        concurrency=concurrency,
-        fn_constructor_kwargs={
-            "ref": ref,
-            "k": k,
-            "lon_col": lon_col,
-            "lat_col": lat_col,
-            "include_value": True,
-        },
     )

@@ -1,11 +1,12 @@
 """Multimodal columns: images/audio/video as opaque binary + typed
-metadata; decode/feature stages as actor pools.
+metadata; decode/feature stages as worker-cached tasks
+(``stages.cache``).
 
 The container has no image/audio codecs, so the DECODE step is a
 clearly-marked stub (deterministic fake decoder behind the same
 signature — see ``FakeImageDecoder``) while the Ray-side plumbing is
 real and tested: schema convention, batch sizing for large binary
-payloads, actor signature, output layout.
+payloads, stage signature, output layout.
 
 Schema convention for a media column ``m``:
   ``m`` (binary)  +  ``m_meta`` (struct<format: string, width: int32,
@@ -13,8 +14,8 @@ Schema convention for a media column ``m``:
 
 Batch-size guidance (baked into the helpers): large binary rows must
 cap batch BYTES, not rows — ``media_batch_size(avg_bytes)`` targets
-~64 MiB per batch so ``batch × concurrency`` fits worker heaps
-(SURVEY.md §7.4 wide-row rule).
+~64 MiB per batch so one batch per worker fits its heap (SURVEY.md
+§7.4 wide-row rule).
 """
 
 from __future__ import annotations
@@ -22,12 +23,24 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from gdal_ray.stages.cache import worker_cached
+
 TARGET_BATCH_BYTES = 64 * 1024 * 1024
 
 
 def media_batch_size(avg_item_bytes: int) -> int:
     """Rows per batch so one batch ≈ 64 MiB of payload."""
     return max(1, TARGET_BATCH_BYTES // max(1, avg_item_bytes))
+
+
+def media_stage(ds, cls, avg_item_bytes: int, **ctor):
+    """Dataset-level decode with stage class ``cls(**ctor)``:
+    worker-cached tasks + byte-capped batches."""
+    return ds.map_batches(
+        worker_cached(cls, **ctor),
+        batch_format="pyarrow",
+        batch_size=media_batch_size(avg_item_bytes),
+    )
 
 
 def media_meta(batch: pa.Table, col: str = "media",
@@ -53,10 +66,10 @@ def media_meta(batch: pa.Table, col: str = "media",
 
 
 class ImageDecoder:
-    """Actor-pool decode stage — REAL signature, STUB body.
+    """Decode stage — REAL signature, STUB body.
 
     In production ``__init__`` loads the codec (e.g. libjpeg-turbo /
-    Pillow) once per actor; ``__call__`` decodes each binary payload
+    Pillow) once per worker; ``__call__`` decodes each binary payload
     to an (H, W, C) uint8 tensor column. Neither library exists in
     this container, so instantiation raises unless a ``decode_fn`` is
     injected (tests use FakeImageDecoder).
@@ -88,9 +101,8 @@ class ImageDecoder:
 class FakeImageDecoder(ImageDecoder):
     """Deterministic fake decoder: payload bytes → 8×8×3 uint8 tensor
     derived from a hash of the payload (stable, codec-free) — lets the
-    full actor-pool pipeline run end-to-end. A callable CLASS so
-    ``map_batches(FakeImageDecoder, concurrency=...)`` builds a real
-    actor pool."""
+    full decode pipeline run end-to-end. A callable CLASS, so it runs
+    under ``worker_cached`` or as a Ray actor pool alike."""
 
     def __init__(self, col: str = "media", out_col: str = "pixels"):
         def decode(payload: bytes) -> np.ndarray:
@@ -132,7 +144,7 @@ class PngImageDecoder(ImageDecoder):
     spec-correct codec (gdal_ray.raster.png — stdlib zlib, all five
     scanline filters). The 'no codec in this container' limitation now
     applies only to JPEG/WebP/audio/video; PNG media columns decode to
-    genuine (H, W[, C]) uint8 tensors through the same actor-pool
+    genuine (H, W[, C]) uint8 tensors through the same stage
     plumbing."""
 
     def __init__(self, col: str = "media", out_col: str = "pixels"):
@@ -146,16 +158,10 @@ class PngImageDecoder(ImageDecoder):
 
 
 def png_decode_stage(ds, col: str = "media", out_col: str = "pixels",
-                     avg_item_bytes: int = 256 * 1024,
-                     concurrency=(1, 4)):
-    """Dataset-level PNG decode: actor pool + byte-capped batches."""
-    return ds.map_batches(
-        PngImageDecoder,
-        batch_format="pyarrow",
-        batch_size=media_batch_size(avg_item_bytes),
-        concurrency=concurrency,
-        fn_constructor_kwargs={"col": col, "out_col": out_col},
-    )
+                     avg_item_bytes: int = 256 * 1024):
+    """Dataset-level PNG decode: worker-cached tasks + byte-capped batches."""
+    return media_stage(ds, PngImageDecoder, avg_item_bytes, col=col,
+                       out_col=out_col)
 
 
 class JpegImageDecoder(ImageDecoder):
@@ -180,16 +186,10 @@ class JpegImageDecoder(ImageDecoder):
 
 
 def jpeg_decode_stage(ds, col: str = "media", out_col: str = "pixels",
-                      avg_item_bytes: int = 256 * 1024,
-                      concurrency=(1, 4)):
-    """Dataset-level JPEG decode: actor pool + byte-capped batches."""
-    return ds.map_batches(
-        JpegImageDecoder,
-        batch_format="pyarrow",
-        batch_size=media_batch_size(avg_item_bytes),
-        concurrency=concurrency,
-        fn_constructor_kwargs={"col": col, "out_col": out_col},
-    )
+                      avg_item_bytes: int = 256 * 1024):
+    """Dataset-level JPEG decode: worker-cached tasks + byte-capped batches."""
+    return media_stage(ds, JpegImageDecoder, avg_item_bytes, col=col,
+                       out_col=out_col)
 
 
 class WebpImageDecoder(ImageDecoder):
@@ -208,17 +208,11 @@ class WebpImageDecoder(ImageDecoder):
 
 
 def webp_decode_stage(ds, col: str = "media", out_col: str = "pixels",
-                      avg_item_bytes: int = 256 * 1024,
-                      concurrency=(1, 4)):
-    """Dataset-level lossless-WebP decode: actor pool + byte-capped
+                      avg_item_bytes: int = 256 * 1024):
+    """Dataset-level lossless-WebP decode: worker-cached tasks + byte-capped
     batches."""
-    return ds.map_batches(
-        WebpImageDecoder,
-        batch_format="pyarrow",
-        batch_size=media_batch_size(avg_item_bytes),
-        concurrency=concurrency,
-        fn_constructor_kwargs={"col": col, "out_col": out_col},
-    )
+    return media_stage(ds, WebpImageDecoder, avg_item_bytes, col=col,
+                       out_col=out_col)
 
 
 def sniff_image_decode(payload: bytes) -> np.ndarray:
@@ -284,17 +278,11 @@ class AnyImageDecoder(ImageDecoder):
 
 
 def image_decode_stage(ds, col: str = "media", out_col: str = "pixels",
-                       avg_item_bytes: int = 256 * 1024,
-                       concurrency=(1, 4)):
-    """Dataset-level mixed-format image decode: actor pool +
+                       avg_item_bytes: int = 256 * 1024):
+    """Dataset-level mixed-format image decode: worker-cached tasks +
     byte-capped batches."""
-    return ds.map_batches(
-        AnyImageDecoder,
-        batch_format="pyarrow",
-        batch_size=media_batch_size(avg_item_bytes),
-        concurrency=concurrency,
-        fn_constructor_kwargs={"col": col, "out_col": out_col},
-    )
+    return media_stage(ds, AnyImageDecoder, avg_item_bytes, col=col,
+                       out_col=out_col)
 
 
 def decode_wav(payload: bytes):
@@ -562,7 +550,7 @@ def encode_wav(samples: np.ndarray, rate: int) -> bytes:
 
 
 class WavAudioDecoder:
-    """Actor-pool audio decode stage (REAL for PCM/float WAV via the
+    """Audio decode stage (REAL for PCM/float WAV via the
     engine's RIFF codec — the round-3 audio stub lifted for the base
     format): media binary → flattened sample tensor + shape + rate +
     RMS/peak feature columns, the audio analogue of ImageDecoder."""
@@ -599,16 +587,10 @@ class WavAudioDecoder:
 
 
 def wav_decode_stage(ds, col: str = "media", out_col: str = "samples",
-                     avg_item_bytes: int = 1024 * 1024,
-                     concurrency=(1, 4)):
-    """Dataset-level WAV decode: actor pool + byte-capped batches."""
-    return ds.map_batches(
-        WavAudioDecoder,
-        batch_format="pyarrow",
-        batch_size=media_batch_size(avg_item_bytes),
-        concurrency=concurrency,
-        fn_constructor_kwargs={"col": col, "out_col": out_col},
-    )
+                     avg_item_bytes: int = 1024 * 1024):
+    """Dataset-level WAV decode: worker-cached tasks + byte-capped batches."""
+    return media_stage(ds, WavAudioDecoder, avg_item_bytes, col=col,
+                       out_col=out_col)
 
 
 def audio_features(samples: np.ndarray, rate: int,
@@ -652,8 +634,8 @@ def audio_features(samples: np.ndarray, rate: int,
 class AudioFeatureExtractor:
     """``map_batches`` stage: WAV binary column → feature columns
     (decode + features per clip; composes after or instead of
-    WavAudioDecoder — the actor-pool pattern is unnecessary since
-    there is no per-worker state to amortize)."""
+    WavAudioDecoder — ``worker_cached`` is unnecessary since there
+    is no per-worker state to amortize)."""
 
     def __init__(self, media_col: str = "media"):
         self.media_col = media_col

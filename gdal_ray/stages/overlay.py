@@ -25,6 +25,7 @@ import ray
 
 from gdal_ray.geom import ops as gops
 from gdal_ray.geom import wkb as gwkb
+from gdal_ray.stages.cache import resolve_broadcast, worker_cached
 
 
 class ConvexOverlay:
@@ -44,8 +45,7 @@ class ConvexOverlay:
         """``general=True`` switches the per-pair kernel from convex
         Sutherland-Hodgman to Greiner-Hormann (geom.clip) — concave
         method polygons allowed, multiple output components per pair."""
-        if isinstance(method_table, ray.ObjectRef):
-            method_table = ray.get(method_table)
+        method_table = resolve_broadcast(method_table)
         self.mode = mode
         self.general = general
         self.geom_col = geom_col
@@ -188,13 +188,11 @@ def _rings_to_polygons(rings):
 
 
 def convex_overlay(ds, method_table: pa.Table, mode: str = "intersection",
-                   concurrency=None, **kw):
+                   **kw):
     """Worker-cached TASK stage (stages/cache.py): the broadcast method
     layer is ray.put once and rebuilt once per warm worker process —
-    no per-query actor-pool startup (measured r3→r4: box_overlay
-    1.41 s actor pool → task pattern, same rows)."""
-    from gdal_ray.stages.cache import worker_cached
-
+    no per-query actor-pool startup (measured: box_overlay took
+    1.41 s on an actor pool, less as tasks, same rows)."""
     ref = ray.put(method_table)
     return ds.map_batches(
         worker_cached(ConvexOverlay, method_table=ref, mode=mode, **kw),
@@ -207,7 +205,6 @@ def update_layer(
     method_table: pa.Table,
     geom_col: str = "geometry",
     method_id_col: str = "admin_id",
-    concurrency=None,
     **kw,
 ):
     """OGRLayer::Update (ogrlayer.cpp:7164): method features replace
@@ -216,8 +213,8 @@ def update_layer(
     import ray.data as rd
 
     erased = convex_overlay(
-        ds, method_table, mode="erase_geom", concurrency=concurrency,
-        geom_col=geom_col, method_id_col=method_id_col, **kw,
+        ds, method_table, mode="erase_geom", geom_col=geom_col,
+        method_id_col=method_id_col, **kw,
     )
     base = ds.schema().base_schema
     cols = {}

@@ -22,9 +22,9 @@ STOPWORDS = {
 
 
 class LanguageID:
-    """Actor-pool stage: per-language stopword-hit scoring, vectorized
-    with one Arrow regex count per language (patterns compiled once in
-    __init__)."""
+    """Stateful stage (``stages.cache.worker_cached``): per-language
+    stopword-hit scoring, vectorized with one Arrow regex count per
+    language (patterns compiled once in __init__)."""
 
     def __init__(self, text_col: str = "text"):
         self.text_col = text_col

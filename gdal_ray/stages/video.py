@@ -20,8 +20,8 @@ Container layout (spec):
            here follows the common from-'movi'-fourcc convention.
 
 Scale shape: a video is an opaque binary cell; the SAMPLER stage runs
-as an actor pool (codec state per actor, byte-capped batches — the
-multimodal wide-row rule), decoding only the k uniformly-sampled
+as worker-cached tasks (codec state per worker, byte-capped batches —
+the multimodal wide-row rule), decoding only the k uniformly-sampled
 frames it needs, never the whole stream.
 
 Honest boundary: non-MJPG streams (cinepak/DV/H.264-in-AVI) raise
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pyarrow as pa
 
-from gdal_ray.stages.multimodal import media_batch_size
+from gdal_ray.stages.multimodal import media_stage
 
 AVIIF_KEYFRAME = 0x10
 
@@ -187,14 +187,14 @@ def write_avi(frames_jpeg: list[bytes], width: int, height: int,
 
 
 class VideoFrameSampler:
-    """Actor-pool frame-sampling stage: AVI binary column → ``k``
+    """Frame-sampling stage: AVI binary column → ``k``
     uniformly-sampled decoded frames per video.
 
     Output columns: ``{out}`` (k stacked (H,W,C) uint8 tensors, raw
     bytes), ``{out}_shape`` ([k,H,W,C]), ``frame_idx`` (sampled frame
     numbers), ``fps``, ``n_frames``. Decode state (nothing heavier
     than the pure-numpy JPEG tables here, a real codec handle in
-    production) binds once per actor in ``__init__``."""
+    production) binds once per worker in ``__init__``."""
 
     def __init__(self, col: str = "media", out_col: str = "frames",
                  k: int = 4):
@@ -238,15 +238,9 @@ class VideoFrameSampler:
 
 
 def video_sample_stage(ds, col: str = "media", out_col: str = "frames",
-                       k: int = 4, avg_item_bytes: int = 8 * 1024 * 1024,
-                       concurrency=(1, 4)):
-    """Dataset-level MJPEG frame sampling: actor pool + byte-capped
-    batches (videos are the widest rows — default ≈8 MiB/item caps a
-    batch at ~8 rows)."""
-    return ds.map_batches(
-        VideoFrameSampler,
-        batch_format="pyarrow",
-        batch_size=media_batch_size(avg_item_bytes),
-        concurrency=concurrency,
-        fn_constructor_kwargs={"col": col, "out_col": out_col, "k": k},
-    )
+                       k: int = 4, avg_item_bytes: int = 8 * 1024 * 1024):
+    """Dataset-level MJPEG frame sampling: worker-cached tasks +
+    byte-capped batches (videos are the widest rows — default
+    ≈8 MiB/item caps a batch at ~8 rows)."""
+    return media_stage(ds, VideoFrameSampler, avg_item_bytes, col=col,
+                       out_col=out_col, k=k)

@@ -16,7 +16,8 @@ killed run re-submitted with the same --output skips completed
 partitions via resume_filter).
 
 Exit code 0 and a one-line JSON summary on stdout (rows, partitions,
-skipped, wall seconds) — machine-checkable from the job log.
+skipped = partitions already committed when the run starts, wall
+seconds) — machine-checkable from the job log.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ def main(argv=None) -> int:
     # bounded partition count, resume granularity = one tile
     zc = min(zooms)
     part_col = f"tile_z{zc}_x"
+    skipped = len(lineage.ManifestStore(a.output).completed_keys())
     tagged = lineage.resume_filter(tagged, part_col, a.output)
     records = lineage.write_partitioned(
         tagged, a.output, part_col,
@@ -75,6 +77,7 @@ def main(argv=None) -> int:
     print(json.dumps({
         "rows": int(rows),
         "partitions": len(records),
+        "skipped": skipped,
         "wall_s": round(wall, 2),
         "output": a.output,
     }))

@@ -23,7 +23,7 @@ def test_cell_partitioned_equals_broadcast(ray_session):
     b = fixtures.gen_boundaries()
 
     broadcast = (
-        pip_join(rd.from_arrow(pts), b, id_cols=("admin_id",), concurrency=1)
+        pip_join(rd.from_arrow(pts), b, id_cols=("admin_id",))
         .to_pandas()
     )
     partitioned = cell_partitioned_pip(

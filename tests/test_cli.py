@@ -208,12 +208,14 @@ class TestJobEntry:
         assert r1.returncode == 0, r1.stderr[-2000:]
         s1 = json.loads(r1.stdout.decode().strip().splitlines()[-1])
         assert s1["rows"] == 500 and s1["partitions"] > 0
+        assert s1["skipped"] == 0
         # resume: same manifest, nothing recomputed, same totals
         r2 = subprocess.run(cmd, capture_output=True, env=env)
         assert r2.returncode == 0, r2.stderr[-2000:]
         s2 = json.loads(r2.stdout.decode().strip().splitlines()[-1])
         assert s2["rows"] == s1["rows"]
         assert s2["partitions"] == s1["partitions"]
+        assert s2["skipped"] == s2["partitions"]
 
 
 class TestContourCLI:

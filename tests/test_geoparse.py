@@ -139,8 +139,9 @@ class TestFusedDictionaryPath:
 
         from gdal_ray import fixtures
         from gdal_ray.pipelines import flagship
+        from gdal_ray.stages import cache
 
-        flagship._WORKER_STATE.clear()
+        cache._CACHE.clear()
         bnd = ray.put(fixtures.gen_boundaries())
         knn = ray.put(fixtures.gen_ref_points(500))
         old = flagship._FACTORIZE_MAX_RATIO
@@ -152,7 +153,7 @@ class TestFusedDictionaryPath:
             )
         finally:
             flagship._FACTORIZE_MAX_RATIO = old
-            flagship._WORKER_STATE.clear()
+            cache._CACHE.clear()
 
     def test_partials_match_direct(self, ray_session):
         for with_nan in (False, True):
@@ -199,6 +200,7 @@ def test_admin_rollup_matches_groupby(ray_session):
 
     from gdal_ray import fixtures
     from gdal_ray.pipelines import flagship
+    from gdal_ray.stages import cache
 
     bnd = ray.put(fixtures.gen_boundaries())
     t = fixtures.gen_pages(5000).select(["text"])
@@ -223,4 +225,4 @@ def test_admin_rollup_matches_groupby(ray_session):
         .reset_index(drop=True)
     )
     assert got.equals(want)
-    flagship._WORKER_STATE.clear()
+    cache._CACHE.clear()

@@ -222,7 +222,7 @@ class TestStage:
             "media_id": pa.array(range(6), pa.int64()),
             "media": pa.array(media, pa.binary()),
         }))
-        out = jpeg_decode_stage(ds, concurrency=(1, 2)).to_pandas()
+        out = jpeg_decode_stage(ds).to_pandas()
         assert len(out) == 6
         for _, row in out.iterrows():
             shp = list(row["pixels_shape"])

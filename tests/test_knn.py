@@ -145,7 +145,7 @@ def test_knn_matches_bruteforce(ray_session):
         }
     )
     out = (
-        knn_join(rd.from_arrow(q), ref, k=4, concurrency=1)
+        knn_join(rd.from_arrow(q), ref, k=4)
         .to_pandas()
         .sort_values(["qid", "knn_rank"])
     )
@@ -181,7 +181,7 @@ def test_idw_exact_hit_and_smooth(ray_session):
         }
     )
     q = pa.table({"lon": pa.array([10.0, 5.0]), "lat": pa.array([0.0, 0.0])})
-    out = idw_estimate(rd.from_arrow(q), ref, k=3, concurrency=1).to_pandas()
+    out = idw_estimate(rd.from_arrow(q), ref, k=3).to_pandas()
     # exact hit takes the reference value (gdalgrid rule)
     assert out["idw_value"][0] == 2.0
     # interior estimate is a weighted mean within data range
@@ -231,3 +231,43 @@ def test_knnjoiner_indexed_matches_bruteforce(ray_session):
         got = out[out["qid"] == qi]
         assert got["point_id"].tolist() == list(order)
         assert got["dist2"].tolist() == d2[qi][order].tolist()
+
+
+def test_idw_two_powers_in_one_session(ray_session):
+    """Two idw_estimate calls on one broadcast ref with different
+    powers: each call's stage state is its own (no reuse of the first
+    call's power), and each matches inverse-distance weights over the
+    brute-force k nearest."""
+    import ray
+    import ray.data as rd
+
+    from gdal_ray.stages.knn import idw_estimate
+
+    rng = np.random.default_rng(5)
+    ref_t = fixtures.gen_ref_points(300)
+    ref = ray.put(ref_t)
+    q = pa.table(
+        {
+            "qid": pa.array(np.arange(40, dtype=np.int64)),
+            "lon": pa.array(rng.uniform(-80, 80, 40)),
+            "lat": pa.array(rng.uniform(-60, 60, 40)),
+        }
+    )
+    rid = ref_t["point_id"].to_numpy()
+    val = dict(zip(rid, ref_t["value"].to_numpy()))
+    nn = _bruteforce_knn(
+        q["lon"].to_numpy(), q["lat"].to_numpy(),
+        ref_t["lon"].to_numpy(), ref_t["lat"].to_numpy(), rid, 5,
+    )
+    for power in (2.0, 1.0, 3.0):
+        out = (
+            idw_estimate(rd.from_arrow(q), ref, k=5, power=power)
+            .to_pandas()
+            .sort_values("qid")
+        )
+        exp = []
+        for pairs in nn:
+            w = np.array([1.0 / np.sqrt(d2) ** power for _, d2 in pairs])
+            v = np.array([val[p] for p, _ in pairs])
+            exp.append((w * v).sum() / w.sum())
+        np.testing.assert_allclose(out["idw_value"], exp, rtol=1e-12)

@@ -95,7 +95,7 @@ class TestWebpDecodeStage:
             "media": pa.array([encode_webp_lossless(i) for i in imgs],
                               pa.binary()),
         })
-        out = webp_decode_stage(rd.from_arrow(t), concurrency=1) \
+        out = webp_decode_stage(rd.from_arrow(t)) \
             .to_pandas().sort_values("id")
         for i, row in out.iterrows():
             got = np.frombuffer(row["pixels"], np.uint8).reshape(
@@ -152,7 +152,7 @@ class TestWavDecodeStage:
             "media": pa.array([encode_wav(c, 8000) for c in clips],
                               pa.binary()),
         })
-        out = wav_decode_stage(rd.from_arrow(t), concurrency=1) \
+        out = wav_decode_stage(rd.from_arrow(t)) \
             .to_pandas().sort_values("id")
         for _, row in out.iterrows():
             got = np.frombuffer(row["samples"], np.int16).reshape(

@@ -1,9 +1,10 @@
-"""The shuffle stages finish on a 1-CPU Ray cluster.
+"""The shuffle and stateful stages finish on a 1-CPU Ray cluster.
 
 The shared session fixture starts Ray with 4 logical CPUs, which hides
 any stage that only makes progress with a spare CPU. This test runs
-the webtext curation and a chained SQL JOIN in a fresh process whose
-Ray has ``num_cpus=1``, under a hard timeout, and checks both against
+the webtext curation, a chained SQL JOIN and the worker-cached
+stateful stages (PIP join, kNN join, IDW) in a fresh process whose
+Ray has ``num_cpus=1``, under a hard timeout, and checks each against
 the same calls in this process."""
 
 import os
@@ -13,11 +14,15 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pyarrow.feather as feather
 
 SF = "/root/testdata/sf0.001"
 REPO = Path(__file__).resolve().parents[1]
+
+NAMES = ("curated", "joined", "pip", "knn", "idw")
 
 SQL = """
 SELECT o.o_orderkey, c.c_name, n.n_name
@@ -27,17 +32,32 @@ JOIN nation n ON c.c_nationkey = n.n_nationkey
 
 
 def _run(sf):
-    """(curated corpus, chained join) as sorted DataFrames."""
+    """(curated corpus, chained join, PIP join, kNN join, IDW) as sorted
+    DataFrames."""
     import ray.data as rd
 
-    from gdal_ray import ogrsql
+    from gdal_ray import fixtures, ogrsql
     from gdal_ray.pipelines.webtext import curate
+    from gdal_ray.stages.join import pip_join
+    from gdal_ray.stages.knn import idw_estimate, knn_join
 
     ds, _ = curate(sf, count_stages=False)
     tables = {t: rd.read_parquet(f"{sf}/{t}.parquet")
               for t in ("orders", "customer", "nation")}
     joined = ogrsql.execute(SQL, tables)
-    return [_sorted(d.to_pandas()) for d in (ds, joined)]
+    rng = np.random.default_rng(3)
+    pts = rd.from_arrow(pa.table({
+        "pid": pa.array(np.arange(400, dtype=np.int64)),
+        "lon": pa.array(rng.uniform(-80, 80, 400)),
+        "lat": pa.array(rng.uniform(-60, 60, 400)),
+    })).repartition(4)
+    ref = fixtures.gen_ref_points(300)
+    stateful = (
+        pip_join(pts, fixtures.gen_boundaries()),
+        knn_join(pts, ref, k=3),
+        idw_estimate(pts, ref, k=3),
+    )
+    return [_sorted(d.to_pandas()) for d in (ds, joined, *stateful)]
 
 
 def _sorted(df: pd.DataFrame) -> pd.DataFrame:
@@ -57,9 +77,9 @@ sys.path.insert(0, {tests!r})
 ray.init(address="local", num_cpus=1, object_store_memory=300 << 20,
          include_dashboard=False, logging_level="ERROR")
 DataContext.get_current().enable_progress_bars = False
-from test_one_cpu import _run
+from test_one_cpu import NAMES, _run
 
-for name, df in zip(("curated", "joined"), _run({sf!r})):
+for name, df in zip(NAMES, _run({sf!r})):
     feather.write_feather(pa.Table.from_pandas(df, preserve_index=False),
                           {out!r} + "/" + name + ".arrow")
 ray.shutdown()
@@ -83,7 +103,8 @@ def test_curate_and_chained_join_at_one_cpu(ray_session, tmp_path):
 
     want = _run(SF)
     assert len(want[0]) == 75
-    for name, w in zip(("curated", "joined"), want):
+    assert len(want[2]) > 0 and len(want[3]) == 3 * 400
+    for name, w in zip(NAMES, want):
         got = feather.read_table(tmp_path / f"{name}.arrow").to_pandas()
         assert len(got) == len(w), name
         pd.testing.assert_frame_equal(got, w, check_dtype=False)

@@ -107,9 +107,7 @@ class TestPIPJoinStage(object):
                 "lat": pa.array([-55.0, 0.0, 0.0, -6.2088]),
             }
         )
-        out = pip_join(
-            rd.from_arrow(pts), fixtures.gen_boundaries(), concurrency=2
-        ).to_pandas()
+        out = pip_join(rd.from_arrow(pts), fixtures.gen_boundaries()).to_pandas()
         # every output row must truly intersect
         assert set(out.columns) == {"pid", "lon", "lat", "admin_id", "name"}
         assert (out["name"] == "admin_" + out["admin_id"].astype(str)).all()
@@ -128,7 +126,6 @@ class TestPIPJoinStage(object):
             rd.from_arrow(pts),
             fixtures.gen_boundaries(),
             keep_unmatched=True,
-            concurrency=1,
         ).to_pandas()
         assert len(out) == 1
         assert out["admin_id"].isna().all()

@@ -20,7 +20,7 @@ def test_pyramid_write_resume(ray_session, tmp_path):
     arr, gt = admin_raster()
     ds = tilepyramid.raster_tile_pyramid(
         arr, gt, "EPSG:4326", zmin=3, zmax=4, method="nearest",
-        overview_method="nearest", concurrency=(1, 2),
+        overview_method="nearest",
     )
     # partition by zoom level (z) — the pyramid's natural resume unit
     out = str(tmp_path / "tiles")
@@ -39,7 +39,7 @@ def test_pyramid_write_resume(ray_session, tmp_path):
     )
     ds2 = tilepyramid.raster_tile_pyramid(
         arr, gt, "EPSG:4326", zmin=3, zmax=4, method="nearest",
-        overview_method="nearest", concurrency=(1, 2),
+        overview_method="nearest",
     )
     recs2 = write_partitioned(ds2, out, "z")
     assert len(store.completed_keys()) == 2
@@ -56,7 +56,7 @@ def test_pyramid_write_resume(ray_session, tmp_path):
     recs3 = write_partitioned(
         tilepyramid.raster_tile_pyramid(
             arr, gt, "EPSG:4326", zmin=3, zmax=4, method="nearest",
-            overview_method="nearest", concurrency=(1, 2),
+            overview_method="nearest",
         ),
         fresh,
         "z",

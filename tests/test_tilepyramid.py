@@ -26,7 +26,7 @@ def test_pyramid_and_sample_agreement(ray_session):
     arr, gt = _admin_src()
     ds = tilepyramid.raster_tile_pyramid(
         arr, gt, "EPSG:4326", zmin=2, zmax=4, method="nearest",
-        overview_method="nearest", concurrency=(1, 2),
+        overview_method="nearest",
     )
     df = ds.to_pandas()
     assert set(df["z"].unique()) == {2, 3, 4}
