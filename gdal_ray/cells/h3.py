@@ -337,11 +337,6 @@ def _down_ap7r(i, j, k):
     return _ijk_normalize(ni, nj, nk)
 
 
-def _unit_ijk_to_digit(i, j, k):
-    # {0,0,0}->0 {0,0,1}->1 {0,1,0}->2 {0,1,1}->3 {1,0,0}->4 {1,0,1}->5 {1,1,0}->6
-    return 4 * i + 2 * j + 1 * k
-
-
 def _ijk_to_hex2d(i, j, k):
     ci = i - k
     cj = j - k
@@ -431,30 +426,6 @@ def _plane_to_geo(face: int, x: float, y: float):
     dist = float(np.arctan(r * RES0_U_GNOMONIC))
     lat, lng = _az_destination(clat, clng, az, dist)
     return float(lat), float(lng)
-
-
-def _geo_to_plane(face: int, lat: float, lng: float):
-    """Forward gnomonic into a face's res-0 Class-II plane."""
-    v = _geo_to_xyz(np.float64(lat), np.float64(lng))
-    dot = float(np.clip(v @ _FACE_XYZ[face], -1.0, 1.0))
-    ang = float(np.arccos(dot))
-    if ang < 1e-15:
-        return 0.0, 0.0
-    clat, clng = FACE_CENTER_GEO[face]
-    az = float(_azimuth(clat, clng, np.float64(lat), np.float64(lng)))
-    theta = float(_pos_angle(np.float64(FACE_AX_AZ[face] - az)))
-    r = np.tan(ang) / RES0_U_GNOMONIC
-    return r * np.cos(theta), r * np.sin(theta)
-
-
-def _i_axis_azimuth_at(face: int, lat: float, lng: float) -> float:
-    """Azimuth, at an arbitrary sphere point, of the +i direction of
-    `face`'s res-0 Class-II grid (the grid direction parallel-through
-    the gnomonic plane, evaluated at that point)."""
-    x, y = _geo_to_plane(face, lat, lng)
-    lat1, lng1 = _plane_to_geo(face, x + 1e-7, y)
-    return float(_azimuth(np.float64(lat), np.float64(lng),
-                          np.float64(lat1), np.float64(lng1)))
 
 
 def _ijk_rot60ccw(p):

@@ -175,20 +175,3 @@ def polyfill(ring_lonlat: np.ndarray, res: int) -> np.ndarray:
     edges = PolygonEdges([mring])
     inside = edges.contains_points(cx, cy)
     return np.unique(cand[inside])
-
-
-def cell_boundary_xy(cell):
-    """Hexagon vertices (6×2 per cell, mercator meters) — tests/viz."""
-    res, q, r = unpack(cell)
-    cx, cy = cell_to_xy(cell)
-    res0 = int(np.atleast_1d(res)[0])
-    size, c, s = _res_params(res0)
-    ang = np.deg2rad(np.arange(6) * 60.0 + 30.0)  # pointy-top
-    vx = size * np.cos(ang)
-    vy = size * np.sin(ang)
-    # rotate vertex offsets by +res·ROT, translate to center
-    rx = c * vx - s * vy
-    ry = s * vx + c * vy
-    cx = np.atleast_1d(cx)
-    cy = np.atleast_1d(cy)
-    return cx[:, None] + rx[None, :], cy[:, None] + ry[None, :]

@@ -231,19 +231,3 @@ def pages_path(n: int, shards: int = 32) -> str:
 def gen_pages_range(start: int, count: int) -> pa.Table:
     """gen_pages for rows [start, start+count) — streaming generation."""
     return _pages_from_index(np.arange(start, start + count, dtype=np.int64))
-
-
-def boundaries_path() -> str:
-    os.makedirs(FIXTURE_DIR, exist_ok=True)
-    path = os.path.join(FIXTURE_DIR, "boundaries.parquet")
-    if not os.path.exists(path):
-        pq.write_table(gen_boundaries(), path)
-    return path
-
-
-def ref_points_path(n: int = 5000) -> str:
-    os.makedirs(FIXTURE_DIR, exist_ok=True)
-    path = os.path.join(FIXTURE_DIR, f"ref_points_{n}.parquet")
-    if not os.path.exists(path):
-        pq.write_table(gen_ref_points(n), path)
-    return path

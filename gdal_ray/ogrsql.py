@@ -910,10 +910,6 @@ def eval_expr(node, batch: pa.Table):
 # broadcast polygon).
 
 
-def _st_nrows(args, batch):
-    return batch.num_rows
-
-
 def _st_num(v, n):
     """numeric arg → float64 ndarray of length n."""
     import numpy as np

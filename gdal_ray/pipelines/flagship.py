@@ -6,6 +6,12 @@ kernel except the PIP join and kNN features, whose broadcast state
 lives in the per-worker stage cache (gdal_ray.stages.cache). No
 driver-side row loops, no full materialization: the pipeline streams.
 
+The production scan (``fused_geotag_pip``) runs the whole chain in one
+task per batch and dictionary-encodes the batch's coordinates first:
+every geometric stage runs once per distinct (lon, lat) pair, and its
+output reaches the rows by gather (rows) or by a count-weighted sum
+(admin partials).
+
 The ``html`` column (potentially MBs/row at 100 TB) is projected away
 at the READ (``columns=[...]``) — wide payloads never enter a shuffle
 (SURVEY.md §7.4 "very wide rows").
@@ -219,71 +225,6 @@ def admin_rollup(partials: rd.Dataset) -> pa.Table:
 # fused production stage (the ogr2ogr pattern: one task runs the whole
 # per-record option chain, apps/ogr2ogr_lib.cpp:6529 LayerTranslator)
 
-# dictionary-encode threshold: take the unique-coordinate fast path only
-# when distinct (lon, lat) pairs are at most 1/4 of the rows — geoparsed
-# corpora (coordinates minted from a finite gazetteer) sit far below
-# this; continuous-coordinate corpora skip straight to the direct path.
-_FACTORIZE_MAX_RATIO = 4
-
-
-def _factorize_coords(lon: np.ndarray, lat: np.ndarray):
-    """Group rows by exact (lon, lat) value.
-
-    Returns ``(ulon, ulat, codes, counts)`` — the unique coordinates,
-    the per-row group id, and per-group row counts — or ``None`` when
-    the cardinality is too high for dictionary encoding to pay off
-    (or a pathological half-NaN coordinate pair is present).
-
-    Rationale: every geometric stage downstream (tile encode, H3/S2
-    encode, kNN features, PIP join) is a pure function of (lon, lat).
-    Gazetteer-geoparsed text has coordinate cardinality bounded by the
-    gazetteer, so running those stages once per *distinct* coordinate
-    and expanding by gather does the same work per unique point and
-    O(1) per duplicate — the Arrow-dictionary-encoding idea applied to
-    a compute kernel. Value equality (not bit equality) is safe: all
-    downstream kernels are IEEE-insensitive to -0.0 vs +0.0, and NaN
-    rows are collapsed into one group that every stage treats as a
-    non-match (same as the direct path).
-    """
-    import pandas as pd
-
-    n = len(lon)
-    if n < 1024:
-        return None
-    lon_nan = np.isnan(lon)
-    lat_nan = np.isnan(lat)
-    if (lon_nan != lat_nan).any():
-        return None  # half-NaN pairs: keep exact direct-path semantics
-    codes, uniq = pd.factorize(lon + 1j * lat)  # NaN pairs -> code -1
-    nu = len(uniq)
-    has_nan = bool(lon_nan.any())
-    if (nu + has_nan) * _FACTORIZE_MAX_RATIO > n:
-        return None
-    if has_nan:
-        codes = np.where(codes < 0, nu, codes).astype(np.int64)
-        uniq = np.append(uniq, complex(float("nan"), float("nan")))
-        nu += 1
-    else:
-        codes = codes.astype(np.int64)
-    return (
-        np.ascontiguousarray(uniq.real),
-        np.ascontiguousarray(uniq.imag),
-        codes,
-        np.bincount(codes, minlength=nu),
-    )
-
-
-def _encode_unique(knn, ulon: np.ndarray, ulat: np.ndarray) -> pa.Table:
-    """Run the per-point encoder chain on the unique coordinate set."""
-    ub = pa.table(
-        {"lon": pa.array(ulon, pa.float64()), "lat": pa.array(ulat, pa.float64())}
-    )
-    ub = encode_tiles(ub)
-    ub = encode_cells(ub)
-    if knn is not None:
-        ub = knn(ub)
-    return ub
-
 
 def fused_geotag_pip(
     batch: pa.Table,
@@ -294,6 +235,16 @@ def fused_geotag_pip(
     """One fused kernel: geoparse → tile encode → cell encode → kNN
     features → PIP join → per-batch partial admin counts.
 
+    One path for every batch: the parsed (lon, lat) pairs are
+    dictionary-encoded once (``pd.factorize``, the (NaN, NaN) rows of
+    pages without coordinates appended as one more group), and the
+    per-point stages run once per distinct coordinate. Every stage is
+    a pure function of (lon, lat), so a gazetteer corpus (64 distinct
+    points per file) does its geometry once per place, and a
+    continuous corpus (nearly all points distinct) pays only the
+    factorize hash. ``extract_coords`` takes lat and lon from one regex
+    match, so a pair is never half NaN.
+
     Designed for TASK-based ``map_batches`` (not an actor pool): Ray
     reuses worker processes across tasks and executions, so the
     broadcast state (polygon index, kNN grid) is built once per worker
@@ -302,9 +253,13 @@ def fused_geotag_pip(
     up inside a short job; measured in bench tuning). ``bnd_ref`` and
     ``knn_ref`` are ObjectRefs, or tables when called in-process.
 
-    ``emit``: "admin_partials" (default, the rollup shuffle input) or
-    "rows" (full joined rows).
+    ``emit``: "admin_partials" (default, the rollup shuffle input: each
+    (distinct point, polygon) match adds that point's row count) or
+    "rows" (the parsed rows with the encoded columns gathered back by
+    dictionary code, through ``PIPJoiner``).
     """
+    import pandas as pd
+
     from gdal_ray.stages.cache import cached_instance
     from gdal_ray.stages.join import PIPJoiner
     from gdal_ray.stages.knn import GridKNNFeatures
@@ -312,67 +267,33 @@ def fused_geotag_pip(
     pip = cached_instance(PIPJoiner, polygons=bnd_ref, id_cols=("admin_id",))
     knn = None if knn_ref is None else cached_instance(GridKNNFeatures, ref=knn_ref)
     b = extract_coords(batch)
-    if emit != "rows":
-        # the rollup only needs coordinates downstream: drop the wide
-        # text/url columns immediately after parsing so they don't flow
-        # through 4 more kernels and the join's take() (wide-row rule,
-        # SURVEY.md §7.4)
-        b = b.select(["lon", "lat"])
     lon = b["lon"].to_numpy(zero_copy_only=False)
     lat = b["lat"].to_numpy(zero_copy_only=False)
-    fac = _factorize_coords(lon, lat)
-    if fac is None:
-        # direct path: continuous-coordinate corpora
-        b = encode_tiles(b)
-        b = encode_cells(b)
-        if knn is not None:
-            b = knn(b)
-        joined = pip(b)
-        if emit == "rows":
-            return joined
-        g = (
-            joined.select(["admin_id"])
-            .group_by(["admin_id"])
-            .aggregate([([], "count_all")])
-        )
-        return g.rename_columns(["admin_id", "partial_count"])
+    codes, uniq = pd.factorize(lon + 1j * lat)  # (NaN, NaN) rows -> -1
+    nan_rows = codes < 0
+    if nan_rows.any():
+        codes[nan_rows] = len(uniq)
+        uniq = np.append(uniq, complex(np.nan, np.nan))
+    ulon = np.ascontiguousarray(uniq.real)
+    ulat = np.ascontiguousarray(uniq.imag)
+    ub = encode_cells(encode_tiles(pa.table({"lon": ulon, "lat": ulat})))
+    if knn is not None:
+        ub = knn(ub)
 
-    # dictionary fast path: encode once per distinct coordinate
-    ulon, ulat, codes, counts = fac
-    ub = _encode_unique(knn, ulon, ulat)
+    if emit == "rows":
+        at = pa.array(codes)
+        for name in ub.column_names[2:]:  # every column after lon, lat
+            b = b.append_column(name, ub[name].take(at))
+        return pip(b)
+
     upts, upolys = pip.index.query_points(ulon, ulat)
-
-    if emit != "rows":
-        # weighted partial rollup: each (unique pt, polygon) match
-        # contributes that coordinate's duplicate count
-        npoly = len(pip.attrs["admin_id"])
-        acc = np.zeros(npoly, dtype=np.int64)
-        np.add.at(acc, upolys, counts[upts])
-        nz = np.flatnonzero(acc)
-        return pa.table(
-            {
-                "admin_id": pip.attrs["admin_id"].take(pa.array(nz)),
-                "partial_count": pa.array(acc[nz], pa.int64()),
-            }
-        )
-
-    # rows mode: expand encoded columns by gather, PIP matches by CSR
-    inv_arr = pa.array(codes)
-    for name in ub.column_names:
-        if name not in ("lon", "lat"):
-            b = b.append_column(name, ub[name].take(inv_arr))
-    # CSR over unique points: matches sorted by unique-point id
-    order = np.argsort(upts, kind="stable")
-    upts_s, upolys_s = upts[order], upolys[order]
-    match_cnt = np.bincount(upts_s, minlength=len(ulon))
-    offs = np.concatenate([[0], np.cumsum(match_cnt)])
-    m_row = match_cnt[codes]
-    total = int(m_row.sum())
-    row_idx = np.repeat(np.arange(len(codes), dtype=np.int64), m_row)
-    first_out = np.cumsum(m_row) - m_row
-    within = np.arange(total, dtype=np.int64) - np.repeat(first_out, m_row)
-    poly_out = upolys_s[np.repeat(offs[codes], m_row) + within]
-    out = b.take(pa.array(row_idx))
-    for c in pip.id_cols:
-        out = out.append_column(c, pip.attrs[c].take(pa.array(poly_out)))
-    return out
+    counts = np.bincount(codes, minlength=len(ulon))
+    acc = np.zeros(len(pip.attrs["admin_id"]), dtype=np.int64)
+    np.add.at(acc, upolys, counts[upts])
+    nz = np.flatnonzero(acc)
+    return pa.table(
+        {
+            "admin_id": pip.attrs["admin_id"].take(pa.array(nz)),
+            "partial_count": pa.array(acc[nz], pa.int64()),
+        }
+    )

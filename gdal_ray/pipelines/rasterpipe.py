@@ -71,72 +71,6 @@ def sample_pages(sf_dir: str) -> rd.Dataset:
     return sampled.map_batches(finish, batch_format="pyarrow")
 
 
-def pyramid_tiles(
-    arr: np.ndarray,
-    gt: tuple[float, ...],
-    crs: str,
-    levels: int = 3,
-    tile_size: int = 64,
-    method: str = "average",
-) -> rd.Dataset:
-    """Distributed tile pyramid: level 0 = the input tiling; each
-    coarser level is groupby(parent) over 4 children + 2×2 reduce.
-
-    Output rows carry a ``level`` column (0 = full res).
-    """
-    from ray.data.aggregate import AggregateFn  # noqa: F401 (doc)
-
-    t0 = model.from_array(arr, crs, gt, tile_size=tile_size)
-    t0 = t0.append_column("level", pa.array([0] * t0.num_rows, pa.int32()))
-    ds = rd.from_arrow(t0)
-    out = [ds]
-    cur = t0
-    for lvl in range(1, levels + 1):
-        parents: dict[tuple[int, int], dict] = {}
-        for row in cur.to_pylist():
-            pkey = (row["block_x"] // 2, row["block_y"] // 2)
-            parents.setdefault(pkey, {})[
-                (row["block_x"] % 2, row["block_y"] % 2)
-            ] = row
-        rows = []
-        for (px_, py_), kids in parents.items():
-            any_kid = next(iter(kids.values()))
-            ts = any_kid["width"]
-            dt = any_kid.get("dtype", "uint8")
-            full = np.zeros((2 * tile_size, 2 * tile_size), model.DTYPES[dt])
-            for (kx, ky), row in kids.items():
-                a = model.tile_array(row)
-                full[
-                    ky * tile_size : ky * tile_size + a.shape[0],
-                    kx * tile_size : kx * tile_size + a.shape[1],
-                ] = a
-            red = overview.reduce_2x2(full, method)
-            g = any_kid["geotransform"]
-            gt_l = [g[0], g[1] * 2, g[2] * 2, g[3], g[4] * 2, g[5] * 2]
-            rows.append(
-                {
-                    "band": any_kid["band"],
-                    "block_x": px_,
-                    "block_y": py_,
-                    "x0": px_ * tile_size,
-                    "y0": py_ * tile_size,
-                    "width": red.shape[1],
-                    "height": red.shape[0],
-                    "crs": any_kid["crs"],
-                    "geotransform": gt_l,
-                    "dtype": str(red.dtype),
-                    "data": red.tobytes(),
-                    "level": lvl,
-                }
-            )
-        cur = pa.Table.from_pylist(rows, schema=cur.schema)
-        out.append(rd.from_arrow(cur))
-    res = out[0]
-    for d in out[1:]:
-        res = res.union(d)
-    return res
-
-
 class PyramidReduce:
     """map_groups kernel for the DISTRIBUTED pyramid step: one group =
     the ≤4 children of a parent tile → one parent row. Use as

@@ -48,6 +48,7 @@ def curate(
         decontaminate,
     )
     from gdal_ray.stages.dedup import dedup_paragraphs
+    from gdal_ray.stages.cache import worker_cached
     from gdal_ray.stages.html import HtmlTextExtractor, synthesize_html_batch
     from gdal_ray.stages.partition import join_partitions
     from gdal_ray.stages.text import (
@@ -96,10 +97,10 @@ def curate(
     pages = note("input", pages.map_batches(add_id, batch_format="pyarrow"))
 
     # 2. extract text from html
-    docs = pages.map_batches(HtmlTextExtractor(), batch_format="pyarrow")
+    docs = pages.map_batches(worker_cached(HtmlTextExtractor), batch_format="pyarrow")
 
     # 3. language ID (keeps the detected language as a column)
-    docs = docs.map_batches(LanguageID(), batch_size=None,
+    docs = docs.map_batches(worker_cached(LanguageID), batch_size=None,
                             batch_format="pyarrow")
 
     # 4. quality + repetition filters (Gopher-style thresholds)

@@ -1005,33 +1005,6 @@ FROM pages
     )
 
 
-def q_wkt_roundtrip(sf_dir: str):
-    """WKT interchange round trip, ZM variant: page points lifted to
-    POINT ZM (z = lon+lat, m = lon·lat) → WKT strings → re-parsed
-    ordinates. Bit-exact iff the shortest-round-trip formatter
-    preserves doubles; oracle = the raw/derived coordinates."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    from gdal_ray.geom import wkt as gwkt
-    from gdal_ray.pipelines import flagship
-
-    pages = flagship.geotag_pages(flagship.pages_from_documents(sf_dir), has_html=False)
-
-    def roundtrip(t: pa.Table) -> pa.Table:
-        # columnar ZM WKT write + parse (Arrow Ryu formatter /
-        # correctly-rounded parse — exact round trip, pinned equal to
-        # the scalar to_wkt/from_wkt path in tests/test_wkt.py)
-        z = pc.add(t["lon"], t["lat"])
-        m = pc.multiply(t["lon"], t["lat"])
-        s = gwkt.points_to_wkt(t["lon"], t["lat"], z=z, m=m)
-        lon, lat, z2, m2 = gwkt.points_from_wkt(s)
-        return pa.table({"url": t["url"], "lon": lon, "lat": lat,
-                         "z": z2, "m": m2})
-
-    return pages.map_batches(roundtrip, batch_format="pyarrow")
-
-
 def q_scrub_canon(sf_dir: str):
     """Training-data cleaning pass: PII scrub (email/phone/IPv4 →
     typed placeholders, vectorized RE2) + URL canonicalization
@@ -1203,6 +1176,7 @@ def q_html_extract(sf_dir: str):
     byte-identically per url — the oracle reconstructs the same text
     in pure SQL, so any extraction byte drift fails the value hash."""
     from gdal_ray.pipelines import flagship
+    from gdal_ray.stages.cache import worker_cached
     from gdal_ray.stages.html import HtmlTextExtractor, synthesize_html_batch
 
     pages = flagship.pages_from_documents(sf_dir)
@@ -1211,7 +1185,9 @@ def q_html_extract(sf_dir: str):
         return synthesize_html_batch(t).drop_columns(["text"])
 
     html_pages = pages.map_batches(to_html, batch_format="pyarrow")
-    out = html_pages.map_batches(HtmlTextExtractor(), batch_format="pyarrow")
+    out = html_pages.map_batches(
+        worker_cached(HtmlTextExtractor), batch_format="pyarrow"
+    )
     return out.select_columns(["url", "text"])
 
 

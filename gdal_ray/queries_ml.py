@@ -152,50 +152,6 @@ def q_lang_quality(sf_dir: str):
 NEARDUP_THRESHOLD = 0.44
 
 
-def q_embed_neardup(sf_dir: str):
-    """Embedding-cosine near-duplicate pairs (a < b, cosine >=
-    threshold) — the embedding analogue of MinHash dedup.  Shape:
-    corpus matrix broadcast once (ray.put), each batch does one
-    matmul against it and emits only its qualifying pairs — shuffle
-    is O(pairs).  At 100 TB the corpus side switches to the
-    SignLSH-bucketed path (stages/embed.py); the broadcast matmul is
-    the exact baseline the driver oracle checks."""
-    import ray
-
-    import pyarrow.parquet as pq
-
-    tbl = pq.read_table(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    )
-    from gdal_ray.stages.embed import _stack_embeddings
-
-    corpus = _stack_embeddings(tbl, "embedding").astype(np.float64)
-    corpus /= np.linalg.norm(corpus, axis=1, keepdims=True)
-    corpus_ids = tbl["vec_id"].to_numpy()
-    ref = ray.put((corpus, corpus_ids))
-
-    def pairs(batch: pa.Table) -> pa.Table:
-        c, cids = ray.get(ref)
-        q = _stack_embeddings(batch, "embedding").astype(np.float64)
-        q /= np.linalg.norm(q, axis=1, keepdims=True)
-        qids = batch["vec_id"].to_numpy()
-        s = q @ c.T
-        ai, bi = np.nonzero(
-            (s >= NEARDUP_THRESHOLD) & (qids[:, None] < cids[None, :])
-        )
-        return pa.table(
-            {
-                "a": pa.array(qids[ai]),
-                "b": pa.array(cids[bi]),
-                "score": pa.array(np.round(s[ai, bi], 6)),
-            }
-        )
-
-    ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                         columns=["vec_id", "embedding"])
-    return ds.map_batches(pairs, batch_format="pyarrow")
-
-
 def sql_embed_neardup() -> str:
     return f"""
 SELECT x.vec_id AS a, y.vec_id AS b,

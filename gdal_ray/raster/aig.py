@@ -48,14 +48,6 @@ def _sign_extend(val: int, nbytes: int, negative: bool) -> int:
     return val
 
 
-def _roll_add(a: np.ndarray | int, nmin: int):
-    # unsigned rollover on signed add (gridlib.c AIGRolloverSignedAdd)
-    return ((np.asarray(a, dtype=np.int64) + nmin) & 0xFFFFFFFF).astype(
-        np.int64).astype(np.uint32).view(np.int32) \
-        if isinstance(a, np.ndarray) else \
-        np.int32((np.int64(a) + nmin) & 0xFFFFFFFF)
-
-
 def _decode_block(buf: bytes, bxs: int, bys: int, cell_float: bool,
                   compressed: bool) -> np.ndarray:
     n = bxs * bys

@@ -113,9 +113,3 @@ def encode_byn(grid: np.ndarray, south: int, west: int,
     struct.pack_into("<6h", hdr, 40, 0, 0, 0, 0, 1, 0)
     return bytes(hdr) + np.ascontiguousarray(
         grid.astype("<i4")).tobytes()
-
-
-def write_byn(path: str, grid: np.ndarray, south: int, west: int,
-              dlat: int, dlon: int, factor: float = 1000.0) -> None:
-    with open(path, "wb") as f:
-        f.write(encode_byn(grid, south, west, dlat, dlon, factor))

@@ -252,8 +252,3 @@ def encode_dds(bands: list[np.ndarray]) -> bytes:
     order = [2, 1, 0] + ([3] if nb == 4 else [])  # B,G,R[,A] bytes
     stack = np.stack([bands[i] for i in order], axis=2)
     return bytes(header) + np.ascontiguousarray(stack).tobytes()
-
-
-def write_dds(path: str, bands: list[np.ndarray]) -> None:
-    with open(path, "wb") as f:
-        f.write(encode_dds(bands))

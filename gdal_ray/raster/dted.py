@@ -115,10 +115,3 @@ def encode_dted(arr: np.ndarray, lon0: float, lat0: float,
         csum = sum(body) & 0xFFFFFFFF
         recs.append(body + csum.to_bytes(4, "big"))
     return out + b"".join(recs)
-
-
-def write_dted(path: str, arr: np.ndarray, lon0: float, lat0: float,
-               step_arcsec: float = 30.0) -> None:
-    from gdal_ray.vsi import vsi_write_bytes
-
-    vsi_write_bytes(path, encode_dted(arr, lon0, lat0, step_arcsec))

@@ -253,10 +253,3 @@ def read_gif(path: str) -> dict:
     from gdal_ray.vsi import vsi_read_bytes
 
     return decode_gif(vsi_read_bytes(path))
-
-
-def write_gif(path: str, band: np.ndarray, palette=None,
-              interlace: bool = False) -> None:
-    from gdal_ray.vsi import vsi_write_bytes
-
-    vsi_write_bytes(path, encode_gif(band, palette, interlace))

@@ -568,31 +568,6 @@ def _unpack_bits(raw, nbits, count):
     return bits @ weights
 
 
-def _rle_counts(buf):
-    """Vectorized 1-4 byte repeat-count stream decode.
-
-    Top two bits of the first byte select the width; remaining bits are
-    big-endian count (hfaband.cpp run loop).
-    """
-    b = np.frombuffer(buf, np.uint8)
-    # width per starting byte
-    widths = (b >> 6).astype(np.int64) + 1
-    counts = []
-    pos = 0
-    n = len(b)
-    # iterative but vectorized in chunks: starts are data dependent;
-    # fall back to a fast python loop over the (small) run table.
-    out = []
-    while pos < n:
-        w = widths[pos]
-        v = int(b[pos]) & 0x3F
-        for k in range(1, w):
-            v = v * 256 + int(b[pos + k])
-        out.append(v)
-        pos += w
-    return out
-
-
 def _decompress_rle(cdata, n_pixels, ept):
     """hfaband.cpp:UncompressBlock -> int64 pixel vector."""
     if len(cdata) < 13:

@@ -146,23 +146,6 @@ def combine_stats(partials: pa.Table) -> dict:
     return out
 
 
-def map_tiles(fn, **kwargs):
-    """Lift an array→array kernel to a tile-table map_batches fn."""
-
-    def _apply(batch: pa.Table) -> pa.Table:
-        rows = []
-        for row in batch.to_pylist():
-            arr = model.tile_array(row)
-            out = fn(arr, **kwargs)
-            row = dict(row)
-            row["dtype"] = str(out.dtype)
-            row["data"] = out.tobytes()
-            rows.append(row)
-        return pa.Table.from_pylist(rows, schema=batch.schema)
-
-    return _apply
-
-
 def unscale(arr: np.ndarray, scale_factor: float, offset: float) -> np.ndarray:
     """gdal_translate -unscale: apply the band's scale/offset metadata
     (true value = raw * scale + offset; GDALRasterBand::GetScale/

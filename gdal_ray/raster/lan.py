@@ -121,9 +121,3 @@ def encode_lan(bands: list, geotransform=None, coordsys: int = 0) -> bytes:
 def read_lan(path: str) -> dict:
     with open(path, "rb") as f:
         return decode_lan(f.read())
-
-
-def write_lan(path: str, bands: list, geotransform=None,
-              coordsys: int = 0) -> None:
-    with open(path, "wb") as f:
-        f.write(encode_lan(bands, geotransform, coordsys))

@@ -130,45 +130,6 @@ def world_to_pixel(gt, x, y):
     return px, py
 
 
-def as_features(batch: pa.Table, geometry: str = "none") -> pa.Table:
-    """Tile rows → one row per pixel (``gdal raster as-features``,
-    apps/gdalalg_raster_as_features.cpp:49: fields BAND_<n>, optional
-    point geometry at the pixel center) — the in-repo proof that the
-    relational view of a raster is semantics-preserving (SURVEY.md
-    §1.1)."""
-    out_band, out_x, out_y, out_val = [], [], [], []
-    out_wx, out_wy = [], []
-    for row in batch.to_pylist():
-        arr = tile_array(row)
-        h, w = arr.shape
-        yy, xx = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-        gx = xx + row["x0"]
-        gy = yy + row["y0"]
-        out_band.append(np.full(arr.size, row["band"], dtype=np.int32))
-        out_x.append(gx.ravel().astype(np.int64))
-        out_y.append(gy.ravel().astype(np.int64))
-        out_val.append(arr.ravel().astype(np.float64))
-        if geometry == "point":
-            wx, wy = pixel_to_world(
-                row["geotransform"], gx.ravel() + 0.5, gy.ravel() + 0.5
-            )
-            out_wx.append(wx)
-            out_wy.append(wy)
-    cols = {
-        "band": pa.array(np.concatenate(out_band)),
-        "px": pa.array(np.concatenate(out_x)),
-        "py": pa.array(np.concatenate(out_y)),
-        "value": pa.array(np.concatenate(out_val)),
-    }
-    if geometry == "point":
-        from gdal_ray.geom import wkb as gwkb
-
-        cols["geometry"] = gwkb.encode_points(
-            np.concatenate(out_wx), np.concatenate(out_wy)
-        )
-    return pa.table(cols)
-
-
 def make_grid(
     bounds: tuple[float, float, float, float],
     width: int,

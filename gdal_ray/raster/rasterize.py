@@ -92,43 +92,3 @@ def rasterize_boundaries(
         shapes, width, height, gt, dtype=dtype, init=init
     )
     return arr, gt
-
-
-class TileRasterizer:
-    """map_batches stage over a tile-table: burn broadcast shapes into
-    each tile (tile-local rasterize — the distributed path)."""
-
-    def __init__(self, shapes_ref, merge_alg: str = "replace", init: float = 0.0):
-        from gdal_ray.stages.cache import resolve_broadcast
-
-        self.shapes = resolve_broadcast(shapes_ref)  # list of (wkb, value)
-        self.merge_alg = merge_alg
-        self.init = init
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        rows = batch.to_pylist()
-        out_rows = []
-        for row in rows:
-            gt = row["geotransform"]
-            # tile-local geotransform: shift origin by (x0, y0) pixels
-            tile_gt = (
-                gt[0] + row["x0"] * gt[1] + row["y0"] * gt[2],
-                gt[1],
-                gt[2],
-                gt[3] + row["x0"] * gt[4] + row["y0"] * gt[5],
-                gt[4],
-                gt[5],
-            )
-            arr = rasterize_array(
-                self.shapes,
-                row["width"],
-                row["height"],
-                tile_gt,
-                dtype=row.get("dtype", "float64"),
-                merge_alg=self.merge_alg,
-                init=self.init,
-            )
-            row = dict(row)
-            row["data"] = arr.tobytes()
-            out_rows.append(row)
-        return pa.Table.from_pylist(out_rows, schema=batch.schema)

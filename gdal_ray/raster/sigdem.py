@@ -71,15 +71,3 @@ def encode_sigdem(band: np.ndarray, geotransform, crs: str | None = None,
         raw = np.where(vals == nodata, _NO_DATA, raw)
     raw = np.clip(raw, -0x80000000, 0x7FFFFFFF).astype(">i4")
     return hdr + raw[::-1].tobytes()
-
-
-def write_sigdem(src: dict | np.ndarray, path: str, **kw) -> None:
-    if isinstance(src, dict):
-        kw.setdefault("geotransform", src["geotransform"])
-        kw.setdefault("crs", src.get("crs"))
-        kw.setdefault("nodata", src.get("nodata"))
-        band = src["bands"][0]
-    else:
-        band = src
-    with open(path, "wb") as f:
-        f.write(encode_sigdem(band, **kw))

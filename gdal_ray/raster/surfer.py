@@ -158,11 +158,3 @@ def encode_gs7bg(arr: np.ndarray, geotransform,
     return (b"DSRB" + struct.pack("<I", 4) + struct.pack("<i", 1)
             + b"GRID" + struct.pack("<I", len(grid)) + grid
             + b"DATA" + struct.pack("<I", len(data)) + data)
-
-
-def write_surfer(path: str, arr: np.ndarray, geotransform,
-                 version: int = 6) -> None:
-    blob = (encode_gsbg(arr, geotransform) if version == 6
-            else encode_gs7bg(arr, geotransform))
-    with open(path, "wb") as f:
-        f.write(blob)

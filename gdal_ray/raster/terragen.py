@@ -92,8 +92,3 @@ def encode_terragen(grid_i16: np.ndarray, scal: float = 30.0,
                    grid_i16[::-1].astype("<i2")).tobytes())
     out.append(b"EOF ")
     return b"".join(out)
-
-
-def write_terragen(path: str, grid_i16: np.ndarray, **kw) -> None:
-    with open(path, "wb") as f:
-        f.write(encode_terragen(grid_i16, **kw))

@@ -131,12 +131,8 @@ def extract_text(html: bytes | str) -> str:
 
 
 class HtmlTextExtractor:
-    """``map_batches`` stage: ``html`` binary column → ``text`` string.
-
-    Stateless and picklable; pass as a plain callable (task pool) —
-    there is no per-actor state to amortize, so no actor pool is
-    needed (SURVEY.md §3 stage taxonomy).
-    """
+    """Stage (``stages.cache.worker_cached``): ``html`` binary column →
+    ``text`` string."""
 
     def __init__(self, html_col: str = "html", out_col: str = "text",
                  drop_html: bool = True) -> None:

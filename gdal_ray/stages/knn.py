@@ -236,25 +236,17 @@ class GridKNN:
             pos[rows] = np.take_along_axis(kp, o, axis=1)
         return d2, pos
 
-    def query_unique(self, qx, qy):
-        """query() after deduplicating coordinate pairs — web corpora
-        have heavy location duplication (many pages per place), so the
-        kNN is solved once per distinct location and scattered back."""
-        qx = np.asarray(qx, dtype=np.float64)
-        qy = np.asarray(qy, dtype=np.float64)
-        pairs = np.empty(len(qx), dtype=[("x", "f8"), ("y", "f8")])
-        pairs["x"] = qx
-        pairs["y"] = qy
-        uniq, inv = np.unique(pairs, return_inverse=True)
-        pid_u, pd2_u, pidx_u = self.query(uniq["x"], uniq["y"])
-        return pid_u[inv], pd2_u[inv], pidx_u[inv]
-
 
 class GridKNNFeatures:
     """No-row-explosion kNN feature stage: appends ``nn_point_id``
     (nearest reference) and ``knn_mean_dist2`` (mean of k nearest
     squared distances) per input row — the per-page kNN signal for the
-    flagship rollup without multiplying the stream by k."""
+    flagship rollup without multiplying the stream by k.
+
+    Every row is one ``GridKNN.query``; the stage does not deduplicate.
+    The flagship kernel (``pipelines.flagship.fused_geotag_pip``)
+    dictionary-encodes its coordinates first and calls this stage on
+    the distinct points only."""
 
     def __init__(self, ref, k: int = 5, lon_col: str = "lon", lat_col: str = "lat"):
         ref = resolve_broadcast(ref)
@@ -268,7 +260,7 @@ class GridKNNFeatures:
     def __call__(self, batch: pa.Table) -> pa.Table:
         qx = batch[self.lon_col].to_numpy(zero_copy_only=False)
         qy = batch[self.lat_col].to_numpy(zero_copy_only=False)
-        pid, pd2, _ = self.index.query_unique(qx, qy)
+        pid, pd2, _ = self.index.query(qx, qy)
         return batch.append_column(
             "nn_point_id", pa.array(pid[:, 0])
         ).append_column("knn_mean_dist2", pa.array(pd2.mean(axis=1)))

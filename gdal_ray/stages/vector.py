@@ -22,15 +22,6 @@ from gdal_ray.geom import wkb as gwkb
 from gdal_ray.proj import Transformer
 
 
-def filter_expr(ds: rd.Dataset, predicate) -> rd.Dataset:
-    """`gdal vector filter` WHERE path: vectorized pyarrow predicate
-    inside map_batches (pushdown happens at read via read_parquet
-    filter=)."""
-    return ds.map_batches(
-        lambda t: t.filter(predicate(t)), batch_format="pyarrow"
-    )
-
-
 def select(ds: rd.Dataset, columns: list[str], rename: dict[str, str] | None = None) -> rd.Dataset:
     """`gdal vector select`: projection + rename."""
     out = ds.select_columns(columns)
@@ -151,14 +142,6 @@ def linearize(ds, geom_col="geometry", max_angle_deg: float = 4.0):
     )
 
 
-def make_valid(ds, geom_col="geometry"):
-    return map_wkb(ds, gops.make_valid_basic_wkb, geom_col)
-
-
-def set_geom_type_multi(ds, geom_col="geometry"):
-    return map_wkb(ds, gops.promote_to_multi_wkb, geom_col)
-
-
 def simplify(ds, tolerance: float, geom_col="geometry"):
     def f(buf):
         g = gwkb.parse(buf)
@@ -213,18 +196,6 @@ def buffer_wkb(buf: bytes, distance: float, quadsegs: int = 30) -> bytes:
     if len(rings) == 1:
         return gwkb.polygon_wkb(rings[0])
     return gwkb.multipolygon_wkb([(rg, []) for rg in rings])
-
-
-def buffer_geoms(ds, distance: float, quadsegs: int = 30, geom_col="geometry"):
-    """`gdal vector buffer` for any geometry type."""
-    return map_wkb(
-        ds, lambda b: buffer_wkb(b, distance, quadsegs), geom_col
-    )
-
-
-def buffer_points(ds, distance: float, quadsegs: int = 30, geom_col="geometry"):
-    """`gdal vector buffer` (kept name; now general — see buffer_geoms)."""
-    return buffer_geoms(ds, distance, quadsegs, geom_col)
 
 
 def explode_collections(ds, geom_col="geometry"):

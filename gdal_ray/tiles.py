@@ -136,14 +136,6 @@ def tile_bounds(tx, ty, zoom, tile_size: int = TILE_SIZE):
     return minx, miny, maxx, maxy
 
 
-def tile_lonlat_bounds(tx, ty, zoom, tile_size: int = TILE_SIZE):
-    """TMS tile → lon/lat bounds (gdal2tiles.py TileLatLonBounds :485)."""
-    minx, miny, maxx, maxy = tile_bounds(tx, ty, zoom, tile_size)
-    lo = meters_to_lonlat(minx, miny)
-    hi = meters_to_lonlat(maxx, maxy)
-    return lo[0], lo[1], hi[0], hi[1]
-
-
 def quadkey(tx, ty, zoom):
     """TMS tile → Bing-style quadtree key (gdal2tiles.py QuadTree :519-531).
 

@@ -114,80 +114,95 @@ def test_flagship_smoke(ray_session, sf_small):
     assert (counts["n_pages"] >= 1).all()
 
 
+def _coord_pages(lat, lon) -> pa.Table:
+    """Pages whose text carries the given 4-dp coordinates; a NaN
+    pair becomes a page without coordinates."""
+    text = [
+        "no coordinates here" if np.isnan(y) else f"seen at {y:.4f},{x:.4f} today"
+        for y, x in zip(lat, lon)
+    ]
+    url = [f"https://site.example/{i}" for i in range(len(text))]
+    return pa.table(
+        {"url": pa.array(url, pa.string()), "text": pa.array(text, pa.string())}
+    )
+
+
+def _fused_cases():
+    rng = np.random.default_rng(14)
+    gaz = fixtures.gen_pages(9000).select(["url", "text"])
+    txt = gaz["text"].to_pylist()
+    for i in range(0, len(txt), 97):
+        txt[i] = "no coordinates here"
+    n = 5000  # 80 % global uniform, 20 % one hot cluster
+    hot = rng.random(n) < 0.2
+    lon = np.where(hot, 106.8 + rng.normal(0, 0.5, n), rng.uniform(-180, 180, n))
+    lat = np.where(hot, -6.2 + rng.normal(0, 0.5, n), rng.uniform(-85, 85, n))
+    zeros = [0.0, -0.0, 0.0, -0.0, 10.0, -10.0]
+    return {
+        "empty": _coord_pages([], []),
+        "one_row": fixtures.gen_pages(1).select(["url", "text"]),
+        "500_rows": fixtures.gen_pages(500),  # every page column passes through
+        "all_nan": _coord_pages([np.nan] * 300, [np.nan] * 300),
+        "gazetteer_nan_mixed": gaz.set_column(1, "text", pa.array(txt)),
+        "continuous": _coord_pages(lat, lon),
+        # x = 0 is the shared edge of two admin boxes
+        "signed_zero": _coord_pages(zeros * 2, [-0.0, 0.0] * 3 + [0.0, -0.0] * 3),
+    }
+
+
 class TestFusedDictionaryPath:
-    """The fused kernel's unique-coordinate fast path must be
-    value-identical to the direct path (rows and partials)."""
+    """The fused kernel (one coordinate dictionary, one path) equals
+    the public stages applied directly to every row, in both emit
+    modes. In-process: the broadcast state is passed as tables."""
 
-    def _mk_batch(self, n=9000, with_nan=False):
-        import pyarrow as pa
-
-        from gdal_ray import fixtures
-
-        t = fixtures.gen_pages(n).select(["url", "warc_ts", "text", "lang"])
-        if with_nan:
-            # poison some rows so extract_coords yields NaN coords
-            txt = t["text"].to_pylist()
-            for i in range(0, n, 97):
-                txt[i] = "no coordinates here"
-            t = t.set_column(
-                t.schema.get_field_index("text"), "text", pa.array(txt)
-            )
-        return t
-
-    def _run(self, batch, emit, monkeypatch_ratio=None):
-        import ray
-
-        from gdal_ray import fixtures
-        from gdal_ray.pipelines import flagship
+    @pytest.fixture(scope="class")
+    def runs(self):
+        from gdal_ray.pipelines.flagship import (
+            encode_cells,
+            encode_tiles,
+            fused_geotag_pip,
+        )
         from gdal_ray.stages import cache
+        from gdal_ray.stages.join import PIPJoiner
+        from gdal_ray.stages.knn import GridKNNFeatures
 
         cache._CACHE.clear()
-        bnd = ray.put(fixtures.gen_boundaries())
-        knn = ray.put(fixtures.gen_ref_points(500))
-        old = flagship._FACTORIZE_MAX_RATIO
-        if monkeypatch_ratio is not None:
-            flagship._FACTORIZE_MAX_RATIO = monkeypatch_ratio
-        try:
-            return flagship.fused_geotag_pip(
-                batch, bnd_ref=bnd, knn_ref=knn, emit=emit
+        bnd, ref = fixtures.gen_boundaries(), fixtures.gen_ref_points(500)
+        pip = PIPJoiner(bnd, id_cols=("admin_id",))
+        knn = GridKNNFeatures(ref)
+        out = {}
+        for name, batch in _fused_cases().items():
+            direct = pip(knn(encode_cells(encode_tiles(extract_coords(batch)))))
+            out[name] = (
+                batch,
+                direct,
+                fused_geotag_pip(batch, bnd_ref=bnd, knn_ref=ref, emit="rows"),
+                fused_geotag_pip(batch, bnd_ref=bnd, knn_ref=ref),
             )
-        finally:
-            flagship._FACTORIZE_MAX_RATIO = old
-            cache._CACHE.clear()
+        yield out
+        cache._CACHE.clear()
 
-    def test_partials_match_direct(self, ray_session):
-        for with_nan in (False, True):
-            batch = self._mk_batch(with_nan=with_nan)
-            fast = self._run(batch, "admin_partials").to_pandas()
-            # ratio 10**9 forces the cardinality guard -> direct path
-            slow = self._run(batch, "admin_partials", 10**9).to_pandas()
-            f = fast.sort_values("admin_id").reset_index(drop=True)
-            s = (
-                slow.groupby("admin_id", as_index=False)["partial_count"]
-                .sum()
-                .sort_values("admin_id")
-                .reset_index(drop=True)
+    def test_rows_match_direct(self, runs):
+        for name, (batch, direct, rows, _) in runs.items():
+            assert rows.schema == direct.schema, name
+            assert rows.equals(direct), name
+        # x = 0 is the shared edge of two admin boxes: every signed-zero
+        # row lies in a box or on its edge
+        batch, direct = runs["signed_zero"][:2]
+        assert len(set(direct["url"].to_pylist())) == len(batch)
+
+    def test_partials_match_direct(self, runs):
+        for name, (_, direct, _, parts) in runs.items():
+            counts = (
+                direct.group_by("admin_id")
+                .aggregate([([], "count_all")])
+                .rename_columns(["admin_id", "partial_count"])
             )
-            assert f.equals(s)
-
-    def test_rows_match_direct(self, ray_session):
-        for with_nan in (False, True):
-            batch = self._mk_batch(n=8192, with_nan=with_nan)
-            fast = self._run(batch, "rows").to_pandas()
-            slow = self._run(batch, "rows", 10**9).to_pandas()
-            assert sorted(fast.columns) == sorted(slow.columns)
-            key = ["url", "admin_id"]
-            f = fast.sort_values(key).reset_index(drop=True)
-            s = slow[fast.columns].sort_values(key).reset_index(drop=True)
-            assert len(f) == len(s)
-            assert f.equals(s)
-
-    def test_small_batch_uses_direct_path(self, ray_session):
-        from gdal_ray.pipelines import flagship
-        import numpy as np
-
-        # < 1024 rows: factorize declines
-        assert flagship._factorize_coords(np.zeros(10), np.zeros(10)) is None
+            assert parts.column_names == ["admin_id", "partial_count"], name
+            assert (
+                parts.sort_by("admin_id").to_pylist()
+                == counts.sort_by("admin_id").to_pylist()
+            ), name
 
 
 def test_admin_rollup_matches_groupby(ray_session):

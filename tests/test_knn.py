@@ -130,6 +130,37 @@ def test_gridknn_nonfinite_queries():
     assert np.isinf(d2[2]).all()
 
 
+def test_gridknn_features_match_lexsort():
+    """``nn_point_id`` and ``knn_mean_dist2`` are the first id and the
+    mean d² of the (d², point_id) lexsort, row for row, on duplicated,
+    NaN and outside-bbox queries (no Ray)."""
+    from gdal_ray.stages.knn import GridKNNFeatures
+
+    rng = np.random.default_rng(11)
+    base = fixtures.gen_ref_points(300)
+    lattice = rng.integers(-3, 4, (2, 60)).astype(np.float64)  # ties at rank k
+    for rx, ry in (
+        (base["lon"].to_numpy(), base["lat"].to_numpy()),
+        (lattice[0], lattice[1]),
+    ):
+        rid = rng.permutation(len(rx)).astype(np.int64) * 3 + 1
+        ref = pa.table({"point_id": rid, "lon": rx, "lat": ry})
+        lo, hi = np.array([rx.min(), ry.min()]), np.array([rx.max(), ry.max()])
+        inside = rng.uniform(lo, hi, (40, 2))
+        outside = rng.uniform(lo - 100, hi + 100, (40, 2))
+        q = np.concatenate([inside, outside, np.round(inside[:10])])
+        q = q[rng.integers(0, len(q), 200)]  # every point several times
+        q[::17] = np.nan
+        for k in (1, 5):
+            got = GridKNNFeatures(ref, k=k)(pa.table({"lon": q[:, 0], "lat": q[:, 1]}))
+            ids, d2, _ = _lexsort_knn(q[:, 0], q[:, 1], rx, ry, rid, k)
+            np.testing.assert_array_equal(got["nn_point_id"].to_numpy(), ids[:, 0])
+            np.testing.assert_array_equal(
+                got["knn_mean_dist2"].to_numpy(), d2.mean(axis=1)
+            )
+            assert got.column_names == ["lon", "lat", "nn_point_id", "knn_mean_dist2"]
+
+
 def test_knn_matches_bruteforce(ray_session):
     import ray.data as rd
 
