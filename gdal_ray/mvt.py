@@ -307,7 +307,6 @@ def write_mvt_tiles(
     lat_col: str = "lat",
     property_cols: list[str] | None = None,
     extent: int = 4096,
-    num_partitions: int = 8,
 ) -> int:
     """Point Dataset → ``{out_dir}/{z}/{x}/{y}.mvt`` tree (atomic
     writes). One groupby(tile) shuffle; each group task encodes and
@@ -370,7 +369,5 @@ def write_mvt_tiles(
         return pa.table({"z": [zoom], "x": [tx], "y": [ty],
                          "n_features": [group.num_rows]})
 
-    manifest = assigned.groupby(
-        ["__tx", "__ty"], num_partitions=num_partitions
-    ).map_groups(write_tile, batch_format="pyarrow")
+    manifest = assigned.groupby(["__tx", "__ty"]).map_groups(write_tile, batch_format="pyarrow")
     return manifest.count()

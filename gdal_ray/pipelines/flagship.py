@@ -151,7 +151,7 @@ def geotag_pages(
     )
 
 
-def tile_counts(tagged: rd.Dataset, zoom: int = 9, num_partitions: int = 8) -> rd.Dataset:
+def tile_counts(tagged: rd.Dataset, zoom: int = 9) -> rd.Dataset:
     """Pages per tile at a zoom — partial-aggregate inside map_batches
     first (one row per tile per batch), then a small groupby: the
     pre-aggregation pattern that keeps the shuffle tiny even when
@@ -167,7 +167,7 @@ def tile_counts(tagged: rd.Dataset, zoom: int = 9, num_partitions: int = 8) -> r
     partials = tagged.map_batches(partial, batch_format="pyarrow")
     from ray.data.aggregate import Sum
 
-    return partials.groupby([xk, yk], num_partitions=num_partitions).aggregate(
+    return partials.groupby([xk, yk]).aggregate(
         Sum("partial_count", alias_name="n_pages")
     )
 

@@ -672,7 +672,7 @@ def q_zonal_stats(sf_dir: str):
     )
     from ray.data.aggregate import Max, Min, Sum
 
-    agg = parts.groupby("zone", num_partitions=2).aggregate(
+    agg = parts.groupby("zone").aggregate(
         Sum("n", alias_name="n"),
         Sum("sum", alias_name="sum"),
         Min("min", alias_name="min"),

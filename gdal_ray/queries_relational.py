@@ -86,9 +86,7 @@ def q_lineitem_agg(sf_dir: str):
             ["l_returnflag", "l_linestatus", "q", "r", "d", "n"])
 
     parts = ds.map_batches(prep_partial, batch_format="pyarrow")
-    agg = parts.groupby(
-        ["l_returnflag", "l_linestatus"], num_partitions=2
-    ).aggregate(
+    agg = parts.groupby(["l_returnflag", "l_linestatus"]).aggregate(
         Sum("q", alias_name="qty_sum"),
         Sum("r", alias_name="rev_sum"),
         Sum("d", alias_name="disc_sum"),
@@ -254,7 +252,7 @@ def q_distinct_segment(sf_dir: str):
         )
 
     out = ds.map_batches(batch_distinct, batch_format="pyarrow")
-    out = out.groupby("c_mktsegment", num_partitions=2).aggregate(
+    out = out.groupby("c_mktsegment").aggregate(
         Count(alias_name="_n")
     )
     return out.select_columns(["c_mktsegment"]).sort("c_mktsegment")
@@ -273,7 +271,7 @@ def q_union_names(sf_dir: str):
     n = _read(sf_dir, "nation", columns=["n_name"]).map_batches(
         lambda t: t.rename_columns(["name"]), batch_format="pyarrow"
     )
-    return r.union(n).groupby("name", num_partitions=2).aggregate(Count(alias_name="n"))
+    return r.union(n).groupby("name").aggregate(Count(alias_name="n"))
 
 
 SQL_UNION_NAMES = """
@@ -328,7 +326,7 @@ def q_events_hourly(sf_dir: str):
 
     return (
         ds.map_batches(bucket, batch_format="pyarrow")
-        .groupby(["hour", "event_type"], num_partitions=4)
+        .groupby(["hour", "event_type"])
         .aggregate(Count(alias_name="n_events"), Sum("value", alias_name="sum_value"))
     )
 
@@ -499,7 +497,7 @@ def q_events_sliding(sf_dir: str):
 
     return (
         ds.map_batches(assign, batch_format="pyarrow")
-        .groupby("window_start", num_partitions=4)
+        .groupby("window_start")
         .aggregate(Count(alias_name="n_events"), Sum("value", alias_name="sum_value"))
     )
 
@@ -802,9 +800,8 @@ def q_update_layer(sf_dir: str):
             }
         )
 
-    agg = out.map_batches(finish, batch_format="pyarrow").groupby(
-        "fid", num_partitions=2
-    ).aggregate(Sum("area", alias_name="area"))
+    agg = out.map_batches(finish, batch_format="pyarrow").groupby("fid").aggregate(
+        Sum("area", alias_name="area"))
 
     def round_sum(t: pa.Table) -> pa.Table:
         return pa.table(
@@ -1133,7 +1130,7 @@ def q_stats_agg(sf_dir: str):
             }
         )
 
-    return parts.groupby("l_returnflag", num_partitions=2).map_groups(
+    return parts.groupby("l_returnflag").map_groups(
         finish, batch_format="pandas"
     )
 

@@ -132,7 +132,7 @@ def band_area_partials_tile(
 
 def band_areas_tiles(
     tiles_ds, levels, n_blocks_x: int, n_blocks_y: int,
-    cell_area: float = 1.0, num_partitions: int = 2,
+    cell_area: float = 1.0,
 ):
     """Distributed contour-band areas: halo exchange → per-tile
     partials (map_batches) → tiny groupby(band) sum. Additive by
@@ -155,6 +155,4 @@ def band_areas_tiles(
              "partial_area": pa.array([], pa.float64())}
         )
 
-    return padded.map_batches(partials, batch_format="pyarrow").groupby(
-        "band", num_partitions=num_partitions
-    ).aggregate(Sum("partial_area", alias_name="area"))
+    return padded.map_batches(partials, batch_format="pyarrow").groupby("band").aggregate(Sum("partial_area", alias_name="area"))

@@ -110,7 +110,6 @@ def cell_partitioned_pip(
     id_cols: tuple[str, ...] = ("admin_id",),
     lon_col: str = "lon",
     lat_col: str = "lat",
-    num_partitions: int = 16,
 ):
     """PIP join for polygon sides too large to broadcast (SURVEY.md
     §7.3 shuffle fallback): partition BOTH sides by covering XYZ tile
@@ -143,10 +142,12 @@ def cell_partitioned_pip(
         b = np.array([gwkb.bounds(g) for g in geoms], dtype=np.float64)
         tx0, ty0 = tl.lonlat_to_tile(b[:, 0], b[:, 1], zoom)
         tx1, ty1 = tl.lonlat_to_tile(b[:, 2], b[:, 3], zoom)
-        xmin = np.minimum(tx0, tx1).astype(np.int64)
-        xmax = np.maximum(tx0, tx1).astype(np.int64)
-        ymin = np.minimum(ty0, ty1).astype(np.int64)
-        ymax = np.maximum(ty0, ty1).astype(np.int64)
+        # both sides clamp to the pyramid: a point still falls in the
+        # clamped cover of a polygon that holds it
+        xmin = tl.clamp_tile(np.minimum(tx0, tx1), zoom)
+        xmax = tl.clamp_tile(np.maximum(tx0, tx1), zoom)
+        ymin = tl.clamp_tile(np.minimum(ty0, ty1), zoom)
+        ymax = tl.clamp_tile(np.maximum(ty0, ty1), zoom)
         ny = ymax - ymin + 1
         counts = (xmax - xmin + 1) * ny
         row_idx = np.repeat(np.arange(n), counts)
@@ -173,7 +174,7 @@ def cell_partitioned_pip(
         if not keep.all():
             batch, lon, lat = batch.filter(pa.array(keep)), lon[keep], lat[keep]
         tx, ty = tl.lonlat_to_tile(lon, lat, zoom)
-        cell = tl.tile_id(zoom, tx, ty)
+        cell = tl.tile_id(zoom, tl.clamp_tile(tx, zoom), tl.clamp_tile(ty, zoom))
         return batch.append_column("cell", pa.array(cell)).append_column(
             "side", pa.array(np.zeros(len(lon), dtype=np.int8))
         )
@@ -234,7 +235,7 @@ def cell_partitioned_pip(
                 out[c] = group[c].take(pa.array(pt_rows[pi]))
         return pa.table(out)
 
-    return both.groupby("cell", num_partitions=num_partitions).map_groups(
+    return both.groupby("cell").map_groups(
         probe, batch_format="pyarrow"
     )
 

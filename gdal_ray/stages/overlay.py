@@ -238,7 +238,6 @@ def cell_partitioned_overlay(
     left_id: str = "left_id",
     right_id: str = "right_id",
     zoom: int = 6,
-    num_partitions: int = 8,
 ):
     """Polygon×polygon Intersection when BOTH sides are large
     (the full layer-algebra scale path, SURVEY.md §7.3): each polygon
@@ -265,8 +264,8 @@ def cell_partitioned_overlay(
             minx, miny, maxx, maxy = gwkb.bounds(row["geometry"])
             ta, tb = tl.lonlat_to_tile(minx, miny, zoom)
             tc, td = tl.lonlat_to_tile(maxx, maxy, zoom)
-            tx0, tx1 = int(min(ta, tc)), int(max(ta, tc))
-            ty0, ty1 = int(min(tb, td)), int(max(tb, td))
+            tx0, tx1 = tl.clamp_tile(sorted((ta, tc)), zoom).tolist()
+            ty0, ty1 = tl.clamp_tile(sorted((tb, td)), zoom).tolist()
             for tx in range(tx0, tx1 + 1):
                 for ty in range(ty0, ty1 + 1):
                     rows.append(
@@ -343,6 +342,6 @@ def cell_partitioned_overlay(
             )
         return pa.Table.from_pylist(out)
 
-    return both.groupby("cell", num_partitions=num_partitions).map_groups(
+    return both.groupby("cell").map_groups(
         probe, batch_format="pyarrow"
     )

@@ -21,7 +21,17 @@ The callback must therefore treat its input as MANY keys, never
 assume one. A partition that receives no rows fires no callback and
 yields no rows, so when every partition is empty the result has no
 columns (Ray 2.49). ``join_partitions``, the engine's one equi join,
-is built on this primitive.
+and ``state.lineage.write_partitioned`` are built on this primitive.
+
+Why coalesced input blocks: Ray 2.49's ``groupby`` is a sort shuffle
+with one mapper and one reducer per input block, whatever partition
+count is asked for. So the hash-tagging map runs with
+``batch_size=BATCH_ROWS``: Ray gathers whole input blocks into tasks
+of at least ``BATCH_ROWS`` rows (the last may hold fewer), one output
+block each. The reducer count, and the block count of the output,
+equals this coalesced input block count, at most ⌈rows /
+``BATCH_ROWS``⌉, not one per ~1 MiB block of the reader. ``PARTITIONS``
+sets only the number of hash groups, i.e. how many times ``fn`` fires.
 """
 
 from __future__ import annotations
@@ -33,6 +43,11 @@ import pyarrow.compute as pc
 
 #: coarse partition count of every hash-partitioned stage
 PARTITIONS = 8
+
+#: rows per block fed to the shuffle. Ray's ``target_max_block_size``
+#: is 128 MiB; a tagged page row is about 4 KiB of text once the html
+#: is projected away at the read, so 128 MiB / 4 KiB = 32,768 rows.
+BATCH_ROWS = 32_768
 
 # An int or bool key column holding a null converts to float64 /
 # object in pandas, which hashes differently from the same values in
@@ -67,8 +82,9 @@ def map_partitions(ds, keys, fn, batch_format: str = "pandas"):
 
     apply.__name__ = fn.__name__  # Ray names the operator after it
 
-    return ds.map_batches(add_part, batch_format="pyarrow") \
-        .groupby("__part", num_partitions=PARTITIONS) \
+    return ds.map_batches(add_part, batch_format="pyarrow",
+                          batch_size=BATCH_ROWS) \
+        .groupby("__part") \
         .map_groups(apply, batch_format=batch_format)
 
 

@@ -63,16 +63,16 @@ def add_salt(ds, key: str, hot: set, n_salt: int = 16,
 
 
 def salted_count(ds, key: str, threshold_frac: float = 0.01,
-                 n_salt: int = 16, num_partitions: int = 8):
+                 n_salt: int = 16):
     """Count per key with hot-key salting: groupby (key, salt) →
     groupby key (the second shuffle moves ≤ n_salt rows per hot key)."""
     from ray.data.aggregate import Count, Sum
 
     hot = hot_keys(ds, key, threshold_frac)
     salted = add_salt(ds, key, hot, n_salt)
-    part = salted.groupby([key, "salt"], num_partitions=num_partitions).aggregate(
+    part = salted.groupby([key, "salt"]).aggregate(
         Count(alias_name="n_part")
     )
-    return part.groupby(key, num_partitions=max(2, num_partitions // 4)).aggregate(
+    return part.groupby(key).aggregate(
         Sum("n_part", alias_name="n")
     )

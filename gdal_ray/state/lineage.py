@@ -5,6 +5,9 @@ The reference's resume story is file-existence checks
 gdal2tiles.py:1497) and tile-index manifests (gdaltindex_lib.cpp:160).
 Here it is transactional and content-addressed:
 
+- ``write_partitioned`` runs one ``stages.partition.map_partitions``
+  shuffle on the partition column; each hash partition is split by
+  key with one Arrow sort, so a callback commits many keys;
 - every completed partition writes ``<out>/part=<key>/data.parquet``
   ATOMICALLY (tmp + rename) plus one manifest record
   ``<out>/_manifest/<key>.json`` carrying lineage: partition key, row
@@ -39,6 +42,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
+
+from gdal_ray.stages.partition import map_partitions
 
 
 class ManifestStore:
@@ -260,24 +265,35 @@ def write_partitioned(
     partition_col: str,
     lineage: dict | None = None,
 ) -> list[dict]:
-    """Resumable partitioned write: groupby(partition_col) →
-    per-group atomic commit, SKIPPING partitions already in the
-    manifest. Returns the manifest records of this run."""
+    """Resumable partitioned write: one ``map_partitions`` shuffle on
+    ``partition_col``, then one atomic commit per key, SKIPPING keys
+    already in the manifest. Returns the manifest records of the
+    output directory.
+
+    Each callback gets one hash partition holding many keys. One Arrow
+    sort on ``partition_col`` puts each key's rows in one run; every
+    run not yet committed is written as ``part=<key>/data.parquet``
+    through ``ManifestStore.commit``. The content hash does not depend
+    on the row order the sort leaves."""
     store = ManifestStore(out_dir)
     done = store.completed_keys()
 
-    def write_group(group: pa.Table) -> pa.Table:
-        key = group[partition_col][0].as_py()
-        if key in done:
-            return pa.table({"partition": pa.array([key]),
-                             "rows": pa.array([-1], pa.int64())})
-        rec = ManifestStore(out_dir).commit(key, group, lineage)
-        return pa.table({"partition": pa.array([rec["partition"]]),
-                         "rows": pa.array([rec["rows"]], pa.int64())})
+    def commit_part(t: pa.Table) -> pa.Table:
+        t = t.sort_by(partition_col)
+        runs = pc.run_end_encode(t[partition_col].combine_chunks())
+        ends = runs.run_ends.to_pylist()
+        keys, rows = [], []
+        for key, start, end in zip(runs.values.to_pylist(), [0] + ends, ends):
+            if key in done:
+                continue
+            rec = store.commit(key, t.slice(start, end - start), lineage)
+            keys.append(key)
+            rows.append(rec["rows"])
+        return pa.table({"partition": pa.array(keys, t[partition_col].type),
+                         "rows": pa.array(rows, pa.int64())})
 
-    ds.groupby(partition_col).map_groups(
-        write_group, batch_format="pyarrow"
-    ).materialize()
+    map_partitions(ds, partition_col, commit_part,
+                   batch_format="pyarrow").materialize()
     return store.records()
 
 

@@ -118,10 +118,21 @@ def tms_to_xyz(ty, zoom):
 xyz_to_tms = tms_to_xyz
 
 
+def clamp_tile(t, zoom):
+    """Tile indices clamped to [0, 2^z - 1], the range gdal2tiles
+    writes: lon -180 (tile -1 by the ceil rule), latitudes past the
+    Web Mercator limit of ±85.0511° and a non-finite coordinate land on
+    the edge tiles. Clamping is monotone, so a point still falls in
+    the clamped tile range of any box that holds it."""
+    top = (1 << np.asarray(zoom, dtype=np.int64)) - 1
+    return np.clip(np.asarray(t, dtype=np.int64), 0, top)
+
+
 def lonlat_to_xyz_tile(lon, lat, zoom, tile_size: int = TILE_SIZE):
-    """lon/lat → XYZ (Google/slippy) tile (x, y) at zoom."""
+    """lon/lat → XYZ (Google/slippy) tile (x, y) at zoom, clamped to
+    the pyramid (``clamp_tile``)."""
     tx, ty = lonlat_to_tile(lon, lat, zoom, tile_size)
-    return tx, tms_to_xyz(ty, zoom)
+    return clamp_tile(tx, zoom), tms_to_xyz(clamp_tile(ty, zoom), zoom)
 
 
 def tile_bounds(tx, ty, zoom, tile_size: int = TILE_SIZE):
@@ -171,10 +182,17 @@ def parent_tile(tx, ty, zoom):
 
 def tile_id(z, x, y):
     """Pack (z, x, y) into one int64 shuffle key: z in the top 6 bits,
-    then x and y with 29 bits each (enough through z=29)."""
+    then x and y with 29 bits each (enough through z=29). A z outside
+    [0, 29] or an x or y outside [0, 2^29 - 1] raises ``ValueError``:
+    its bits would spill into the other fields, so distinct tiles
+    would share a key (clamp with ``clamp_tile`` first)."""
     z = np.asarray(z, dtype=np.int64)
     x = np.asarray(x, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
+    if np.any((z < 0) | (z > 29)):
+        raise ValueError("tile_id: zoom outside [0, 29]")
+    if np.any((x < 0) | (x >= 1 << 29) | (y < 0) | (y >= 1 << 29)):
+        raise ValueError("tile_id: tile x or y outside [0, 2^29 - 1]")
     return (z << 58) | (x << 29) | y
 
 

@@ -17,7 +17,8 @@ partitions via resume_filter).
 
 Exit code 0 and a one-line JSON summary on stdout (rows, partitions,
 skipped = partitions already committed when the run starts, wall
-seconds) — machine-checkable from the job log.
+seconds, rows_per_s = rows / wall) — machine-checkable from the job
+log.
 """
 
 from __future__ import annotations
@@ -79,6 +80,7 @@ def main(argv=None) -> int:
         "partitions": len(records),
         "skipped": skipped,
         "wall_s": round(wall, 2),
+        "rows_per_s": round(rows / wall, 1),
         "output": a.output,
     }))
     ray.shutdown()

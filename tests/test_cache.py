@@ -63,7 +63,7 @@ def test_worker_cached_stage_runs_batches():
     assert _Probe.builds == 1
 
 
-def test_evicted_table_id_reuse_builds_fresh_state():
+def test_evicted_table_id_reuse_builds_fresh_state(monkeypatch):
     a = _table(1)
     old_id = id(a)
     assert cache.cached_instance(_Probe, table=a).first == 1
@@ -73,15 +73,10 @@ def test_evicted_table_id_reuse_builds_fresh_state():
     assert any(id(h) == old_id for _k, held, _i in cache._CACHE[_Probe]
                for h in held)
     cache.cached_instance(_Probe, table=_table(2))  # evicts the entry
-    gc.collect()
-    kept = []
-    for _ in range(10_000):
-        t = _table(3)
-        if id(t) == old_id:
-            break
-        kept.append(t)
-    else:
-        pytest.fail("no new table took the evicted table's id")
+    # a new table that CPython gave the evicted table's id
+    t = _table(3)
+    monkeypatch.setattr(cache, "id", lambda v: old_id if v is t else id(v),
+                        raising=False)
     inst = cache.cached_instance(_Probe, table=t)
     assert inst.first == 3
 

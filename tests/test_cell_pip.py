@@ -31,7 +31,6 @@ def test_cell_partitioned_equals_broadcast(ray_session):
         rd.from_arrow(b.select(["admin_id", "geometry"])),
         zoom=4,
         id_cols=("admin_id",),
-        num_partitions=4,
     ).to_pandas()
 
     got = sorted(zip(partitioned["pid"], partitioned["admin_id"]))
@@ -58,5 +57,5 @@ def test_rows_without_coordinates_match_nothing(ray_session):
                     "lon": pa.array([-175.0, np.nan, None, -180.0]),
                     "lat": pa.array([-82.0, np.nan, -82.0, np.nan])})
     got = cell_partitioned_pip(rd.from_arrow(pts), rd.from_arrow(polys),
-                               zoom=4, num_partitions=2).to_pandas()
+                               zoom=4).to_pandas()
     assert sorted(zip(got["pid"], got["admin_id"])) == [(0, 7)]

@@ -209,6 +209,8 @@ class TestJobEntry:
         s1 = json.loads(r1.stdout.decode().strip().splitlines()[-1])
         assert s1["rows"] == 500 and s1["partitions"] > 0
         assert s1["skipped"] == 0
+        assert s1["rows_per_s"] == pytest.approx(
+            s1["rows"] / s1["wall_s"], rel=0.05, abs=1.0)
         # resume: same manifest, nothing recomputed, same totals
         r2 = subprocess.run(cmd, capture_output=True, env=env)
         assert r2.returncode == 0, r2.stderr[-2000:]

@@ -209,7 +209,7 @@ def test_cell_partitioned_overlay_matches_direct(ray_session):
     B = mk(25, 2).rename_columns(["b_id", "geometry"])
     out = cell_partitioned_overlay(
         rd.from_arrow(A), rd.from_arrow(B), left_id="a_id", right_id="b_id",
-        zoom=4, num_partitions=4,
+        zoom=4,
     ).to_pandas()
     # direct oracle: closed-form box intersection per pair
     import itertools

@@ -48,7 +48,7 @@ class TestLineage:
             os.remove(os.path.join(store.manifest_dir, f"{k}.json"))
         assert len(store.completed_keys()) == n_parts - 3
 
-        # resume: only the 3 victims get recomputed (rows == -1 marks skips)
+        # resume: only the 3 victims get recomputed
         ds2 = _pages_tagged(1000).select_columns(["url", "tile_z7_x"])
         recs2 = write_partitioned(ds2, out, "tile_z7_x")
         assert len(recs2) == n_parts
@@ -63,6 +63,52 @@ class TestLineage:
         h1 = {r["partition"]: r["content_hash"] for r in recs2}
         h2 = {r["partition"]: r["content_hash"] for r in recs3}
         assert h1 == h2
+
+    @pytest.mark.parametrize("as_str", [False, True])
+    def test_many_keys_per_partition(self, ray_session, tmp_path, as_str):
+        """200 keys over 20 blocks: each hash partition holds many keys,
+        and each key still gets exactly its own rows."""
+        import pyarrow.compute as pc
+        import pyarrow.parquet as pq
+        import ray.data as rd
+
+        from gdal_ray.state.lineage import (
+            ManifestStore,
+            content_hash,
+            write_partitioned,
+        )
+
+        rng = np.random.default_rng(15)
+        keys = rng.integers(0, 200, 4000)
+        keys[:200] = np.arange(200)  # every key occurs
+        t = pa.table({
+            "k": pa.array([f"key{k}" for k in keys]) if as_str else pa.array(keys),
+            "v": pa.array(np.arange(4000)),
+            "x": pa.array(rng.random(4000)),
+        })
+        blocks = [t.slice(i * 200, 200) for i in range(20)]
+        out = str(tmp_path / "out")
+        store = ManifestStore(out)
+        recs = write_partitioned(rd.from_arrow(blocks), out, "k")
+        assert len(recs) == 200
+        assert {r["partition"] for r in recs} == set(t["k"].to_pylist())
+        assert sum(r["rows"] for r in recs) == 4000
+        for r in recs:
+            want = t.filter(pc.equal(t["k"], r["partition"]))
+            got = pq.ParquetFile(os.path.join(
+                store.partition_dir(r["partition"]), "data.parquet")).read()
+            assert got.num_rows == want.num_rows == r["rows"]
+            assert set(got["v"].to_pylist()) == set(want["v"].to_pylist())
+            assert r["content_hash"] == content_hash(want) == content_hash(got)
+
+        def snapshot():
+            return {os.path.join(d, f): os.stat(os.path.join(d, f)).st_mtime_ns
+                    for d, _, fs in os.walk(out) for f in fs}
+
+        before = snapshot()
+        again = write_partitioned(rd.from_arrow(blocks), out, "k")
+        assert snapshot() == before  # the resume pass rewrote no file
+        assert again == recs
 
     def test_resume_filter(self, ray_session, tmp_path):
         import ray.data as rd

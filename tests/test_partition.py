@@ -3,7 +3,7 @@
 import pyarrow as pa
 import pytest
 
-from gdal_ray.stages.partition import map_partitions
+from gdal_ray.stages.partition import BATCH_ROWS, map_partitions
 
 
 def _blocks():
@@ -34,6 +34,31 @@ def test_each_key_in_one_partition(ray_session, fmt):
     assert not out["k"].duplicated().any()
     got = dict(zip(out["k"].fillna(-1).astype(int), out["v"]))
     assert got == {**{k: 2 for k in range(40)}, -1: 20}
+
+
+def test_shuffle_input_coalesces_to_batch_rows(ray_session):
+    """The sort shuffle runs one reducer per block it is fed; the
+    hash-tagging map feeds it blocks of at least BATCH_ROWS rows, not
+    the input's split, so the output block count follows the rows."""
+    import ray.data as rd
+
+    def same(t):
+        return t
+
+    def blocks_out(tables):
+        return map_partitions(rd.from_arrow(tables), "k", same,
+                              batch_format="pyarrow").materialize().num_blocks()
+
+    small = [pa.table({"k": pa.array(range(i * 10, i * 10 + 10))})
+             for i in range(20)]
+    assert blocks_out(small) == 1
+    # 16 blocks fill the first BATCH_ROWS-row task, one row is left over
+    n = BATCH_ROWS // 16
+    tables = [pa.table({"k": pa.array(range(i * n, (i + 1) * n))})
+              for i in range(16)]
+    tables.append(pa.table({"k": pa.array([BATCH_ROWS])}))
+    assert sum(t.num_rows for t in tables) == BATCH_ROWS + 1
+    assert blocks_out(tables) == 2
 
 
 def test_distinct_with_nulls_in_some_batches(ray_session):

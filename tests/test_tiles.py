@@ -163,3 +163,30 @@ def test_global_geodetic():
     assert b[1] == pytest.approx(-90.0)
     assert b[2] == pytest.approx(0.0)
     assert b[3] == pytest.approx(90.0)
+
+
+def test_polar_tiles_clamp_to_distinct_ids():
+    # past the Web Mercator limit the TMS y overshoots the pyramid; an
+    # unclamped negative XYZ y set every high bit of the packed key
+    lon = np.array([0.0, 120.0, -45.0])
+    x, y = tiles.lonlat_to_xyz_tile(lon, np.full(3, 89.9), 12)
+    np.testing.assert_array_equal(x, [2047, 3413, 1535])
+    np.testing.assert_array_equal(y, [0, 0, 0])
+    tid = tiles.tile_id(12, x, y)
+    assert len(set(tid.tolist())) == 3
+    z2, x2, y2 = tiles.tile_id_unpack(tid)
+    np.testing.assert_array_equal(z2, [12] * 3)
+    np.testing.assert_array_equal(x2, x)
+    np.testing.assert_array_equal(y2, y)
+    # the south edge and lon -180 clamp into the pyramid too
+    x, y = tiles.lonlat_to_xyz_tile(np.array([-180.0, 10.0]),
+                                    np.array([0.0, -89.9]), 3)
+    np.testing.assert_array_equal(x, [0, 4])
+    np.testing.assert_array_equal(y, [4, 7])
+
+
+@pytest.mark.parametrize("z, x, y", [(12, -1, 0), (12, 0, -2544),
+                                     (12, 1 << 29, 0), (30, 0, 0), (-1, 0, 0)])
+def test_tile_id_rejects_unpackable_input(z, x, y):
+    with pytest.raises(ValueError, match="tile_id"):
+        tiles.tile_id(z, np.array([0, x]), np.array([0, y]))
