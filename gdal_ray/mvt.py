@@ -369,5 +369,7 @@ def write_mvt_tiles(
         return pa.table({"z": [zoom], "x": [tx], "y": [ty],
                          "n_features": [group.num_rows]})
 
-    manifest = assigned.groupby(["__tx", "__ty"]).map_groups(write_tile, batch_format="pyarrow")
+    manifest = assigned.groupby(
+        ["__tx", "__ty"]
+    ).map_groups(write_tile, batch_format="pyarrow")
     return manifest.count()

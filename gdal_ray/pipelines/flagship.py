@@ -90,7 +90,9 @@ def encode_tiles(
     batch: pa.Table, zooms: tuple[int, ...] = DEFAULT_ZOOMS
 ) -> pa.Table:
     """lon/lat columns → XYZ tile columns ``tile_z{z}_x`` / ``_y`` per
-    zoom + packed ``tile_id`` at the finest zoom (the shuffle key)."""
+    zoom + packed ``tile_id`` at the finest zoom (the shuffle key). A
+    row without coordinates keeps the (-1, 2^z) marker tile of
+    ``tiles.lonlat_to_xyz_tile`` and gets a null ``tile_id``."""
     lon = batch["lon"].to_numpy(zero_copy_only=False)
     lat = batch["lat"].to_numpy(zero_copy_only=False)
     cols = {}
@@ -99,10 +101,13 @@ def encode_tiles(
         cols[f"tile_z{z}_x"] = x
         cols[f"tile_z{z}_y"] = y
     zmax = max(zooms)
-    tid = tiles.tile_id(zmax, cols[f"tile_z{zmax}_x"], cols[f"tile_z{zmax}_y"])
+    ok = np.isfinite(lon) & np.isfinite(lat)
+    tid = np.zeros(len(lon), dtype=np.int64)
+    tid[ok] = tiles.tile_id(zmax, cols[f"tile_z{zmax}_x"][ok],
+                            cols[f"tile_z{zmax}_y"][ok])
     for k, v in cols.items():
         batch = batch.append_column(k, pa.array(v))
-    return batch.append_column("tile_id", pa.array(tid))
+    return batch.append_column("tile_id", pa.array(tid, mask=~ok))
 
 
 def encode_cells(

@@ -800,8 +800,9 @@ def q_update_layer(sf_dir: str):
             }
         )
 
-    agg = out.map_batches(finish, batch_format="pyarrow").groupby("fid").aggregate(
-        Sum("area", alias_name="area"))
+    agg = out.map_batches(finish, batch_format="pyarrow").groupby(
+        "fid"
+    ).aggregate(Sum("area", alias_name="area"))
 
     def round_sum(t: pa.Table) -> pa.Table:
         return pa.table(

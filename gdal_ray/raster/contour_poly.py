@@ -155,4 +155,6 @@ def band_areas_tiles(
              "partial_area": pa.array([], pa.float64())}
         )
 
-    return padded.map_batches(partials, batch_format="pyarrow").groupby("band").aggregate(Sum("partial_area", alias_name="area"))
+    return padded.map_batches(partials, batch_format="pyarrow").groupby(
+        "band"
+    ).aggregate(Sum("partial_area", alias_name="area"))

@@ -120,19 +120,27 @@ xyz_to_tms = tms_to_xyz
 
 def clamp_tile(t, zoom):
     """Tile indices clamped to [0, 2^z - 1], the range gdal2tiles
-    writes: lon -180 (tile -1 by the ceil rule), latitudes past the
-    Web Mercator limit of ±85.0511° and a non-finite coordinate land on
-    the edge tiles. Clamping is monotone, so a point still falls in
-    the clamped tile range of any box that holds it."""
+    writes: lon -180 (tile -1 by the ceil rule) and latitudes past the
+    Web Mercator limit of ±85.0511° land on the edge tiles. Clamping is
+    monotone, so a point still falls in the clamped tile range of any
+    box that holds it."""
     top = (1 << np.asarray(zoom, dtype=np.int64)) - 1
     return np.clip(np.asarray(t, dtype=np.int64), 0, top)
 
 
 def lonlat_to_xyz_tile(lon, lat, zoom, tile_size: int = TILE_SIZE):
-    """lon/lat → XYZ (Google/slippy) tile (x, y) at zoom, clamped to
-    the pyramid (``clamp_tile``)."""
-    tx, ty = lonlat_to_tile(lon, lat, zoom, tile_size)
-    return clamp_tile(tx, zoom), tms_to_xyz(clamp_tile(ty, zoom), zoom)
+    """lon/lat → XYZ (Google/slippy) tile (x, y) at zoom. A finite
+    coordinate is clamped to the pyramid (``clamp_tile``; latitudes
+    first to ±``MAX_LAT``, since past ±90° the Mercator formula has no
+    value). A non-finite one keeps ``pixels_to_tile``'s -1 marker, so a
+    row without coordinates gets x = -1 and y = 2^z, outside every
+    pyramid tile."""
+    lon = np.asarray(lon, dtype=np.float64)
+    lat = np.asarray(lat, dtype=np.float64)
+    tx, ty = lonlat_to_tile(lon, np.clip(lat, MIN_LAT, MAX_LAT), zoom, tile_size)
+    tx = np.where(np.isfinite(lon), clamp_tile(tx, zoom), tx)
+    ty = np.where(np.isfinite(lat), clamp_tile(ty, zoom), ty)
+    return tx, tms_to_xyz(ty, zoom)
 
 
 def tile_bounds(tx, ty, zoom, tile_size: int = TILE_SIZE):
@@ -185,7 +193,8 @@ def tile_id(z, x, y):
     then x and y with 29 bits each (enough through z=29). A z outside
     [0, 29] or an x or y outside [0, 2^29 - 1] raises ``ValueError``:
     its bits would spill into the other fields, so distinct tiles
-    would share a key (clamp with ``clamp_tile`` first)."""
+    would share a key (clamp with ``clamp_tile`` first, and leave
+    rows without a tile out)."""
     z = np.asarray(z, dtype=np.int64)
     x = np.asarray(x, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)

@@ -110,6 +110,38 @@ class TestLineage:
         assert snapshot() == before  # the resume pass rewrote no file
         assert again == recs
 
+    def test_rows_without_coordinates_keep_their_own_tile(
+            self, ray_session, tmp_path):
+        """A page without coordinates is not counted in, or committed
+        with, the real corner tile (0, 2^z - 1) at lon -180, lat -85."""
+        import pyarrow.parquet as pq
+        import ray.data as rd
+
+        from gdal_ray.pipelines import flagship
+        from gdal_ray.state.lineage import ManifestStore, write_partitioned
+
+        t = flagship.encode_tiles(pa.table({
+            "url": ["corner", "nan", "north"],
+            "lon": [-179.9, np.nan, 10.0],
+            "lat": [-84.9, np.nan, 89.9],
+        }), zooms=(7, 9))
+        assert t["tile_z7_x"].to_pylist() == [0, -1, 67]
+        assert t["tile_z7_y"].to_pylist() == [127, 128, 0]
+        assert t["tile_id"].null_count == 1 and not t["tile_id"][1].is_valid
+
+        counts = flagship.tile_counts(rd.from_arrow(t), zoom=7).take_all()
+        assert sorted((r["tile_z7_x"], r["tile_z7_y"], r["n_pages"])
+                      for r in counts) == [(-1, 128, 1), (0, 127, 1), (67, 0, 1)]
+
+        out = str(tmp_path / "out")
+        recs = write_partitioned(rd.from_arrow(t), out, "tile_z7_x")
+        assert {r["partition"]: r["rows"] for r in recs} == {-1: 1, 0: 1, 67: 1}
+        store = ManifestStore(out)
+        for key, url in ((-1, "nan"), (0, "corner")):
+            got = pq.read_table(os.path.join(store.partition_dir(key),
+                                             "data.parquet"))
+            assert got["url"].to_pylist() == [url]
+
     def test_resume_filter(self, ray_session, tmp_path):
         import ray.data as rd
 

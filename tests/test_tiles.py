@@ -178,11 +178,17 @@ def test_polar_tiles_clamp_to_distinct_ids():
     np.testing.assert_array_equal(z2, [12] * 3)
     np.testing.assert_array_equal(x2, x)
     np.testing.assert_array_equal(y2, y)
-    # the south edge and lon -180 clamp into the pyramid too
-    x, y = tiles.lonlat_to_xyz_tile(np.array([-180.0, 10.0]),
-                                    np.array([0.0, -89.9]), 3)
-    np.testing.assert_array_equal(x, [0, 4])
-    np.testing.assert_array_equal(y, [4, 7])
+    # the south edge, lon -180 and latitudes past the pole (where the
+    # Mercator formula is NaN) clamp into the pyramid too
+    x, y = tiles.lonlat_to_xyz_tile(np.array([-180.0, 10.0, 10.0, 10.0]),
+                                    np.array([0.0, -89.9, 99.9, -99.9]), 3)
+    np.testing.assert_array_equal(x, [0, 4, 4, 4])
+    np.testing.assert_array_equal(y, [4, 7, 0, 7])
+    # a missing coordinate keeps the marker, outside the pyramid
+    x, y = tiles.lonlat_to_xyz_tile(np.array([np.nan, 10.0]),
+                                    np.array([np.nan, np.nan]), 3)
+    np.testing.assert_array_equal(x, [-1, 4])
+    np.testing.assert_array_equal(y, [8, 8])
 
 
 @pytest.mark.parametrize("z, x, y", [(12, -1, 0), (12, 0, -2544),
