@@ -1,7 +1,7 @@
 """The engine's one hash-partitioned group primitive.
 
 ``map_partitions(ds, keys, fn)`` shuffles once on
-``hash(keys) % PARTITIONS`` and calls ``fn`` on each whole partition.
+``hash(keys) % PARTITIONS`` and calls ``fn`` on whole partitions.
 
 Why coarse partitions, not per-key groups: ``GroupedData.map_groups``
 fires its callback once per distinct value of the group key. Grouped
@@ -9,41 +9,52 @@ on the raw key (a user, a paragraph, a way, a customer) that is one
 ~1 ms pandas call per key: thousands at sf0.1 and ~10⁹ at planet
 scale, which was the dominant cost of every stage that now calls
 this function (as-of join at sf0.1 3.5 → 1.3 s; OSM way assembly
-19.4 → 0.83 s at 8 CPUs). Grouped on the hash partition instead,
-``map_groups`` fires ~``PARTITIONS`` times, and the callback does the
-per-key work vectorized over the partition (a sort plus a pandas
-groupby, ``merge_asof(by=...)``, a lexsort split, an Arrow group_by,
-an Arrow join). Every row of a key still lands in one partition, so
-per-key semantics are unchanged; small keys batch together, and a hot
-key spreads no worse than under the raw-key groupby.
+19.4 → 0.83 s at 8 CPUs). Here the callback fires once per reducer
+block, which holds one or more whole hash partitions, and does the
+per-key work vectorized over it (a sort plus a pandas groupby,
+``merge_asof(by=...)``, a lexsort split, an Arrow group_by, an Arrow
+join). Every row of a key still lands in one partition, so per-key
+semantics are unchanged; small keys batch together, and a hot key
+spreads no worse than under the raw-key groupby.
 
 The callback must therefore treat its input as MANY keys, never
-assume one. A partition that receives no rows fires no callback and
-yields no rows, so when every partition is empty the result has no
-columns (Ray 2.49). ``join_partitions``, the engine's one equi join,
+assume one. A reducer that receives no rows emits an empty block with
+no columns, which Ray 2.49's ``map_batches`` passes on without calling
+``fn``; so when every partition is empty the result has no columns. ``join_partitions``, the engine's one equi join,
 and ``state.lineage.write_partitioned`` are built on this primitive.
 
-Why coalesced input blocks: Ray 2.49's ``groupby`` is a sort shuffle
-with one mapper and one reducer per input block, whatever partition
-count is asked for. So the hash-tagging map runs with
-``batch_size=BATCH_ROWS``: Ray gathers whole input blocks into tasks
-of at least ``BATCH_ROWS`` rows (the last may hold fewer), one output
-block each. The reducer count, and the block count of the output,
-equals this coalesced input block count, at most ⌈rows /
-``BATCH_ROWS``⌉, not one per ~1 MiB block of the reader. ``PARTITIONS``
-sets only the number of hash groups, i.e. how many times ``fn`` fires.
-The price is parallelism on small inputs: below ``BATCH_ROWS`` rows
-the whole shuffle and every ``fn`` call run in one task whatever the
-cluster size, and only from ``PARTITIONS`` x ``BATCH_ROWS`` rows on
-can each hash group reach a reducer of its own.
+Reducer count: ``R = min(PARTITIONS, CPUs of the cluster)``, fixed in
+the driver when the plan is built, not by the input's block count.
+Not ``groupby``: Ray 2.49's ``groupby`` (like a ``sort`` left to
+sample its boundaries) runs one mapper and one reducer per input
+block, so its reducer count follows the input split, and above
+``PARTITIONS`` blocks some reducers get no rows. At ``R == 1`` the
+shuffle is ``repartition(1)``, the path Ray's own ``map_groups`` takes
+for a keyless group: no sort, no sample, one callback. Above it,
+``sort("__part", boundaries=...)`` cuts the ``PARTITIONS`` part ids
+into ``R`` contiguous ranges, so there are ``R`` reducers whatever the
+mapper count. The boundary list is never empty: Ray treats ``[]`` like
+``None`` and samples. Ray hands each reducer's output to ``fn`` as one
+block (``batch_size=None``), even under a small
+``target_max_block_size``.
+
+The cost is memory: a callback holds about 1/``R`` of the input (at
+1 CPU, all of it), where a callback per hash partition would hold
+about 1/``PARTITIONS``. Nothing caps it yet. The hash-tagging map runs with
+``batch_size=BATCH_ROWS``, so Ray gathers the reader's ~1 MiB blocks
+into blocks of at least ``BATCH_ROWS`` rows, and the sort has at most
+⌈rows / ``BATCH_ROWS``⌉ mappers.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
+from ray._private.auto_init_hook import auto_init_ray
+
+from gdal_ray.stages.sketch import hash_any
 
 #: coarse partition count of every hash-partitioned stage
 PARTITIONS = 8
@@ -54,35 +65,22 @@ PARTITIONS = 8
 #: a block is 3-6 MiB. Sweep of ``write_partitioned`` on 125,000 of
 #: those pages at 1 CPU, median of 6: 8,192 rows 3.17 s, 16,384 1.45 s,
 #: 32,768 1.00 s, 65,536 0.85 s. Doubling to 65,536 saves 15 % more
-#: there but halves the shuffle tasks a multi-core cluster could run
-#: at once (not measured: the sweep had one CPU); at 32,768 a hash
-#: partition can have a reducer of its own from ``PARTITIONS`` x
-#: 32,768 = 262,144 rows on.
+#: there but halves the shuffle map tasks a multi-core cluster could
+#: run at once (not measured: the sweep had one CPU).
 BATCH_ROWS = 32_768
-
-# An int or bool key column holding a null converts to float64 /
-# object in pandas, which hashes differently from the same values in
-# a null-free batch of the same Dataset; the masked dtypes keep the
-# hash a function of the value alone.
-_MASKED = {
-    pa.int8(): pd.Int8Dtype(), pa.int16(): pd.Int16Dtype(),
-    pa.int32(): pd.Int32Dtype(), pa.int64(): pd.Int64Dtype(),
-    pa.uint8(): pd.UInt8Dtype(), pa.uint16(): pd.UInt16Dtype(),
-    pa.uint32(): pd.UInt32Dtype(), pa.uint64(): pd.UInt64Dtype(),
-    pa.bool_(): pd.BooleanDtype(),
-}
 
 
 def map_partitions(ds, keys, fn, batch_format: str = "pandas"):
     """Co-locate the rows of each ``keys`` value (a column name or a
-    list of them) and return ``fn`` applied to each whole partition,
-    delivered in ``batch_format`` ("pandas" or "pyarrow")."""
+    list of them) and return ``fn`` applied to each reducer block of
+    whole hash partitions, delivered in ``batch_format`` ("pandas" or
+    "pyarrow")."""
     keys = [keys] if isinstance(keys, str) else list(keys)
 
     def add_part(t: pa.Table) -> pa.Table:
-        h = pd.util.hash_pandas_object(
-            t.select(keys).to_pandas(types_mapper=_MASKED.get),
-            index=False).to_numpy()
+        h = np.zeros(t.num_rows, np.uint64)
+        for i, k in enumerate(keys):
+            h += hash_any(t[k], seed=i)
         return t.append_column(
             "__part", pa.array((h % PARTITIONS).astype(np.int64)))
 
@@ -93,10 +91,17 @@ def map_partitions(ds, keys, fn, batch_format: str = "pandas"):
 
     apply.__name__ = fn.__name__  # Ray names the operator after it
 
-    return ds.map_batches(add_part, batch_format="pyarrow",
-                          batch_size=BATCH_ROWS) \
-        .groupby("__part") \
-        .map_groups(apply, batch_format=batch_format)
+    auto_init_ray()  # as the Dataset's own execution would
+    r = min(PARTITIONS, max(1, int(ray.cluster_resources().get("CPU", 1))))
+    tagged = ds.map_batches(add_part, batch_format="pyarrow",
+                            batch_size=BATCH_ROWS)
+    if r == 1:
+        shuffled = tagged.repartition(1)
+    else:
+        shuffled = tagged.sort("__part", boundaries=[
+            -(-i * PARTITIONS // r) for i in range(1, r)])
+    return shuffled.map_batches(apply, batch_format=batch_format,
+                                batch_size=None)
 
 
 def _shared_type(t: pa.DataType) -> pa.DataType:

@@ -96,8 +96,10 @@ def _bytes_hash(arr: pa.Array, h0: np.uint64) -> np.ndarray:
 
 def hash_any(arr: pa.ChunkedArray | pa.Array, seed: int = 0) -> np.ndarray:
     """64-bit hashes for an Arrow column: integers by value, floats by
-    value (-0.0 as 0.0, every NaN as one), strings and binary by a
-    polynomial over their bytes. A null hashes as the empty string."""
+    value (-0.0 as 0.0, every NaN as one), booleans as 0/1, dates,
+    times, timestamps and durations by their integer view, strings and
+    binary by a polynomial over their bytes. A null hashes as the empty
+    string."""
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
     if pa.types.is_dictionary(arr.type):
@@ -106,6 +108,12 @@ def hash_any(arr: pa.ChunkedArray | pa.Array, seed: int = 0) -> np.ndarray:
     h0 = np.uint64((_FNV + seed) % (1 << 64))
     if pa.types.is_fixed_size_binary(t) or pa.types.is_null(t):
         arr, t = arr.cast(pa.binary()), pa.binary()
+    elif pa.types.is_boolean(t):
+        arr, t = arr.cast(pa.int8()), pa.int8()
+    elif (pa.types.is_date(t) or pa.types.is_time(t)
+          or pa.types.is_timestamp(t) or pa.types.is_duration(t)):
+        t = pa.int64() if t.bit_width == 64 else pa.int32()
+        arr = arr.view(t)
     with np.errstate(over="ignore"):
         if (pa.types.is_string(t) or pa.types.is_large_string(t)
                 or pa.types.is_binary(t) or pa.types.is_large_binary(t)):

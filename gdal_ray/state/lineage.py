@@ -6,7 +6,7 @@ gdal2tiles.py:1497) and tile-index manifests (gdaltindex_lib.cpp:160).
 Here it is transactional and content-addressed:
 
 - ``write_partitioned`` runs one ``stages.partition.map_partitions``
-  shuffle on the partition column; each hash partition is split by
+  shuffle on the partition column; each reducer block is split by
   key with one Arrow sort, so a callback commits many keys;
 - every completed partition writes ``<out>/part=<key>/data.parquet``
   ATOMICALLY (tmp + rename) plus one manifest record
@@ -270,11 +270,12 @@ def write_partitioned(
     already in the manifest. Returns the manifest records of the
     output directory.
 
-    Each callback gets one hash partition holding many keys. One Arrow
-    sort on ``partition_col`` puts each key's rows in one run; every
-    run not yet committed is written as ``part=<key>/data.parquet``
-    through ``ManifestStore.commit``. The content hash does not depend
-    on the row order the sort leaves."""
+    Each callback gets one reducer block: one or more whole hash
+    partitions holding many keys (at 1 CPU, every row of ``ds``). One
+    Arrow sort on ``partition_col`` puts each key's rows in one run;
+    every run not yet committed is written as
+    ``part=<key>/data.parquet`` through ``ManifestStore.commit``. The
+    content hash does not depend on the row order the sort leaves."""
     store = ManifestStore(out_dir)
     done = store.completed_keys()
 

@@ -5,7 +5,9 @@ any stage that only makes progress with a spare CPU. This test runs
 the webtext curation, a chained SQL JOIN and the worker-cached
 stateful stages (PIP join, kNN join, IDW) in a fresh process whose
 Ray has ``num_cpus=1``, under a hard timeout, and checks each against
-the same calls in this process."""
+the same calls in this process. The child also checks that
+``map_partitions`` runs one reducer there, and keeps each key in one
+callback under 4 KiB target blocks."""
 
 import os
 import signal
@@ -78,7 +80,12 @@ ray.init(address="local", num_cpus=1, object_store_memory=300 << 20,
          include_dashboard=False, logging_level="ERROR")
 DataContext.get_current().enable_progress_bars = False
 from test_one_cpu import NAMES, _run
+from test_partition import (_blocks_out, _check_small_blocks_keep_keys_whole,
+                            _inputs_filling_every_part)
 
+# one CPU, one reducer: no sort, one block whatever the input split
+assert [_blocks_out(t) for t in _inputs_filling_every_part()] == [1, 1]
+_check_small_blocks_keep_keys_whole()
 for name, df in zip(NAMES, _run({sf!r})):
     feather.write_feather(pa.Table.from_pandas(df, preserve_index=False),
                           {out!r} + "/" + name + ".arrow")

@@ -1,9 +1,11 @@
 """stages/partition.py: the hash-partitioned group primitive."""
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
-from gdal_ray.stages.partition import BATCH_ROWS, map_partitions
+from gdal_ray.stages.partition import BATCH_ROWS, PARTITIONS, map_partitions
 
 
 def _blocks():
@@ -36,29 +38,75 @@ def test_each_key_in_one_partition(ray_session, fmt):
     assert got == {**{k: 2 for k in range(40)}, -1: 20}
 
 
-def test_shuffle_input_coalesces_to_batch_rows(ray_session):
-    """The sort shuffle runs one reducer per block it is fed; the
-    hash-tagging map feeds it blocks of at least BATCH_ROWS rows, not
-    the input's split, so the output block count follows the rows."""
+def _blocks_out(tables) -> int:
+    """Output blocks of an identity ``map_partitions`` over ``tables``."""
     import ray.data as rd
 
-    def same(t):
+    def same(t):  # nested, so that workers need not import this file
         return t
 
-    def blocks_out(tables):
-        return map_partitions(rd.from_arrow(tables), "k", same,
-                              batch_format="pyarrow").materialize().num_blocks()
+    return map_partitions(rd.from_arrow(tables), "k", same,
+                          batch_format="pyarrow").materialize().num_blocks()
 
+
+def _inputs_filling_every_part():
+    """20 small blocks, and BATCH_ROWS + 1 rows in 17 blocks; both hold
+    keys of all PARTITIONS hash parts."""
     small = [pa.table({"k": pa.array(range(i * 10, i * 10 + 10))})
              for i in range(20)]
-    assert blocks_out(small) == 1
-    # 16 blocks fill the first BATCH_ROWS-row task, one row is left over
     n = BATCH_ROWS // 16
-    tables = [pa.table({"k": pa.array(range(i * n, (i + 1) * n))})
-              for i in range(16)]
-    tables.append(pa.table({"k": pa.array([BATCH_ROWS])}))
-    assert sum(t.num_rows for t in tables) == BATCH_ROWS + 1
-    assert blocks_out(tables) == 2
+    big = [pa.table({"k": pa.array(range(i * n, (i + 1) * n))})
+           for i in range(16)]
+    big.append(pa.table({"k": pa.array([BATCH_ROWS])}))
+    assert sum(t.num_rows for t in big) == BATCH_ROWS + 1
+    return small, big
+
+
+def test_reducer_count_follows_cpus(ray_session):
+    """One reducer, so one output block, per CPU up to PARTITIONS,
+    whatever the input's block or row count."""
+    for tables in _inputs_filling_every_part():
+        assert _blocks_out(tables) == min(PARTITIONS, 4)
+
+
+def _check_small_blocks_keep_keys_whole(keys: int = 300):
+    """With 4 KiB target blocks, every key still reaches exactly one
+    callback (Ray does not split a reducer block before the callback)
+    and every row is counted once."""
+    import ray.data as rd
+    from ray.data import DataContext
+
+    def per_key_counts(t: pa.Table) -> pa.Table:
+        vc = pc.value_counts(t["k"])
+        return pa.table({"k": vc.field("values"), "n": vc.field("counts"),
+                         "ncols": pa.array([t.num_columns] * len(vc))})
+
+    rng = np.random.default_rng(16)
+    tables = [pa.table({"k": pa.array(rng.integers(0, keys, 5_000)),
+                        "s": pa.array(["x" * 40] * 5_000)})
+              for _ in range(20)]
+    ctx = DataContext.get_current()
+    old = ctx.target_max_block_size
+    ctx.target_max_block_size = 4096
+    try:
+        out = map_partitions(rd.from_arrow(tables), "k", per_key_counts,
+                             batch_format="pyarrow").to_pandas()
+    finally:
+        ctx.target_max_block_size = old
+    assert not out["k"].duplicated().any()
+    assert len(out) == len({k for t in tables for k in t["k"].to_pylist()})
+    assert out["n"].sum() == 100_000
+    assert (out["ncols"] == 2).all()
+
+
+def test_small_target_blocks_keep_each_key_in_one_callback(ray_session):
+    _check_small_blocks_keep_keys_whole()
+
+
+def test_empty_reducers_fire_no_callback(ray_session):
+    """One key fills one hash part, so 3 of the 4 reducers get no rows;
+    no callback may see their column-less blocks."""
+    _check_small_blocks_keep_keys_whole(keys=1)
 
 
 def test_distinct_with_nulls_in_some_batches(ray_session):

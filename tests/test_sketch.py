@@ -128,6 +128,28 @@ class TestHashAny:
         with pytest.raises(TypeError):
             sketch.hash_any(pa.array([[1]]))
 
+    @pytest.mark.parametrize("arr, ints", [
+        (pa.array([True, False, None, True]), [1, 0, None, 1]),
+        (pa.array([0, 18_000, None, -1], pa.date32()), [0, 18_000, None, -1]),
+        (pa.array([0, 86_400_000, None, -5], pa.date64()),
+         [0, 86_400_000, None, -5]),
+        (pa.array([0, 1_600_000_000_000_000, None, -7], pa.timestamp("us")),
+         [0, 1_600_000_000_000_000, None, -7]),
+        (pa.array([0, 1_600_000_000, None, 2], pa.timestamp("s", "UTC")),
+         [0, 1_600_000_000, None, 2]),
+        (pa.array([0, 3_600, None, 59], pa.time32("s")), [0, 3_600, None, 59]),
+        (pa.array([0, 10**9, None, 3], pa.time64("ns")), [0, 10**9, None, 3]),
+        (pa.array([0, -10**6, None, 3], pa.duration("ms")),
+         [0, -10**6, None, 3]),
+    ])
+    def test_bool_and_temporal_by_integer_view(self, arr, ints):
+        # ogrsql DISTINCT partitions rows on every column type it holds
+        want = sketch.hash_any(pa.array(ints, pa.int64()), 2)
+        np.testing.assert_array_equal(sketch.hash_any(arr, 2), want)
+        np.testing.assert_array_equal(
+            sketch.hash_any(pa.chunked_array([arr[:1], arr[1:]]).slice(1), 2),
+            want[1:])
+
 
 class TestReservoir:
     def test_exact_size_and_determinism(self, ray_session, sf_small):
