@@ -64,6 +64,15 @@ def _sidecar(ext: str):
     return lambda p, h: os.path.exists(p + ext)
 
 
+def _hdr_has(*keys: bytes):
+    """A raw file whose own head says nothing: the head of its sibling
+    .hdr names the format (one more bounded read)."""
+    def ok(p, h):
+        head = _head(os.path.splitext(p)[0] + ".hdr")
+        return all(k in head for k in keys)
+    return ok
+
+
 _R = "gdal_ray.raster."
 _SLC = (".slc", ".unw", ".cor", ".amp", ".flg")
 _TIFF = (b"II*\0", b"MM\0*", b"II+\0", b"MM\0+")  # TIFF, BigTIFF
@@ -87,6 +96,18 @@ DRIVERS: tuple[Driver, ...] = (
     Driver("CPG", ("sirc.img",), raster=_R + "rawzoo:read_cpg_sirc"),
     Driver("HFA", (".img", ".dat", ".aux", ".rrd"),
            _magic(b"EHFA_HEADER_TAG"), _R + "hfa:read_hfa"),
+    Driver("PAux", (".aux",), _magic(b"AuxilaryTarget"),
+           _R + "pauxgen:read_paux"),
+    # claimed by content alone: ENVI, EHdr and MFF below take every
+    # .img/.dat, .bil and .hdr path and fail on these formats
+    Driver("IRIS", (), lambda p, h: h[:2] == b"\x1b\0"
+           and h[12:14] == b"\x1a\0", _R + "iris:read_iris"),
+    Driver("FAST", (), lambda p, h: b"ACQUISITION DATE =" in h[36:72],
+           _R + "fast:read_fast"),
+    Driver("EIR", (), _magic(b"IMAGINE_RAW_FILE"), _R + "eir:read_eir"),
+    Driver("GenBin", (".bil", ".bip", ".bsq"),
+           _hdr_has(b"BANDS:", b"ROWS:", b"COLS:"),
+           _R + "pauxgen:read_genbin"),
     Driver("ENVI", (".img", ".dat"), raster=_R + "envi:read_envi"),
     Driver("EHdr", (".bil", ".bip", ".flt"), raster=_R + "envi:read_ehdr"),
     Driver("DTED", (".dt0", ".dt1", ".dt2"), raster=_R + "dted:read_dted"),
@@ -140,6 +161,7 @@ DRIVERS: tuple[Driver, ...] = (
     Driver("LOSLAS", (".los", ".las"),
            raster="gdal_ray.proj.nadcon:read_loslas"),
     Driver("LAN", (".lan", ".gis"), raster=_R + "lan:read_lan"),
+    Driver("LCP", (".lcp",), raster=_R + "lcp:read_lcp"),
     Driver("BYN", (".byn",), raster=_R + "byn:read_byn"),
     Driver("ROI_PAC", (".dem",), _sidecar(".rsc"), _R + "insar:read_roipac"),
     Driver("USGSDEM", (".dem",), raster=_R + "usgsdem:read_usgsdem"),
@@ -163,6 +185,11 @@ DRIVERS: tuple[Driver, ...] = (
            lambda p, h: bool(re.search(r"(\.dim|(dim|vol)_[^/]*\.xml)$",
                                        p.lower())),
            _R + "dimap:read_dimap"),
+    Driver("PDS4", (".xml",), lambda p, h: b"Product_Observational" in h
+           or b"Product_Ancillary" in h, _R + "pds4:read_pds4"),
+    Driver("RS2", ("product.xml",),
+           lambda p, h: b"<product" in h and b"/rs2" in h,
+           _R + "rs2:read_rs2"),
     Driver("PRF", (".prf", ".x-dem"), raster=_R + "prf:read_prf"),
     Driver("ADRG", (".gen", ".thf"), raster=_R + "adrg:read_adrg_or_srp",
            prefixes=("ADRG:",)),
@@ -173,6 +200,9 @@ DRIVERS: tuple[Driver, ...] = (
     Driver("MRF", (".mrf",), raster=_R + "mrf:read_mrf"),
     Driver("GDALG", (".gdalg.json",), raster="gdal_ray.cli:gdalg_raster",
            vector="gdal_ray.cli:run_gdalg_source"),
+    Driver("STACTA", (".json",),
+           lambda p, h: b'"stac_extensions"' in h and b"tiled-assets" in h,
+           _R + "stacta:read_stacta"),
     Driver("PCRaster", (".map",), lambda p, h: b"RUU CROSS" in h[:27],
            _R + "rawzoo:read_pcraster"),
     Driver("ERS", (".ers",), raster=_R + "ers:read_ers"),
@@ -252,6 +282,14 @@ DRIVERS: tuple[Driver, ...] = (
            args=("layer",), layer="waypoints"),
     Driver("OSM", (".pbf", ".osm"), vector="gdal_ray.osmpbf:read_osm_dataset",
            args=("layer",), layer="points"),
+    Driver("GeoRSS", (".xml",),
+           lambda p, h: any(m in h for m in (b"<rss", b"<feed",
+                                              b"<atom:feed")),
+           vector="gdal_ray.georss:read_georss_dataset"),
+    Driver("JML", (".jml",), vector="gdal_ray.jml:read_jml_dataset"),
+    Driver("ODS", (".ods",), vector="gdal_ray.ods:read_ods_dataset",
+           args=("sheet",)),
+    Driver("PGDump", (".sql",), write="gdal_ray.pgdump:write_pgdump"),
     Driver("WARC", (".warc", ".warc.gz", ".warc.d/"),
            vector="gdal_ray.warc:read_warc"),
     # a resumable sink: a directory of part-*.warc.gz shards

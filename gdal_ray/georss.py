@@ -200,3 +200,11 @@ def read_georss(path: str) -> pa.Table:
     cols["geometry"] = pa.array([r.get("geometry") for r in rows],
                                 pa.binary())
     return pa.table(cols)
+
+
+def read_georss_dataset(path: str):
+    """GeoRSS document → Ray Dataset (one read task; a feed is one
+    small document)."""
+    import ray.data as rd
+
+    return rd.from_arrow(read_georss(path))

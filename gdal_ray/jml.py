@@ -139,3 +139,10 @@ def read_jml(path: str) -> pa.Table:
     cols["geometry"] = pa.array([r["geometry"] for r in rows],
                                 pa.binary())
     return pa.table(cols)
+
+
+def read_jml_dataset(path: str):
+    """JML document → Ray Dataset (one read task)."""
+    import ray.data as rd
+
+    return rd.from_arrow(read_jml(path))

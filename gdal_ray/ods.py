@@ -196,5 +196,13 @@ def read_ods(path: str, sheet: str | None = None,
                      for i, n in enumerate(names)})
 
 
+def read_ods_dataset(path: str, sheet: str | None = None):
+    """ODS sheet → Ray Dataset (one read task; spreadsheets are small
+    by format)."""
+    import ray.data as rd
+
+    return rd.from_arrow(read_ods(path, sheet))
+
+
 def list_sheets(path: str) -> list[str]:
     return [s.name for s in load_sheets(path) if s.rows]

@@ -17,6 +17,8 @@ blocks stream in) — nothing materializes.
 """
 from __future__ import annotations
 
+import os
+
 import pyarrow as pa
 
 from gdal_ray.geom import wkb as gwkb
@@ -66,12 +68,17 @@ def _format_value(v, typ: pa.DataType, copy_mode: bool) -> str:
     return "'" + _lit(s) + "'"
 
 
-def write_pgdump(data, path: str, table: str, schema: str = "public",
-                 srid: int = -1, geom_col: str = "geometry",
+def write_pgdump(data, path: str, table: str | None = None,
+                 schema: str = "public", srid: int = -1,
+                 geom_col: str = "geometry",
                  geom_name: str = "wkb_geometry", dim: int = 2,
                  geom_type: str = "GEOMETRY", use_copy: bool = False,
                  lineformat: str = "LF") -> int:
-    """Arrow table / Ray Dataset → PGDump .sql file.  Returns rows."""
+    """Arrow table / Ray Dataset → PGDump .sql file.  Returns rows.
+    ``table`` defaults to the laundered file stem (the ``write`` step's
+    form)."""
+    if table is None:
+        table = _launder(os.path.splitext(os.path.basename(path))[0])
     nl = "\r\n" if lineformat.upper() == "CRLF" else "\n"
     batches = _batches(data)
     first = next(batches)

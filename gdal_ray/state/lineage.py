@@ -300,8 +300,9 @@ def write_partitioned(
 
 def resume_filter(ds, partition_col: str, out_dir: str):
     """Drop rows whose partition is already committed — the anti-join
-    against the checkpoint, applied BEFORE expensive stages (broadcast
-    key set; for huge key sets use a Bloom filter instead)."""
+    against the checkpoint, applied BEFORE expensive stages. The
+    committed key set is broadcast whole, one entry per partition, so
+    it grows with the partition count, not the row count."""
     done = ManifestStore(out_dir).completed_keys()
     if not done:
         return ds

@@ -2,7 +2,20 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
+
+# the GDAL autotest checkout, kept beside this repository's checkout
+REFERENCE = Path(__file__).resolve().parents[2] / "reference"
+
+
+def ref_path(rel: str) -> str:
+    """``rel`` inside the GDAL autotest checkout; skips the calling
+    test when that checkout is absent."""
+    if not REFERENCE.is_dir():
+        pytest.skip("GDAL autotest checkout absent")
+    return str(REFERENCE / rel)
 
 
 @pytest.fixture(scope="session")

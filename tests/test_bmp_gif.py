@@ -123,56 +123,3 @@ class TestGIF:
         assert checksum_array(r["bands"][0]) == 57921
         b = load_raster(GCORE + "8bit_pal.bmp")
         assert checksum_array(b["bands"][0]) == 4672
-
-
-class TestAnyImageDecoder:
-    def test_sniff_all_formats(self):
-        from gdal_ray.raster.bmp import encode_bmp
-        from gdal_ray.raster.gif import encode_gif
-        from gdal_ray.raster.png import encode_png
-        from gdal_ray.stages.multimodal import sniff_image_decode
-
-        rng = np.random.default_rng(4)
-        grey = rng.integers(0, 256, (9, 11), np.uint8)
-        rgb = [rng.integers(0, 256, (9, 11), np.uint8) for _ in range(3)]
-        # PNG grey -> (H, W, 1)
-        t = sniff_image_decode(encode_png(grey))
-        assert t.shape == (9, 11, 1) and np.array_equal(t[..., 0], grey)
-        # GIF greyscale palette -> (H, W, 1) through the LUT
-        t = sniff_image_decode(encode_gif(grey))
-        assert t.shape == (9, 11, 1) and np.array_equal(t[..., 0], grey)
-        # GIF color palette -> (H, W, 3)
-        idx = rng.integers(0, 4, (5, 6), np.uint8)
-        pal = [(250, 0, 0), (0, 250, 0), (0, 0, 250), (9, 9, 9)]
-        t = sniff_image_decode(encode_gif(idx, palette=pal))
-        assert t.shape == (5, 6, 3)
-        assert np.array_equal(t, np.asarray(pal, np.uint8)[idx])
-        # BMP 24-bit -> (H, W, 3)
-        t = sniff_image_decode(encode_bmp(rgb))
-        assert t.shape == (9, 11, 3)
-        assert all(np.array_equal(t[..., i], rgb[i]) for i in range(3))
-        with pytest.raises(ValueError, match="unknown image"):
-            sniff_image_decode(b"\x00" * 32)
-
-    def test_mixed_format_stage(self, ray_session):
-        import ray.data as rd
-
-        from gdal_ray.raster.bmp import encode_bmp
-        from gdal_ray.raster.gif import encode_gif
-        from gdal_ray.raster.png import encode_png
-        from gdal_ray.stages.multimodal import image_decode_stage
-
-        rng = np.random.default_rng(6)
-        rows = []
-        for i in range(30):
-            g = rng.integers(0, 256, (8, 8), np.uint8)
-            enc = [encode_png, encode_gif,
-                   lambda a: encode_bmp([a])][i % 3](g)
-            rows.append({"doc_id": i, "media": enc,
-                         "want": g.tobytes()})
-        ds = rd.from_items(rows)
-        out = image_decode_stage(ds).take_all()
-        assert len(out) == 30
-        for r in out:
-            assert r["pixels_shape"] == [8, 8, 1]
-            assert r["pixels"] == r["want"]

@@ -1,12 +1,13 @@
-"""GeoRSS driver — the reference's expectations, verbatim."""
+"""GeoRSS driver — the reference's expectations, verbatim, and one
+feed opened through the driver registry."""
 
-import numpy as np
 import pytest
+from conftest import ref_path
 
 from gdal_ray.geom import wkb as W
 from gdal_ray.georss import read_georss
 
-D = "/root/reference/autotest/ogr/data/georss/"
+D = "autotest/ogr/data/georss/"
 
 # ogr_georss.py's gdaltest.atom_field_values, verbatim
 ATOM_FIELDS = [
@@ -36,7 +37,7 @@ class TestAtom:
     @pytest.mark.parametrize("name", ["atom_rfc_sample.xml",
                                       "atom_rfc_sample_atom_ns.xml"])
     def test_atom_field_table(self, name):
-        t = read_georss(D + name)
+        t = read_georss(ref_path(D + name))
         assert t.num_rows == 1
         for field, want in ATOM_FIELDS:
             assert t[field][0].as_py() == want, field
@@ -56,7 +57,7 @@ def _wkt_tuple(buf):
 class TestSimpleRSS:
     def test_geometries_and_fields(self):
         # ogr_georss_test_rss's exact WKTs and attribute values
-        t = read_georss(D + "test_georss_simple.xml")
+        t = read_georss(ref_path(D + "test_georss_simple.xml"))
         assert t.num_rows == 4
         kinds = [_wkt_tuple(t["geometry"][i].as_py())
                  for i in range(4)]
@@ -79,6 +80,28 @@ class TestSimpleRSS:
 
     def test_gml_where_variant(self):
         # georss:where + gml:Point in lat-lon order → x=lon
-        t = read_georss(D + "test_georss_gml.xml")
+        t = read_georss(ref_path(D + "test_georss_gml.xml"))
         assert _wkt_tuple(t["geometry"][0].as_py()) == \
             ("POINT", [[2.0, 49.0]])
+
+
+def test_feed_opens_through_the_registry(tmp_path, ray_session):
+    from gdal_ray.drivers import identify, resolve_vector_source
+
+    p = str(tmp_path / "feed.xml")
+    with open(p, "w") as f:
+        f.write('<?xml version="1.0"?>\n'
+                '<rss version="2.0" '
+                'xmlns:georss="http://www.georss.org/georss"><channel>'
+                "<item><title>A point</title>"
+                "<georss:point>49 2</georss:point></item>"
+                "<item><title>A box</title>"
+                "<georss:box>49 2 49.5 2.2</georss:box></item>"
+                "</channel></rss>")
+    assert identify(p, "vector").name == "GeoRSS"
+    rows = resolve_vector_source(p)().take_all()
+    assert [r["title"] for r in rows] == ["A point", "A box"]
+    assert _wkt_tuple(rows[0]["geometry"]) == ("POINT", [[2.0, 49.0]])
+    assert _wkt_tuple(rows[1]["geometry"]) == (
+        "POLYGON", [[[2.0, 49.0], [2.0, 49.5], [2.2, 49.5], [2.2, 49.0],
+                     [2.0, 49.0]]])

@@ -207,32 +207,6 @@ class TestErrors:
             J.decode_jpeg(bytes(buf))
 
 
-class TestStage:
-    def test_jpeg_decode_stage(self, ray_session):
-        import pyarrow as pa
-        import ray.data as rd
-
-        from gdal_ray.stages.multimodal import jpeg_decode_stage
-
-        rng = np.random.default_rng(21)
-        imgs = [np.clip(rng.normal(120, 25, (16, 24)), 0, 255).astype(np.uint8)
-                for _ in range(6)]
-        media = [J.encode_jpeg(im, quality=92) for im in imgs]
-        ds = rd.from_arrow(pa.table({
-            "media_id": pa.array(range(6), pa.int64()),
-            "media": pa.array(media, pa.binary()),
-        }))
-        out = jpeg_decode_stage(ds).to_pandas()
-        assert len(out) == 6
-        for _, row in out.iterrows():
-            shp = list(row["pixels_shape"])
-            assert shp == [16, 24, 1]
-            t = np.frombuffer(row["pixels"], np.uint8).reshape(shp)
-            src = imgs[int(row["media_id"])]
-            rmse = float(np.sqrt(((t[..., 0].astype(float) - src) ** 2).mean()))
-            assert rmse < 5.0
-
-
 class TestProgressive:
     """Progressive (SOF2) decode: a test-side progressive encoder
     (T.81 G.2 / libjpeg jcphuff.c structure) produces a stream that

@@ -1,4 +1,4 @@
-"""Resume/lineage + skew-salting tests."""
+"""Resume/lineage tests."""
 
 import os
 import shutil
@@ -156,30 +156,3 @@ class TestLineage:
         # empty store -> passthrough
         left2 = resume_filter(rd.from_arrow(t), "k", str(tmp_path / "empty"))
         assert left2.count() == 4
-
-
-class TestSkew:
-    def test_hot_key_detection_and_salted_count(self, ray_session):
-        import ray.data as rd
-
-        from gdal_ray.stages.skew import add_salt, hot_keys, salted_count
-
-        # skewed key distribution: key 0 = 80%
-        n = 20000
-        keys = np.where(np.arange(n) % 5 != 0, 0, np.arange(n) % 97)
-        t = pa.table({"k": pa.array(keys.astype(np.int64)),
-                      "v": pa.array(np.arange(n, dtype=np.int64))})
-        ds = rd.from_arrow(t)
-        hot = hot_keys(ds, "k", threshold_frac=0.05, sample_frac=0.5)
-        assert 0 in hot
-        salted = add_salt(ds, "k", hot, n_salt=8, hash_col="v")
-        sdf = salted.to_pandas()
-        assert set(sdf.loc[sdf["k"] == 0, "salt"].unique()) == set(range(8))
-        assert (sdf.loc[sdf["k"] != 0, "salt"] == 0).all()
-        # counts are exact despite salting
-        counts = salted_count(ds, "k", threshold_frac=0.05).to_pandas()
-        import collections
-
-        expected = collections.Counter(keys.tolist())
-        got = dict(zip(counts["k"], counts["n"]))
-        assert got == dict(expected)

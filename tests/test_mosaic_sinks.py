@@ -1,11 +1,7 @@
-"""Mosaic + GeoParquet sink tests."""
-
-import json
+"""Mosaic tests."""
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.parquet as pq
-import pytest
 
 from gdal_ray.raster import mosaic
 
@@ -55,86 +51,3 @@ class TestMosaic:
         assert len(out) == 1
         arr = np.frombuffer(out.iloc[0]["data"], dtype=np.float64).reshape(8, 8)
         assert (arr == 2.0).all()  # last source wins
-
-
-class TestGeoParquetSink:
-    def test_metadata_written(self, ray_session, tmp_path):
-        import ray.data as rd
-
-        from gdal_ray import fixtures, sinks
-
-        b = fixtures.gen_boundaries()
-        out = str(tmp_path / "geo")
-        sinks.write_geoparquet(
-            rd.from_arrow(b.select(["admin_id", "geometry"])), out
-        )
-        import glob
-
-        files = glob.glob(out + "/*.parquet")
-        assert files
-        sch = pq.read_schema(files[0])
-        assert sch.metadata and b"geo" in sch.metadata
-        meta = json.loads(sch.metadata[b"geo"])
-        assert meta["primary_column"] == "geometry"
-        assert meta["columns"]["geometry"]["encoding"] == "WKB"
-        f = sch.field(sch.get_field_index("geometry"))
-        assert f.metadata[b"ARROW:extension:name"] == b"ogc.wkb"
-
-
-class TestGeoParquet11:
-    """GeoParquet 1.1 bbox covering: write + read pushdown
-    (spec: geoparquet.org v1.1 covering metadata)."""
-
-    def _grid(self):
-        import numpy as np
-        import pyarrow as pa
-
-        from gdal_ray.geom import wkb as W
-
-        rng = np.random.default_rng(3)
-        x = rng.uniform(-180, 180, 2000)
-        y = rng.uniform(-80, 80, 2000)
-        return pa.table({
-            "pid": pa.array(np.arange(2000)),
-            "geometry": W.encode_points(x, y),
-        }), x, y
-
-    def test_write_read_pushdown(self, ray_session, tmp_path):
-        import json
-
-        import pyarrow.parquet as pq
-        import ray.data as rd
-
-        from gdal_ray.sinks import read_geoparquet, write_geoparquet_bbox
-
-        t, x, y = self._grid()
-        out = str(tmp_path / "gp")
-        write_geoparquet_bbox(
-            rd.from_arrow(t).repartition(4), out,
-            row_group_size=128)
-        # covering metadata present and spec-shaped
-        import glob
-
-        f = glob.glob(out + "/*.parquet")[0]
-        md = json.loads(pq.read_schema(f).metadata[b"geo"])
-        assert md["version"] == "1.1.0"
-        cov = md["columns"]["geometry"]["covering"]["bbox"]
-        assert cov["xmin"] == ["bbox", "xmin"]
-
-        got = read_geoparquet(out, bbox=(0, 0, 90, 40)).to_pandas()
-        want = ((x <= 90) & (x >= 0) & (y <= 40) & (y >= 0)).sum()
-        assert len(got) == want
-        assert ((got["bbox"].apply(lambda b: b["xmin"]) >= 0)
-                & (got["bbox"].apply(lambda b: b["xmin"]) <= 90)).all()
-
-    def test_polygon_bbox(self):
-        import pyarrow as pa
-
-        from gdal_ray.geom import wkt as WT
-        from gdal_ray.sinks import add_bbox_column
-
-        t = pa.table({"geometry": pa.array(
-            [WT.from_wkt("POLYGON ((1 2, 5 2, 5 9, 1 9, 1 2))")],
-            pa.binary())})
-        b = add_bbox_column(t)["bbox"].to_pylist()[0]
-        assert b == {"xmin": 1.0, "ymin": 2.0, "xmax": 5.0, "ymax": 9.0}

@@ -109,6 +109,32 @@ def test_empty_reducers_fire_no_callback(ray_session):
     _check_small_blocks_keep_keys_whole(keys=1)
 
 
+@pytest.mark.parametrize("suffix", [".shp", ".sqlite"])
+def test_one_key_output_writes_through_the_registry(ray_session, tmp_path,
+                                                    suffix):
+    """At 4 CPUs one key leaves 3 reducers empty; their zero-row,
+    column-less blocks must not reach the files the ``write`` step
+    makes (the Shapefile writer iterates batches, the SQLite writer
+    takes ``to_arrow_refs``)."""
+    import ray.data as rd
+
+    from gdal_ray.drivers import resolve_vector_source, write_vector
+    from gdal_ray.geom import wkb as W
+
+    n = 100
+    t = pa.table({"k": pa.array([7] * n, pa.int64()),
+                  "v": pa.array(range(n), pa.int64()),
+                  "geometry": W.encode_points(np.arange(n, dtype=float),
+                                              np.zeros(n))})
+    out = map_partitions(rd.from_arrow(t), "k", lambda g: g,
+                         batch_format="pyarrow")
+    path = str(tmp_path / ("x" + suffix))
+    write_vector(out, path)
+    rows = resolve_vector_source(path)().take_all()
+    assert sorted((r["k"], r["v"], bytes(r["geometry"])) for r in rows) == \
+        sorted(zip([7] * n, range(n), t["geometry"].to_pylist()))
+
+
 def test_distinct_with_nulls_in_some_batches(ray_session):
     import ray.data as rd
 

@@ -1,20 +1,18 @@
 """PGDump writer (gdal_ray/pgdump.py) vs the reference autotest SQL
-literals (autotest/ogr/ogr_pgdump.py tests 1-2)."""
-import os
-
+literals (autotest/ogr/ogr_pgdump.py tests 1-2), and the pipeline
+``write`` step through the driver registry."""
 import pyarrow as pa
 import pytest
+from conftest import ref_path
 
 from gdal_ray import pgdump, shapefile
 
-POLY = "/root/reference/autotest/ogr/data/poly.shp"
-pytestmark = pytest.mark.skipif(
-    not os.path.exists(POLY), reason="reference data absent")
+POLY = "autotest/ogr/data/poly.shp"
 
 
 @pytest.fixture(scope="module")
 def poly_table():
-    t = shapefile.read_shapefile_local(POLY)
+    t = shapefile.read_shapefile_local(ref_path(POLY))
     return pa.table({
         "geometry": t["geometry"],
         "AREA": t["AREA"].cast(pa.float64()),
@@ -83,3 +81,27 @@ def test_copy_mode_srid_quoting(tmp_path, poly_table):
         "COMMIT;",
     ])
     assert "\r\n" in sql
+
+
+def test_write_step_through_the_registry(tmp_path, ray_session):
+    import ray.data as rd
+
+    from gdal_ray.drivers import identify, write_vector
+    from gdal_ray.geom import wkb as W
+
+    p = str(tmp_path / "Roads-1.sql")
+    geom = W.point_wkb(1.5, 2.5)
+    ds = rd.from_arrow(pa.table({"geometry": pa.array([geom]),
+                                 "name": pa.array(["a"])}))
+    assert identify(p, "write").name == "PGDump"
+    write_vector(ds, p)
+    sql = open(p).read()
+    _check_sequence(sql, [
+        'DROP TABLE IF EXISTS "public"."roads_1" CASCADE;',
+        'ALTER TABLE "public"."roads_1" ADD COLUMN "name" VARCHAR;',
+        'INSERT INTO "public"."roads_1" ("wkb_geometry", "name") VALUES',
+        "COMMIT;",
+    ])
+    # the EWKB hex decodes back to the written point
+    hexg = sql.split("VALUES ('", 1)[1].split("'", 1)[0]
+    assert W.parse(bytes.fromhex(hexg))["coords"].tolist() == [[1.5, 2.5]]

@@ -1,11 +1,15 @@
 """RADARSAT-2 reader — autotest pins (gdrivers/rs2.py): band cs
 4672, BETA0 calibrated cs 4848, the verbatim rationalFunctions →
-RPC name mapping, tie-point GCPs."""
+RPC name mapping, tie-point GCPs; and a synthetic product opened
+through the driver registry."""
+
+import numpy as np
+from conftest import ref_path
 
 from gdal_ray.raster.checksum import checksum_array
 from gdal_ray.raster.rs2 import read_rs2
 
-R = "/root/reference/autotest/gdrivers/data/rs2"
+PRODUCT = "autotest/gdrivers/data/rs2/product.xml"
 
 EXPECTED_RPC = {
     "ERR_BIAS": "biasError", "ERR_RAND": "randomError",
@@ -23,25 +27,56 @@ EXPECTED_RPC = {
 
 class TestRS2:
     def test_bands(self):
-        d = read_rs2(f"{R}/product.xml")
+        d = read_rs2(ref_path(PRODUCT))
         assert len(d["bands"]) == 2  # HH + HV
         assert checksum_array(d["bands"][0]) == 4672
         assert d["band_metadata"][0]["POLARIMETRIC_INTERP"] == "HH"
 
     def test_beta0_calibration(self):
-        c = read_rs2(f"RADARSAT_2_CALIB:BETA0:{R}/product.xml")
+        c = read_rs2("RADARSAT_2_CALIB:BETA0:" + ref_path(PRODUCT))
         assert c["bands"][0].dtype.kind == "f"
         assert checksum_array(c["bands"][0]) == 4848
 
     def test_uncalib_prefix(self):
-        c = read_rs2(f"RADARSAT_2_CALIB:UNCALIB:{R}/product.xml")
+        c = read_rs2("RADARSAT_2_CALIB:UNCALIB:" + ref_path(PRODUCT))
         assert checksum_array(c["bands"][0]) == 4672
 
     def test_rpc_mapping(self):
-        assert read_rs2(f"{R}/product.xml")["rpc"] == EXPECTED_RPC
+        assert read_rs2(ref_path(PRODUCT))["rpc"] == EXPECTED_RPC
 
     def test_gcps(self):
-        g = read_rs2(f"{R}/product.xml")["gcps"]
+        g = read_rs2(ref_path(PRODUCT))["gcps"]
         assert len(g) == 4
         assert g[0] == {"pixel": 0.0, "line": 0.0, "x": 2.0,
                         "y": 49.0, "z": 0.0}
+
+
+_PRODUCT = """<?xml version="1.0" encoding="UTF-8"?>
+<product xmlns="http://www.rsi.ca/rs2/prod/xml/schemas">
+  <imageAttributes>
+    <fullResolutionImageData pole="HH">imagery_HH.tif</fullResolutionImageData>
+    <geographicInformation><geolocationGrid><imageTiePoint>
+      <imageCoordinate><line>0</line><pixel>0</pixel></imageCoordinate>
+      <geodeticCoordinate><latitude>49</latitude><longitude>2</longitude>
+        <height>0</height></geodeticCoordinate>
+    </imageTiePoint></geolocationGrid></geographicInformation>
+  </imageAttributes>
+</product>
+"""
+
+
+def test_product_opens_through_the_registry(tmp_path):
+    from gdal_ray.drivers import identify, load_raster
+    from gdal_ray.raster.gtiff import write_geotiff
+
+    band = np.arange(6, dtype=np.uint16).reshape(2, 3)
+    write_geotiff(str(tmp_path / "imagery_HH.tif"), [band])
+    p = str(tmp_path / "product.xml")
+    with open(p, "w") as f:
+        f.write(_PRODUCT)
+    assert identify(p, "raster").name == "RS2"
+    d = load_raster(p)
+    np.testing.assert_array_equal(d["bands"][0], band)
+    assert d["band_metadata"] == [{"POLARIMETRIC_INTERP": "HH"}]
+    assert d["gcps"] == [{"pixel": 0.0, "line": 0.0, "x": 2.0, "y": 49.0,
+                          "z": 0.0}]
