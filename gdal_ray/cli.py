@@ -21,6 +21,9 @@ Dataset→Dataset transform):
   pip-join (admin boundaries fixture)
   count (terminal: print row count)
 
+``python -m gdal_ray.cli formats`` lists the driver registry, one
+row a line: name, roles, suffixes, prefixes.
+
 The driver contract owns ray.init; standalone runs guard with
 ``if not ray.is_initialized()``.
 """
@@ -747,6 +750,22 @@ def _polygonize_tool(args: list[str]) -> int:
     return 0
 
 
+def formats() -> str:
+    """One line per ``DRIVERS`` row, in lookup order: name, roles,
+    suffixes and prefixes, tab-separated ("-" where a row has none)."""
+    from gdal_ray.drivers import DRIVERS
+
+    return "\n".join(
+        "\t".join([
+            d.name,
+            ",".join(r for r in ("raster", "vector", "write") if getattr(d, r)),
+            " ".join(d.suffixes) or "-",
+            " ".join(d.prefixes) or "-",
+        ])
+        for d in DRIVERS
+    )
+
+
 def _wkt_to_geojson_polygon(wkt: str) -> dict:
     from gdal_ray.geom import wkb as W
     from gdal_ray.geom import wkt as WT
@@ -759,6 +778,9 @@ def _wkt_to_geojson_polygon(wkt: str) -> dict:
 
 def main(argv=None) -> int:
     argv = argv if argv is not None else sys.argv[1:]
+    if argv == ["formats"]:
+        print(formats())
+        return 0
     if (
         len(argv) >= 3
         and argv[0] == "raster"
@@ -844,6 +866,7 @@ def main(argv=None) -> int:
     if len(argv) < 3 or argv[0] != "vector" or argv[1] != "pipeline":
         print(
             "usage: python -m gdal_ray.cli vector pipeline \"read ... ! ... \"\n"
+            "       python -m gdal_ray.cli formats\n"
             "       python -m gdal_ray.cli vector info PATH\n"
             "       python -m gdal_ray.cli vector convert SRC DST [--layer L]\n"
             "       python -m gdal_ray.cli raster info PATH\n"

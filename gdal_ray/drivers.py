@@ -187,9 +187,12 @@ DRIVERS: tuple[Driver, ...] = (
            _R + "dimap:read_dimap"),
     Driver("PDS4", (".xml",), lambda p, h: b"Product_Observational" in h
            or b"Product_Ancillary" in h, _R + "pds4:read_pds4"),
+    # the calibrated form RADARSAT_2_CALIB:<calib>:<dir>/product.xml
+    # has no head to read; read_rs2 takes the prefix off
     Driver("RS2", ("product.xml",),
-           lambda p, h: b"<product" in h and b"/rs2" in h,
-           _R + "rs2:read_rs2"),
+           lambda p, h: p.startswith("RADARSAT_2_CALIB:")
+           or b"<product" in h and b"/rs2" in h,
+           _R + "rs2:read_rs2", prefixes=("RADARSAT_2_CALIB:",)),
     Driver("PRF", (".prf", ".x-dem"), raster=_R + "prf:read_prf"),
     Driver("ADRG", (".gen", ".thf"), raster=_R + "adrg:read_adrg_or_srp",
            prefixes=("ADRG:",)),

@@ -5,9 +5,12 @@ place names through a web service with a side cache; in a sealed
 100 TB batch pipeline that becomes a **deterministic offline
 gazetteer** (SURVEY.md §2.3/§2.4 "geocoding lookup" mapping):
 
-1. ``extract_coords`` — vectorized pyarrow regex pull of literal
-   ``lat,lon`` coordinate mentions (the FIXTURES.md §1 corpus embeds
-   them so parsing is exactly invertible).
+1. ``extract_coords`` — literal ``lat,lon`` coordinate mentions (the
+   FIXTURES.md §1 corpus embeds them so parsing is exactly
+   invertible). Each row is parsed at its first comma with vectorised
+   byte arithmetic; only the rows where that is no match go to Arrow's
+   regex kernel, and ``COORD_PATTERN`` stays the one statement of the
+   grammar.
 2. ``GazetteerGeoparser`` — a stateful stage that compiles one
    alternation regex over the gazetteer once per worker (``__init__``,
    run through ``stages.cache.worker_cached``), then matches place
@@ -104,24 +107,171 @@ HOT_CITY = GAZETTEER[0][0]
 COORD_PATTERN = r"(?P<lat>-?\d{1,2}\.\d{4}),(?P<lon>-?\d{1,3}\.\d{4})"
 
 
+# Rows per block of the anchored parse: bounds a block's temporaries
+# (two bytes per text byte, eight per comma, about 40 per row).
+_BLOCK_ROWS = 16_384
+
+_COMMA, _MINUS, _DOT = 44, 45, 46
+# the window around a row's first comma: 8 bytes before it (the longest
+# latitude, "-12.3456"), the comma at column 8, and 9 bytes after it (the
+# longest longitude, "-123.4567")
+_BEFORE, _WIDTH = 8, 18
+# N of a latitude "d.dddd" in window rows 2..7; a second integer digit,
+# in row 1, adds 1e5 times its value
+_LAT_W = np.array([1e4, 0, 1e3, 1e2, 1e1, 1])
+# N of a longitude with 1, 2 or 3 integer digits, from the 8 bytes
+# after its sign
+_LON_W = np.array(
+    [
+        [1e4, 0, 1e3, 1e2, 1e1, 1, 0, 0],
+        [1e5, 1e4, 0, 1e3, 1e2, 1e1, 1, 0],
+        [1e6, 1e5, 1e4, 0, 1e3, 1e2, 1e1, 1],
+    ]
+)
+
+
 def extract_coords(batch: pa.Table, text_col: str = "text") -> pa.Table:
     """Vectorized literal-coordinate extraction (stateless map_batches).
 
     Appends ``lon``/``lat`` float64 columns (NaN where no coordinate
     mention) and ``has_coords`` bool. Text passes through zero-copy.
+
+    The values are those of the leftmost ``COORD_PATTERN`` match, cast
+    from its strings to float64. For ``string`` and ``large_string``
+    text most rows never reach the regex: a match holds one comma, at
+    most 8 bytes after its start, and no comma before it, so a match
+    whose comma is the row's first comma is the leftmost one. Each
+    chunk is parsed in blocks of ``_BLOCK_ROWS`` rows: the bytes around
+    every row's first comma are checked against the pattern's fixed
+    layout and read as integers N, giving ``±N / 1e4`` (the correctly
+    rounded double, as the cast gives). Only rows whose first comma is
+    not a match go to ``pc.extract_regex``; a null row or a row with no
+    comma holds no match. Other text types take the regex alone.
     """
-    ext = pc.extract_regex(batch[text_col], COORD_PATTERN)
-    lat = pc.cast(pc.struct_field(ext, "lat"), pa.float64())
-    lon = pc.cast(pc.struct_field(ext, "lon"), pa.float64())
-    has = pc.is_valid(lat)
-    # NaN (not null) for misses so downstream numpy kernels are branch-free
-    lat = pc.coalesce(lat, pa.scalar(float("nan"), pa.float64()))
-    lon = pc.coalesce(lon, pa.scalar(float("nan"), pa.float64()))
+    col = batch[text_col]
+    if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
+        parts = [_anchored_chunk(chunk) for chunk in col.chunks]
+        lat = pa.chunked_array([p[0] for p in parts], pa.float64())
+        lon = pa.chunked_array([p[1] for p in parts], pa.float64())
+        has = pa.chunked_array([p[2] for p in parts], pa.bool_())
+    else:
+        lat, lon, has = _regex_coords(col)
+        # NaN (not null) for misses so downstream numpy kernels are branch-free
+        lat = pc.coalesce(lat, pa.scalar(float("nan"), pa.float64()))
+        lon = pc.coalesce(lon, pa.scalar(float("nan"), pa.float64()))
     return (
         batch.append_column("lon", lon)
         .append_column("lat", lat)
         .append_column("has_coords", has)
     )
+
+
+def _regex_coords(text):
+    """(lat, lon, has) of the leftmost ``COORD_PATTERN`` match; lat and
+    lon are null where a row holds none."""
+    ext = pc.extract_regex(text, COORD_PATTERN)
+    lat = pc.cast(pc.struct_field(ext, "lat"), pa.float64())
+    lon = pc.cast(pc.struct_field(ext, "lon"), pa.float64())
+    return lat, lon, pc.is_valid(lat)
+
+
+def _anchored_chunk(arr: pa.Array):
+    """(lat, lon, has) numpy arrays of one string chunk: the anchored
+    parse in row blocks, then the regex on the rows it could not settle."""
+    n = len(arr)
+    lat = np.full(n, np.nan)
+    lon = np.full(n, np.nan)
+    hit = np.zeros(n, bool)
+    retry = np.zeros(n, bool)  # a first comma that is not a match
+    _, offs_buf, data_buf = arr.buffers()
+    if n == 0 or data_buf is None or data_buf.size == 0:
+        return lat, lon, hit
+    width = 8 if pa.types.is_large_string(arr.type) else 4
+    offsets = np.frombuffer(
+        offs_buf, np.int64 if width == 8 else np.int32, n + 1, arr.offset * width
+    ).astype(np.int64)
+    data = np.frombuffer(data_buf, np.uint8)
+    for lo in range(0, n, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, n)
+        block = slice(lo, hi)
+        _anchored_block(
+            data, offsets[lo : hi + 1], lat[block], lon[block], hit[block], retry[block]
+        )
+    if arr.null_count:
+        valid = arr.is_valid().to_numpy(zero_copy_only=False)
+        hit &= valid
+        retry &= valid
+        lat[~valid] = np.nan
+        lon[~valid] = np.nan
+    idx = np.flatnonzero(retry)
+    if len(idx):
+        r_lat, r_lon, r_has = _regex_coords(arr.take(pa.array(idx)))
+        lat[idx] = r_lat.to_numpy(zero_copy_only=False)
+        lon[idx] = r_lon.to_numpy(zero_copy_only=False)
+        hit[idx] = r_has.to_numpy(zero_copy_only=False)
+    return lat, lon, hit
+
+
+def _anchored_block(data, offsets, lat, lon, hit, retry):
+    """Parse ``COORD_PATTERN`` at each row's first comma, in place: the
+    rows between ``offsets`` fill ``lat``/``lon``/``hit``; ``retry``
+    marks the rows that hold a comma but no match at the first one."""
+    start, end = int(offsets[0]), int(offsets[-1])
+    if end <= start:
+        return
+    # zero bytes on both sides, so every window is inside the buffer
+    padded = np.empty(end - start + _WIDTH, np.uint8)
+    padded[:_BEFORE] = padded[_BEFORE + end - start :] = 0
+    padded[_BEFORE : _BEFORE + end - start] = data[start:end]
+    commas = np.flatnonzero(padded == _COMMA)
+    if not len(commas):
+        return
+    row_lo = offsets[:-1] - (start - _BEFORE)  # row bounds in padded
+    row_hi = offsets[1:] - (start - _BEFORE)
+    first = np.searchsorted(commas, row_lo)
+    c = commas[np.minimum(first, len(commas) - 1)]
+    rows = np.flatnonzero((first < len(commas)) & (c < row_hi))
+    c = c[rows]
+    # one 18-byte element per buffer position, as an as_strided window
+    windows = np.ndarray(
+        (len(padded) - _WIDTH + 1,), f"V{_WIDTH}", padded, strides=(1,)
+    )
+    # w[j] holds the byte at c - 8 + j of each row
+    w = windows[c - _BEFORE].view(np.uint8).reshape(-1, _WIDTH)
+    w = np.ascontiguousarray(w.T)
+    before, after = c - row_lo[rows], row_hi[rows] - c
+    edge = np.flatnonzero((before < _BEFORE) | (after < _WIDTH - _BEFORE))
+    if len(edge):  # bytes of other rows read as 0
+        j = np.arange(_WIDTH)[:, None]
+        w[:, edge] *= (j >= _BEFORE - before[edge]) & (j < _BEFORE + after[edge])
+    d = w - np.uint8(48)  # digit values; any other byte wraps to >= 10
+    digit = d < 10
+
+    # latitude -?\d{1,2}\.\d{4} ends at the comma; the leftmost match
+    # takes a second integer digit and then a sign when they are there
+    two = digit[1]
+    lat_ok = digit[2] & (w[3] == _DOT) & digit[4:8].all(axis=0)
+    lat_neg = np.where(two, w[0], w[1]) == _MINUS
+    lat_n = _LAT_W @ d[2:8] + two * (d[1] * 1e5)
+
+    # longitude -?\d{1,3}\.\d{4} starts after the comma
+    lon_neg = w[9] == _MINUS
+    b = np.where(lon_neg, w[10:18], w[9:17])
+    e = b - np.uint8(48)
+    dg = e < 10
+    one_d = dg[0] & (b[1] == _DOT) & dg[2:6].all(axis=0)
+    two_d = dg[0] & dg[1] & (b[2] == _DOT) & dg[3:7].all(axis=0)
+    three_d = dg[:3].all(axis=0) & (b[3] == _DOT) & dg[4:8].all(axis=0)
+    n = _LON_W @ e
+    lon_n = np.where(one_d, n[0], np.where(two_d, n[1], n[2]))
+
+    ok = lat_ok & (one_d | two_d | three_d)
+    # N < 2**53, so N / 1e4 is the correctly rounded double; -0.0000
+    # gives -0.0
+    lat[rows] = np.where(ok, np.where(lat_neg, -lat_n, lat_n) / 1e4, np.nan)
+    lon[rows] = np.where(ok, np.where(lon_neg, -lon_n, lon_n) / 1e4, np.nan)
+    hit[rows] = ok
+    retry[rows] = ~ok
 
 
 class GazetteerGeoparser:

@@ -247,8 +247,9 @@ def fused_geotag_pip(
     a pure function of (lon, lat), so a gazetteer corpus (64 distinct
     points per file) does its geometry once per place, and a
     continuous corpus (nearly all points distinct) pays only the
-    factorize hash. ``extract_coords`` takes lat and lon from one regex
-    match, so a pair is never half NaN.
+    factorize hash. ``extract_coords`` takes lat and lon from one
+    ``COORD_PATTERN`` match (parsed at the row's first comma, or by the
+    regex where that is no match), so a pair is never half NaN.
 
     Designed for TASK-based ``map_batches`` (not an actor pool): Ray
     reuses worker processes across tasks and executions, so the

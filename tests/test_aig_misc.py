@@ -4,20 +4,21 @@ autotests (gdrivers/aigrid.py, ngsgeoid.py, leveller.py)."""
 import numpy as np
 import pytest
 
+from conftest import ref_path
 from gdal_ray.raster.aig import read_aig
 from gdal_ray.raster.checksum import checksum_array
 from gdal_ray.raster.leveller import read_leveller
 from gdal_ray.raster.ngsgeoid import read_ngsgeoid
 
-AIG = "/root/reference/autotest/gdrivers/data/aigrid"
-NGS = "/root/reference/autotest/gdrivers/data/ngsgeoid"
-LEV = "/root/reference/autotest/gdrivers/data/leveller"
+AIG = "autotest/gdrivers/data/aigrid"
+NGS = "autotest/gdrivers/data/ngsgeoid"
+LEV = "autotest/gdrivers/data/leveller"
 
 
 def test_aig_abc3x1():
     """test_aigrid_1/2/3: checksum 3, exact gt, GDA94 UTM PRJ, byte
     narrowing with nodata 255, colormap entries."""
-    g = read_aig(f"{AIG}/abc3x1")
+    g = read_aig(ref_path(f"{AIG}/abc3x1"))
     assert checksum_array(g["bands"][0]) == 3
     assert g["bands"][0].dtype == np.uint8
     assert g["nodata"] == 255
@@ -32,7 +33,7 @@ def test_aig_abc3x1():
 
 def test_aig_uppercase():
     """test_aigrid_4/5: all-uppercase coverage + parent-dir .CLR."""
-    g = read_aig(f"{AIG}/ABC3X1UC")
+    g = read_aig(ref_path(f"{AIG}/ABC3X1UC"))
     assert checksum_array(g["bands"][0]) == 3
     assert g["nodata"] == 255
     assert g["color_table"][0] == (95, 113, 150, 255)
@@ -41,13 +42,13 @@ def test_aig_uppercase():
 
 def test_aig_sta_24bytes():
     """test_aigrid_6: 24-byte LSB sta.adf (gdal #6633)."""
-    g = read_aig(f"{AIG}/aigrid_sta_24bytes/teststa")
+    g = read_aig(ref_path(f"{AIG}/aigrid_sta_24bytes/teststa"))
     assert g["min"] == 0.0
     assert g["max"] == 2.0
 
 
 def test_aig_open_via_file():
-    g = read_aig(f"{AIG}/abc3x1/hdr.adf")
+    g = read_aig(ref_path(f"{AIG}/abc3x1/hdr.adf"))
     assert checksum_array(g["bands"][0]) == 3
 
 
@@ -56,7 +57,7 @@ def test_aig_open_via_file():
 def test_ngsgeoid(name):
     """test_ngsgeoid_1/2: checksum 65534 + exact geotransform for
     both byte orders."""
-    g = read_ngsgeoid(f"{NGS}/{name}")
+    g = read_ngsgeoid(ref_path(f"{NGS}/{name}"))
     assert checksum_array(g["bands"][0]) == 65534
     gt = g["geotransform"]
     assert gt[0] == pytest.approx(229.99166666666667, abs=1e-12)
@@ -68,7 +69,7 @@ def test_ngsgeoid(name):
 
 def test_leveller():
     """test_leveller_1: ter6test.ter checksum 33441."""
-    g = read_leveller(f"{LEV}/ter6test.ter")
+    g = read_leveller(ref_path(f"{LEV}/ter6test.ter"))
     assert checksum_array(g["bands"][0]) == 33441
     assert g["bands"][0].dtype == np.float32
     assert g["version"] == 6

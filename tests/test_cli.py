@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from conftest import ref_path
 from gdal_ray import cli
 
 
@@ -19,6 +20,24 @@ def test_where_predicate_parsing():
     assert p2(t2).to_pylist() == [True, False]
     with pytest.raises(ValueError):
         cli._where_predicate("l_quantity BETWEEN 1 AND 2")
+
+
+def test_formats_lists_every_driver_row(capsys):
+    from gdal_ray.drivers import DRIVERS
+
+    assert cli.main(["formats"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(DRIVERS)
+    for d, line in zip(DRIVERS, lines):
+        name, roles, suffixes, prefixes = line.split("\t")
+        assert name == d.name
+        assert roles.split(",") == [
+            r for r in ("raster", "vector", "write") if getattr(d, r)
+        ]
+        assert suffixes.split() == (list(d.suffixes) or ["-"])
+        assert prefixes.split() == (list(d.prefixes) or ["-"])
+    assert "RS2\traster\tproduct.xml\tRADARSAT_2_CALIB:" in lines
+    assert "Parquet\tvector,write\t-\t-" in lines
 
 
 def test_unknown_step():
@@ -273,7 +292,7 @@ class TestVectorConvert:
 
         fgb = str(tmp_path / "pts.fgb")
         r = self._run("vector", "convert",
-                      "/root/reference/autotest/ogr/data/osm/test.pbf",
+                      ref_path("autotest/ogr/data/osm/test.pbf"),
                       fgb, "--layer", "points")
         assert r.returncode == 0, r.stderr[-1500:]
         gj = str(tmp_path / "pts.geojson")

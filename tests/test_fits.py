@@ -8,13 +8,14 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
+from conftest import ref_path
 from gdal_ray.raster.checksum import checksum_array
 from gdal_ray.raster.fits import (fits_subdatasets, read_fits,
                                   read_fits_table, read_fits_vector,
                                   write_fits)
 
-DATA = "/root/reference/autotest/gdrivers/data/fits"
-AUTOTEST = "/root/reference/autotest/gdrivers/fits.py"
+DATA = "autotest/gdrivers/data/fits"
+AUTOTEST = "autotest/gdrivers/fits.py"
 
 MERC_WKT = (
     'PROJCS["Mercator_Earth",GEOGCS["GCS_Earth",DATUM["D_Earth",'
@@ -29,7 +30,7 @@ MERC_WKT = (
 
 def test_read_georef_merc():
     """test_fits_read_georef_merc: exact WKT + geotransform pins."""
-    g = read_fits(f"{DATA}/byte_merc.fits")
+    g = read_fits(ref_path(f"{DATA}/byte_merc.fits"))
     assert g["crs"] == MERC_WKT
     assert g["geotransform"] == pytest.approx(
         (-13095897.481058259, 72.23522015778646, 0.0,
@@ -41,7 +42,7 @@ def test_read_georef_merc():
 
 
 def test_read_offset_scale_no_georef():
-    g = read_fits(f"{DATA}/offset_scale_no_georef.fits")
+    g = read_fits(ref_path(f"{DATA}/offset_scale_no_georef.fits"))
     assert g["offset"] == -0.0039525691699605
     assert g["scale"] == 1.00395256917
     assert g["geotransform"] is None
@@ -49,12 +50,12 @@ def test_read_offset_scale_no_georef():
 
 def test_read_empty_primary_hdu():
     with pytest.raises(ValueError):
-        read_fits(f"{DATA}/empty_primary_hdu.fits")
+        read_fits(ref_path(f"{DATA}/empty_primary_hdu.fits"))
 
 
 def test_read_image_in_second_hdu():
     """Empty primary acts as global metadata, HDU keys override."""
-    g = read_fits(f"{DATA}/image_in_second_hdu.fits")
+    g = read_fits(ref_path(f"{DATA}/image_in_second_hdu.fits"))
     assert g["bands"][0].shape == (2, 1)
     assert g["metadata"] == {
         "BAR": "BAZ     ", "FOO": "BAR_override", "FOO2": "BAR2    "}
@@ -62,13 +63,13 @@ def test_read_image_in_second_hdu():
 
 def test_read_image_in_first_and_second_hdu():
     """Image primary: keys stay its own; subdataset naming."""
-    g = read_fits(f"{DATA}/image_in_first_and_second_hdu.fits")
+    p = ref_path(f"{DATA}/image_in_first_and_second_hdu.fits")
+    g = read_fits(p)
     assert g["bands"] == []
     assert g["metadata"] == {"EXTNAME": "FIRST_IMAGE"}
     subs = g["subdatasets"]
     assert len(subs) == 2
-    assert subs[0][0] == \
-        f'FITS:"{DATA}/image_in_first_and_second_hdu.fits":1'
+    assert subs[0][0] == f'FITS:"{p}":1'
     assert subs[0][1] == "HDU 1 (1x2, 1 band), FIRST_IMAGE"
     assert subs[1][1] == "HDU 2 (1x3, 1 band)"
 
@@ -80,13 +81,12 @@ def test_read_image_in_first_and_second_hdu():
     assert g2["metadata"] == {}
     for bad in (0, 3):
         with pytest.raises((ValueError, IndexError)):
-            read_fits(
-                f'FITS:"{DATA}/image_in_first_and_second_hdu.fits":{bad}')
+            read_fits(f'FITS:"{p}":{bad}')
 
 
 def test_read_image_second_fourth_table_third():
     g = read_fits(
-        f"{DATA}/image_in_second_and_fourth_hdu_table_in_third.fits")
+        ref_path(f"{DATA}/image_in_second_and_fourth_hdu_table_in_third.fits"))
     assert g["metadata"] == {"FOO": "BAR     "}
     subs = g["subdatasets"]
     assert len(subs) == 2
@@ -99,8 +99,8 @@ def test_read_image_second_fourth_table_third():
 
 
 def test_subdatasets_helper():
-    assert fits_subdatasets(f"{DATA}/byte_merc.fits") == [
-        (f'FITS:"{DATA}/byte_merc.fits":1', "HDU 1 (20x20, 1 band)")]
+    p = ref_path(f"{DATA}/byte_merc.fits")
+    assert fits_subdatasets(p) == [(f'FITS:"{p}":1', "HDU 1 (20x20, 1 band)")]
 
 
 # ---------------------------------------------------------------------------
@@ -110,18 +110,18 @@ def test_subdatasets_helper():
 
 
 def _expected(name):
-    src = open(AUTOTEST).read()
+    src = open(ref_path(AUTOTEST)).read()
     m = re.search(rf"{name} = (\[.*?\n    \])", src, re.S)
     return ast.literal_eval(m.group(1))
 
 
 def test_binary_table_schema_and_values():
-    t, layer = read_fits_table(f"{DATA}/binary_table.fits")
+    t, layer = read_fits_table(ref_path(f"{DATA}/binary_table.fits"))
     assert layer == "MyTable"
     assert t.num_rows == 3
     assert t.num_columns == 78
     # field names in declaration order (bit expansion included)
-    src = open(AUTOTEST).read()
+    src = open(ref_path(AUTOTEST)).read()
     m = re.search(r"    expected = (\[.*?\n    \])", src, re.S)
     exp_schema = ast.literal_eval(
         re.sub(r'"ogr\.[A-Za-z0-9]+"', '"x"', m.group(1)))
@@ -140,7 +140,7 @@ def test_binary_table_schema_and_values():
 
 
 def test_fits_vector_dataset(ray_session):
-    ds = read_fits_vector(f"{DATA}/binary_table.fits")
+    ds = read_fits_vector(ref_path(f"{DATA}/binary_table.fits"))
     t = pa.concat_tables(
         [b if isinstance(b, pa.Table) else pa.Table.from_batches([b])
          for b in ds.iter_batches(batch_format="pyarrow")])

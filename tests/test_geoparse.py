@@ -1,11 +1,18 @@
 """Geoparse + fixtures + flagship pipeline tests."""
 
+import re
+from unittest import mock
+
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gdal_ray import fixtures
+from gdal_ray import fixtures, geoparse
 from gdal_ray.geoparse import (
+    COORD_PATTERN,
     GAZETTEER,
     GazetteerGeoparser,
     extract_coords,
@@ -46,6 +53,104 @@ def test_extract_coords_no_match():
     assert out["has_coords"].to_pylist() == [False, False, True]
     assert np.isnan(out["lat"].to_numpy()[0])
     assert out["lat"].to_numpy()[2] == 12.3456
+
+
+def _regex_coords(text):
+    """lon, lat, has_coords of the leftmost COORD_PATTERN match, by
+    the regex alone: the strings cast to float64, NaN for a miss."""
+    ext = pc.extract_regex(text, COORD_PATTERN)
+    nan = pa.scalar(float("nan"), pa.float64())
+    lat = pc.cast(pc.struct_field(ext, "lat"), pa.float64())
+    lon = pc.cast(pc.struct_field(ext, "lon"), pa.float64())
+    return pc.coalesce(lon, nan), pc.coalesce(lat, nan), pc.is_valid(lat)
+
+
+def _bits(col) -> np.ndarray:
+    return col.to_numpy().view(np.uint64)
+
+
+_DIGITS = "0123456789"
+
+
+def _number(int_digits: tuple[int, int], decimals: tuple[int, int]):
+    """Numbers with a sign, no sign or a "--" run, and digit counts in
+    the given ranges."""
+    return st.builds(
+        lambda sign, i, f: f"{sign}{i}.{f}",
+        st.sampled_from(["", "-", "--"]),
+        st.text(_DIGITS, min_size=int_digits[0], max_size=int_digits[1]),
+        st.text(_DIGITS, min_size=decimals[0], max_size=decimals[1]),
+    )
+
+
+_PIECES = st.one_of(
+    # matches, but for a "--" run
+    st.tuples(_number((1, 2), (4, 4)), _number((1, 3), (4, 6))).map(",".join),
+    # pairs near the pattern's edges
+    st.tuples(_number((0, 3), (3, 5)), _number((0, 4), (3, 6))).map(",".join),
+    _number((0, 4), (3, 6)),
+    # short runs of the pattern's alphabet: as a row of their own they
+    # sit next to a neighbour's match
+    st.text(_DIGITS + ".,-", min_size=1, max_size=4),
+    st.sampled_from([
+        ",", ",,", "-", ".", " ", "x", "é", "中", "\u0660",
+        "123.4567,", "1,1234.5678", "-0.0000", "-0.0000,-0.0000",
+        "12.3456,-123.45678",
+    ]),
+)
+_TEXT = _PIECES | st.lists(_PIECES, max_size=6).map("".join)
+_ROWS = st.lists(st.none() | _TEXT, max_size=30)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    rows=_ROWS,
+    lead=st.lists(st.none() | _TEXT, max_size=3),
+    trail=st.lists(st.none() | _TEXT, max_size=3),
+    large=st.booleans(),
+    cuts=st.lists(st.integers(0, 30), max_size=3),
+    block=st.integers(1, 7),
+)
+# a neighbouring row's digits or sign must not extend a match
+@example(rows=["a 1.2345,12", "3.4567 b", "-", "1.2345,1.2345", "9",
+               ".1234,5.6789", "-1.2345,-", "1.2345"],
+         lead=["7"], trail=["8"], large=False, cuts=[], block=7)
+# the first comma is no match; a later one is
+@example(rows=["1,1234.5678 2.3456,7.8901", "123.4567,", "x,-0.0000,-0.0000"],
+         lead=[], trail=[], large=True, cuts=[1], block=2)
+# longitudes with 1, 2 and 3 integer digits, either sign
+@example(rows=["5.5555,5.5555", "-55.5555,-55.5555", "5.5555,555.55555x",
+               "-5.5555,-555.5555"],
+         lead=[], trail=[], large=False, cuts=[2], block=3)
+def test_anchored_parse_matches_regex(rows, lead, trail, large, cuts, block):
+    """extract_coords equals the regex path bit for bit on strings
+    built around the pattern's edges: sliced, chunked, string and
+    large_string input, nulls and empty strings, in row blocks of 1-7
+    rows so that block boundaries fall between every kind of row."""
+    typ = pa.large_string() if large else pa.string()
+    arr = pa.array(lead + rows + trail, typ).slice(len(lead), len(rows))
+    bounds = [0, *sorted(min(c, len(rows)) for c in cuts), len(rows)]
+    text = pa.chunked_array(
+        [arr.slice(a, b - a) for a, b in zip(bounds, bounds[1:])], typ
+    )
+    with mock.patch.object(geoparse, "_BLOCK_ROWS", block), mock.patch.object(
+        geoparse, "_regex_coords", wraps=geoparse._regex_coords
+    ) as regex:
+        out = extract_coords(pa.table({"text": text}))
+    lon, lat, has = _regex_coords(text)
+    np.testing.assert_array_equal(_bits(out["lon"]), _bits(lon))
+    np.testing.assert_array_equal(_bits(out["lat"]), _bits(lat))
+    assert out["has_coords"].to_pylist() == has.to_pylist()
+    assert out["text"].equals(text)
+    # the regex sees exactly the rows that hold a comma but whose
+    # leftmost match (if any) is not at the first one
+    leftmost = re.compile(COORD_PATTERN.replace(r"\d", "[0-9]"))
+    retried = 0
+    for t in rows:
+        if t is not None and "," in t:
+            m = leftmost.search(t)
+            retried += m is None or m.start("lon") - 1 != t.index(",")
+    assert sum(len(c.args[0]) for c in regex.call_args_list) == retried
 
 
 def test_gazetteer_geoparser_matches():

@@ -9,15 +9,16 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
+from conftest import ref_path
 from gdal_ray.geom import wkb as W
 from gdal_ray.gml import gml_layers, parse_gml, read_gml, read_gml_local
 
-D = "/root/reference/autotest/ogr/data/gml/"
+D = "autotest/ogr/data/gml/"
 
 
 def test_ionic_wfs_pin():
     # test_ogr_gml_1 role
-    layers = parse_gml(open(D + "ionic_wfs.gml", "rb").read())
+    layers = parse_gml(open(ref_path(D + "ionic_wfs.gml"), "rb").read())
     assert list(layers) == ["GEM"]
     t = layers["GEM"]
     assert t.num_rows == 1
@@ -29,7 +30,7 @@ def test_ionic_wfs_pin():
 
 def test_rnf_eg_pin():
     # test_ogr_gml_3 role
-    t = read_gml_local(D + "rnf_eg.gml")
+    t = read_gml_local(ref_path(D + "rnf_eg.gml"))
     assert t.num_rows == 1
     assert t["ngd_id"][0].as_py() == 817792
     assert t["type"][0].as_py() == "HWY"
@@ -43,14 +44,14 @@ def test_rnf_eg_pin():
 
 def test_bom_pin():
     # test_ogr_gml_4 role: BOM + custom *Member containers
-    layers = parse_gml(open(D + "bom.gml", "rb").read())
+    layers = parse_gml(open(ref_path(D + "bom.gml"), "rb").read())
     assert list(layers) == ["CartographicText"]
     assert layers["CartographicText"].num_rows == 3
 
 
 def test_archsites_types():
     # test_ogr_gml_20 role: gml_id present, cat int64, str1 string
-    t = read_gml_local(D + "archsites.gml")
+    t = read_gml_local(ref_path(D + "archsites.gml"))
     assert t["gml_id"][0].as_py() == "archsites.3951"
     assert t.schema.field("cat").type == pa.int64()
     assert t.schema.field("str1").type == pa.string()
@@ -61,18 +62,18 @@ def test_archsites_types():
 
 def test_urn_geographic_axis_swap():
     # GML3 urn:…EPSG::4326 puts lat first on the wire
-    t = parse_gml(open(D + "expected_gml_gml3.gml", "rb").read())[
+    t = parse_gml(open(ref_path(D + "expected_gml_gml3.gml"), "rb").read())[
         "firstlayer"]
     g = W.parse(t["geometry"][0].as_py())
     assert g["coords"][0].tolist() == [2.0, 49.0]  # x=lon
 
 
 def test_gnis_multi_feature():
-    t = read_gml_local(D + "gnis_pop_100.gml")
+    t = read_gml_local(ref_path(D + "gnis_pop_100.gml"))
     assert t.num_rows == 20
     assert t.schema.field("population").type == pa.int64()
     assert "geometry" in t.column_names
-    assert gml_layers(D + "gnis_pop_100.gml") == ["gnis_pop"]
+    assert gml_layers(ref_path(D + "gnis_pop_100.gml")) == ["gnis_pop"]
 
 
 def test_gml2_coordinates_and_multipolygon():
@@ -93,11 +94,11 @@ def test_gml2_coordinates_and_multipolygon():
 
 
 def test_read_gml_dataset(ray_session):
-    ds = read_gml([D + "gnis_pop_100.gml", D + "gnis_pop_110.gml"])
+    ds = read_gml([ref_path(D + "gnis_pop_100.gml"), ref_path(D + "gnis_pop_110.gml")])
     rows = ds.take_all()
     assert len(rows) == read_gml_local(
-        D + "gnis_pop_100.gml").num_rows + read_gml_local(
-        D + "gnis_pop_110.gml").num_rows
+        ref_path(D + "gnis_pop_100.gml")).num_rows + read_gml_local(
+        ref_path(D + "gnis_pop_110.gml")).num_rows
 
 
 class TestGmlWrite:

@@ -8,6 +8,7 @@ Reference role: ogr/ogrsf_frmts/gpkg/gdalgeopackagedataset.cpp.
 import numpy as np
 import pytest
 
+from conftest import ref_path
 from gdal_ray.gpkg_raster import (
     read_gpkg_raster,
     read_gpkg_raster_array,
@@ -16,14 +17,14 @@ from gdal_ray.gpkg_raster import (
 )
 from gdal_ray.raster.checksum import checksum_array
 
-D = "/root/reference/autotest/gdrivers/data/gpkg/"
-BYTE_TIF = "/root/reference/autotest/gcore/data/byte.tif"
+D = "autotest/gdrivers/data/gpkg/"
+BYTE_TIF = "autotest/gcore/data/byte.tif"
 
 
 def test_byte_gpkg_pin():
     # the reference's byte.gpkg: one grey+alpha PNG tile, 20x20 window
     # cut from the 256x256 grid; band 1 == byte.tif (checksum 4672)
-    r = read_gpkg_raster_array(D + "byte.gpkg")
+    r = read_gpkg_raster_array(ref_path(D + "byte.gpkg"))
     assert checksum_array(r["bands"][0]) == 4672
     assert r["geotransform"] == (440720.0, 60.0, 0.0, 3751320.0, 0.0, -60.0)
     assert r["crs"] == "EPSG:26711"
@@ -34,15 +35,15 @@ def test_byte_gpkg_pin():
 
 def test_raster_and_vector_gpkg():
     # mixed-content file: the tiles table reads the same raster
-    assert tile_tables(D + "raster_and_vector.gpkg")
-    r = read_gpkg_raster_array(D + "raster_and_vector.gpkg")
+    assert tile_tables(ref_path(D + "raster_and_vector.gpkg"))
+    r = read_gpkg_raster_array(ref_path(D + "raster_and_vector.gpkg"))
     assert checksum_array(r["bands"][0]) == 4672
     # ...and the vector side still reads through the feature path
     from gdal_ray.gpkg import feature_layers, read_gpkg_local
 
-    layers = feature_layers(D + "raster_and_vector.gpkg")
+    layers = feature_layers(ref_path(D + "raster_and_vector.gpkg"))
     assert layers
-    t = read_gpkg_local(D + "raster_and_vector.gpkg", layers[0])
+    t = read_gpkg_local(ref_path(D + "raster_and_vector.gpkg"), layers[0])
     assert t.num_rows > 0
 
 
@@ -51,7 +52,7 @@ def test_createcopy_roundtrip(tmp_path):
     # read back, checksum + gt + srs preserved
     from gdal_ray.raster.gtiff import decode_geotiff
 
-    g = decode_geotiff(open(BYTE_TIF, "rb").read())
+    g = decode_geotiff(open(ref_path(BYTE_TIF), "rb").read())
     p = str(tmp_path / "out.gpkg")
     write_gpkg_raster(p, g["bands"], g["geotransform"], crs=g["crs"])
     r = read_gpkg_raster_array(p)
@@ -87,10 +88,9 @@ def test_load_raster_dispatch():
     # the CLI loader reaches .gpkg tiles and .zarr stores by extension
     from gdal_ray.drivers import load_raster
 
-    r = load_raster(D + "byte.gpkg")
+    r = load_raster(ref_path(D + "byte.gpkg"))
     assert checksum_array(r["bands"][0]) == 4672
-    z = load_raster("/root/reference/autotest/gdrivers/data/zarr/"
-                    "byte_cf1.zarr")
+    z = load_raster(ref_path("autotest/gdrivers/data/zarr/byte_cf1.zarr"))
     assert checksum_array(z["bands"][0]) == 4672
     assert z["crs"] == "EPSG:26711"
     assert z["geotransform"] == (440720.0, 60.0, 0.0,
@@ -102,10 +102,10 @@ def test_read_gpkg_raster_distributed(ray_session):
 
     from gdal_ray.raster import model
 
-    ds = read_gpkg_raster(D + "byte.gpkg")
+    ds = read_gpkg_raster(ref_path(D + "byte.gpkg"))
     t = pa.Table.from_pylist(ds.take_all())
     arr = model.to_array(t, band=1)
-    ref = read_gpkg_raster_array(D + "byte.gpkg")["bands"][0]
+    ref = read_gpkg_raster_array(ref_path(D + "byte.gpkg"))["bands"][0]
     assert np.array_equal(arr, ref)
     assert checksum_array(arr) == 4672
 

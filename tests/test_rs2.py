@@ -55,6 +55,7 @@ _PRODUCT = """<?xml version="1.0" encoding="UTF-8"?>
 <product xmlns="http://www.rsi.ca/rs2/prod/xml/schemas">
   <imageAttributes>
     <fullResolutionImageData pole="HH">imagery_HH.tif</fullResolutionImageData>
+    <lookupTable incidenceAngleCorrection="Beta Nought">lutBeta.xml</lookupTable>
     <geographicInformation><geolocationGrid><imageTiePoint>
       <imageCoordinate><line>0</line><pixel>0</pixel></imageCoordinate>
       <geodeticCoordinate><latitude>49</latitude><longitude>2</longitude>
@@ -65,18 +66,48 @@ _PRODUCT = """<?xml version="1.0" encoding="UTF-8"?>
 """
 
 
-def test_product_opens_through_the_registry(tmp_path):
-    from gdal_ray.drivers import identify, load_raster
+_LUT = """<?xml version="1.0" encoding="UTF-8"?>
+<lut xmlns="http://www.rsi.ca/rs2/prod/xml/schemas">
+  <offset>1.0</offset>
+  <gains>2.0 4.0 8.0</gains>
+</lut>
+"""
+
+_BAND = np.arange(6, dtype=np.uint16).reshape(2, 3)
+
+
+def _write_product(tmp_path) -> str:
     from gdal_ray.raster.gtiff import write_geotiff
 
-    band = np.arange(6, dtype=np.uint16).reshape(2, 3)
-    write_geotiff(str(tmp_path / "imagery_HH.tif"), [band])
+    write_geotiff(str(tmp_path / "imagery_HH.tif"), [_BAND])
+    (tmp_path / "lutBeta.xml").write_text(_LUT)
     p = str(tmp_path / "product.xml")
     with open(p, "w") as f:
         f.write(_PRODUCT)
+    return p
+
+
+def test_product_opens_through_the_registry(tmp_path):
+    from gdal_ray.drivers import identify, load_raster
+
+    p = _write_product(tmp_path)
     assert identify(p, "raster").name == "RS2"
     d = load_raster(p)
-    np.testing.assert_array_equal(d["bands"][0], band)
+    np.testing.assert_array_equal(d["bands"][0], _BAND)
     assert d["band_metadata"] == [{"POLARIMETRIC_INTERP": "HH"}]
     assert d["gcps"] == [{"pixel": 0.0, "line": 0.0, "x": 2.0, "y": 49.0,
                           "z": 0.0}]
+
+
+def test_calibrated_path_opens_through_the_registry(tmp_path):
+    from gdal_ray.drivers import identify, load_raster
+
+    p = _write_product(tmp_path)
+    uncal = "RADARSAT_2_CALIB:UNCALIB:" + p
+    assert identify(uncal, "raster").name == "RS2"
+    np.testing.assert_array_equal(load_raster(uncal)["bands"][0], _BAND)
+    beta = load_raster("RADARSAT_2_CALIB:BETA0:" + p)["bands"][0]
+    # (DN² + offset) / gains[column]
+    want = (_BAND.astype(np.float32) ** 2 + 1.0) / np.float32([2, 4, 8])
+    assert beta.dtype == np.float32
+    np.testing.assert_array_equal(beta, want)

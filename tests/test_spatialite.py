@@ -4,11 +4,13 @@ numeric geometry_columns), null-geometry handling, FDO 'WKB' layout,
 blob codec roundtrips and the rowid-sharded Ray read path."""
 
 import sqlite3
+from pathlib import Path
 
 import numpy as np
 import pyarrow as pa
 import pytest
 
+from conftest import ref_path
 from gdal_ray.geom import wkb as W
 from gdal_ray.geom.wkt import from_wkt, to_wkt
 from gdal_ray.spatialite import (
@@ -21,12 +23,13 @@ from gdal_ray.spatialite import (
     write_sqlite,
 )
 
-SQL = "/root/reference/autotest/ogr/data/sqlite"
+SQL = "autotest/ogr/data/sqlite"
+REPO = str(Path(__file__).resolve().parents[1])
 
 
 class TestFixtures:
     def test_poly_spatialite_v3(self):
-        t = read_sqlite_local(f"{SQL}/poly_spatialite.sqlite")
+        t = read_sqlite_local(ref_path(f"{SQL}/poly_spatialite.sqlite"))
         assert t.num_rows == 10
         assert t.schema.metadata[b"crs"] == b"EPSG:32631"
         assert t.column("prfedea")[0].as_py() == "35043411"
@@ -35,8 +38,7 @@ class TestFixtures:
         # (compressed f32 deltas → mm-level tolerance)
         from gdal_ray.shapefile import read_shapefile_local
 
-        s = read_shapefile_local(
-            "/root/reference/autotest/ogr/data/poly.shp")
+        s = read_shapefile_local(ref_path("autotest/ogr/data/poly.shp"))
         for i in range(10):
             a = W.parse(t.column("geometry")[i].as_py())
             b = W.parse(s.column("geometry")[i].as_py())
@@ -49,22 +51,22 @@ class TestFixtures:
             assert np.array_equal(a["rings"][0][-1], b["rings"][0][-1])
 
     def test_poly_spatialite_v4_numeric_metadata(self):
-        t3 = read_sqlite_local(f"{SQL}/poly_spatialite.sqlite")
-        t4 = read_sqlite_local(f"{SQL}/poly_spatialite4.sqlite")
+        t3 = read_sqlite_local(ref_path(f"{SQL}/poly_spatialite.sqlite"))
+        t4 = read_sqlite_local(ref_path(f"{SQL}/poly_spatialite4.sqlite"))
         assert t4.num_rows == 10
         for i in range(10):
             assert (t4.column("geometry")[i].as_py()
                     == t3.column("geometry")[i].as_py())
 
     def test_first_geometry_null(self):
-        t = read_sqlite_local(f"{SQL}/first_geometry_null.db")
+        t = read_sqlite_local(ref_path(f"{SQL}/first_geometry_null.db"))
         assert t.num_rows == 2
         assert t.column("geometry")[0].as_py() is None
         wkt = to_wkt(t.column("geometry")[1].as_py())
         assert wkt.startswith("MULTIPOLYGON")
 
     def test_layer_listing(self):
-        assert feature_layers(f"{SQL}/poly_spatialite.sqlite") == ["poly"]
+        assert feature_layers(ref_path(f"{SQL}/poly_spatialite.sqlite")) == ["poly"]
 
 
 class TestBlobCodec:
@@ -167,7 +169,7 @@ class TestWriter:
 
 class TestRayPath:
     def test_sharded_read(self):
-        ds = read_sqlite(f"{SQL}/poly_spatialite.sqlite", shards=4)
+        ds = read_sqlite(ref_path(f"{SQL}/poly_spatialite.sqlite"), shards=4)
         t = pa.concat_tables(
             ds.iter_batches(batch_format="pyarrow", batch_size=None))
         assert t.num_rows == 10
@@ -182,8 +184,8 @@ class TestRayPath:
         out = str(tmp_path / "o.geojson")
         r = subprocess.run(
             [sys.executable, "-m", "gdal_ray.cli", "vector",
-             "convert", f"{SQL}/poly_spatialite.sqlite", out],
-            capture_output=True, text=True, cwd="/root/repo")
+             "convert", ref_path(f"{SQL}/poly_spatialite.sqlite"), out],
+            capture_output=True, text=True, cwd=REPO)
         assert r.returncode == 0, r.stderr[-2000:]
         import json
 
