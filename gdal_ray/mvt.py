@@ -309,14 +309,17 @@ def write_mvt_tiles(
     extent: int = 4096,
 ) -> int:
     """Point Dataset → ``{out_dir}/{z}/{x}/{y}.mvt`` tree (atomic
-    writes). One groupby(tile) shuffle; each group task encodes and
-    writes its tile independently (resumable: rerun skips nothing but
-    rewrites identical bytes). Returns the number of tiles written."""
+    writes). One ``map_keys`` shuffle on the tile; each tile's call
+    encodes and writes it independently (resumable: rerun skips
+    nothing but rewrites identical bytes). Returns the number of tiles
+    written."""
     import math
     import os
 
     import numpy as np
     import pyarrow as pa
+
+    from gdal_ray.stages.partition import map_keys
 
     n2 = 1 << zoom
     props = property_cols or []
@@ -369,7 +372,4 @@ def write_mvt_tiles(
         return pa.table({"z": [zoom], "x": [tx], "y": [ty],
                          "n_features": [group.num_rows]})
 
-    manifest = assigned.groupby(
-        ["__tx", "__ty"]
-    ).map_groups(write_tile, batch_format="pyarrow")
-    return manifest.count()
+    return map_keys(assigned, ["__tx", "__ty"], write_tile).count()

@@ -360,7 +360,7 @@ def assemble_way_lines(elements):
     ``np.split`` assembly per partition. Measured round 5 on a
     200k-node / 20k-way synthetic shard at 8 CPUs: assembly stage
     19.4 s → 0.83 s (~23×) vs the round-4 per-way pandas
-    ``map_groups``; end-to-end 24 s → 5.1 s. The corpus-scale path
+    callback; end-to-end 24 s → 5.1 s. The corpus-scale path
     (no node table on any single machine); the layer builder below
     uses the broadcast dict for fixture-sized inputs."""
     return map_partitions(_exploded_way_nodes(elements), "way_id",

@@ -26,6 +26,7 @@ import ray.data as rd
 from gdal_ray import tiles
 from gdal_ray.raster import overview, warp
 from gdal_ray.stages.cache import resolve_broadcast, worker_cached
+from gdal_ray.stages.partition import map_keys
 
 TILE_SIZE = 256
 
@@ -87,8 +88,8 @@ class BaseTileWarper:
 
 
 def overview_level(tiles_ds: rd.Dataset, method: str = "average") -> rd.Dataset:
-    """One pyramid step: tiles at zoom z → tiles at z−1 via
-    groupby(parent)."""
+    """One pyramid step: tiles at zoom z → tiles at z−1, one
+    ``map_keys`` call per parent tile."""
 
     def key(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -120,8 +121,7 @@ def overview_level(tiles_ds: rd.Dataset, method: str = "average") -> rd.Dataset:
         )
 
     keyed = tiles_ds.map_batches(key, batch_format="pyarrow")
-    out = keyed.groupby(["px", "py"]).map_groups(reduce_group, batch_format="pyarrow")
-    return out
+    return map_keys(keyed, ["px", "py"], reduce_group)
 
 
 def raster_tile_pyramid(

@@ -26,7 +26,7 @@ import pyarrow.compute as pc
 import ray.data as rd
 from ray.data.aggregate import Count, Max, Mean, Min, Sum
 
-from gdal_ray.stages.partition import map_partitions
+from gdal_ray.stages.partition import map_keys, map_partitions
 
 
 def _read(sf_dir: str, table: str, columns=None) -> rd.Dataset:
@@ -1097,13 +1097,11 @@ def q_stats_agg(sf_dir: str):
 
     parts = ds.map_batches(partial, batch_format="pyarrow")
 
-    def finish(g):
-        import pandas as pd
-
-        flag = g["l_returnflag"].iloc[0]
-        h = g.groupby("l_quantity")["w"].sum().sort_index()
-        v = h.index.to_numpy(np.float64)
-        w = h.to_numpy(np.float64)
+    def finish(g: pa.Table) -> pa.Table:
+        h = g.group_by("l_quantity").aggregate([("w", "sum")]) \
+            .sort_by("l_quantity")
+        v = h["l_quantity"].to_numpy().astype(np.float64)
+        w = h["w_sum"].to_numpy().astype(np.float64)
         n = w.sum()
         mean = float((w * v).sum() / n)
         m2 = float((w * (v - mean) ** 2).sum())
@@ -1121,9 +1119,9 @@ def q_stats_agg(sf_dir: str):
             vhi = v[np.searchsorted(cum, lo_i + 2, side="left")]
             return float(vlo + (vhi - vlo) * frac)
 
-        return pd.DataFrame(
+        return pa.table(
             {
-                "l_returnflag": [flag],
+                "l_returnflag": g["l_returnflag"].slice(0, 1),
                 "std_pop": [round(np.sqrt(m2 / n), 9)],
                 "std_samp": [round(np.sqrt(m2 / (n - 1)), 9)],
                 "med_qty": [qc(0.5)],
@@ -1131,9 +1129,7 @@ def q_stats_agg(sf_dir: str):
             }
         )
 
-    return parts.groupby("l_returnflag").map_groups(
-        finish, batch_format="pandas"
-    )
+    return map_keys(parts, "l_returnflag", finish)
 
 
 SQL_STATS_AGG = """

@@ -25,6 +25,7 @@ import numpy as np
 import pyarrow as pa
 
 from gdal_ray.raster import model
+from gdal_ray.stages.partition import map_keys
 
 
 def _pad(arr: np.ndarray, halo: int) -> np.ndarray:
@@ -403,9 +404,7 @@ def halo_exchange(tiles_ds, halo: int = 1, tile_size: int | None = None):
         return pa.Table.from_pylist([out])
 
     contrib = tiles_ds.map_batches(contribute, batch_format="pyarrow")
-    return contrib.groupby(["tgt_bx", "tgt_by"]).map_groups(
-        assemble, batch_format="pyarrow"
-    )
+    return map_keys(contrib, ["tgt_bx", "tgt_by"], assemble)
 
 
 def focal_tiles(tiles_ds, kernel_fn, halo: int = 1, **kw):

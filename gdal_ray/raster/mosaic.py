@@ -2,18 +2,17 @@
 (gdalbuildvrt / `gdal raster mosaic`, apps/gdalbuildvrt_lib.cpp:2051).
 
 Reference resolution rule: later sources paint over earlier ones
-(last-wins per pixel), nodata pixels don't paint. Ray shape: each
-source contributes tiles keyed by destination block; a
-``groupby(dst_block)`` composites the contributions in source order —
-no full materialization of any single raster.
+(last-wins per pixel), nodata pixels don't paint.
 
-Single-array helper + the distributed grouping stage.
+The single-array compositor. Its distributed caller is
+``raster.vrt.read_vrt``: each source contributes windows keyed by
+destination block, and one ``map_keys`` call per block composites
+them in source order — no full materialization of any single raster.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pyarrow as pa
 
 from gdal_ray.raster import model
 
@@ -48,50 +47,3 @@ def mosaic_arrays(
         flat[paint] = vals[paint]
         out = flat.reshape(dst_shape)
     return out
-
-
-class MosaicCompositor:
-    """map_groups kernel: one group = all source tiles covering one
-    destination block (key columns ``dst_bx, dst_by`` added upstream);
-    composites in ``source_idx`` order."""
-
-    def __init__(self, dst_gt, tile_size: int = 256, nodata: float | None = None,
-                 init: float = 0.0):
-        self.dst_gt = dst_gt
-        self.ts = tile_size
-        self.nodata = nodata
-        self.init = init
-
-    def __call__(self, group: pa.Table) -> pa.Table:
-        rows = sorted(group.to_pylist(), key=lambda r: r["source_idx"])
-        bx = rows[0]["dst_bx"]
-        by = rows[0]["dst_by"]
-        ts = self.ts
-        gt = self.dst_gt
-        block_gt = (
-            gt[0] + bx * ts * gt[1],
-            gt[1], gt[2],
-            gt[3] + by * ts * gt[5],
-            gt[4], gt[5],
-        )
-        srcs = []
-        for r in rows:
-            arr = model.tile_array(r)
-            g0 = r["geotransform"]
-            tile_gt = (
-                g0[0] + r["x0"] * g0[1], g0[1], g0[2],
-                g0[3] + r["y0"] * g0[5], g0[4], g0[5],
-            )
-            srcs.append((arr, tile_gt))
-        out = mosaic_arrays(srcs, block_gt, (ts, ts), self.nodata, self.init)
-        return pa.Table.from_pylist(
-            [
-                {
-                    "band": 1, "block_x": int(bx), "block_y": int(by),
-                    "x0": int(bx) * ts, "y0": int(by) * ts,
-                    "width": ts, "height": ts, "crs": rows[0]["crs"],
-                    "geotransform": list(self.dst_gt), "dtype": "float64",
-                    "data": out.tobytes(),
-                }
-            ]
-        )

@@ -207,6 +207,7 @@ def read_vrt(path: str, tile_size: int = 256):
     skip (mosaic rule)."""
     import ray.data as rd
 
+    from gdal_ray.stages.partition import map_keys
     from gdal_ray.vsi import vsi_read_bytes as vsi_read
 
     layout = parse_vrt(vsi_read(path),
@@ -317,9 +318,7 @@ def read_vrt(path: str, tile_size: int = 256):
             "data": out.tobytes(),
         }])
 
-    return contrib.groupby(["band", "dst_bx", "dst_by"]).map_groups(
-        compose, batch_format="pyarrow"
-    )
+    return map_keys(contrib, ["band", "dst_bx", "dst_by"], compose)
 
 
 def read_vrt_array(path: str) -> dict:

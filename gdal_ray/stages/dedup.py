@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from gdal_ray.stages.partition import join_partitions, map_partitions
+from gdal_ray.stages.partition import join_partitions, map_keys, map_partitions
 
 # 64-bit FNV-style rolling polynomial base/mod (fixed seeds)
 _P = np.uint64(1099511628211)
@@ -223,9 +223,7 @@ def minhash_candidate_pairs(
         ai, bi = np.triu_indices(len(ids), k=1)
         return pa.table({"a": pa.array(ids[ai]), "b": pa.array(ids[bi])})
 
-    cand = bands.groupby(["band_id", "band_hash"]).map_groups(
-        pairs, batch_format="pyarrow"
-    )
+    cand = map_keys(bands, ["band_id", "band_hash"], pairs)
     # dedupe pairs found in multiple bands
     from ray.data.aggregate import Count
 

@@ -2,7 +2,7 @@
 
 The ANN family (all merge through one deterministic top-k reducer):
 - ``cosine_topk`` — exact baseline: queries broadcast via ``ray.put``,
-  per-batch (B×Q) matmul, per-query local top-k, groupby merge —
+  per-batch (B×Q) matmul, per-query local top-k, hash-partitioned merge —
   shuffle is O(#batches · Q · k) rows, never the corpus.
 - ``bucketed_cosine_topk`` — sign-LSH single-probe buckets.
 - ``ivf_topk`` — inverted file: bounded-sample spherical k-means,
@@ -24,7 +24,7 @@ import numpy as np
 import pyarrow as pa
 import ray
 
-from gdal_ray.stages.partition import join_partitions
+from gdal_ray.stages.partition import join_partitions, map_keys, map_partitions
 
 _rng = np.random.default_rng(1234)
 
@@ -79,29 +79,29 @@ def cosine_topk(
         )
 
     local = ds.map_batches(local_topk, batch_format="pyarrow")
-    return local.groupby("query_id").map_groups(
-        _merge_topk(k, id_col), batch_format="pyarrow")
+    return _merge_topk(local, k, id_col)
 
 
-def _merge_topk(k: int, id_col: str):
-    """Per-query merge of per-block partial top-ks (deterministic
-    (−score, id) tie-break) — shared by the exact, LSH and IVF paths."""
+def _merge_topk(local, k: int, id_col: str):
+    """Global top-k per query from per-block partial top-ks
+    (deterministic (−score, id) tie-break) — shared by the exact, LSH,
+    IVF and PQ paths. One ``map_partitions`` callback ranks all the
+    queries of its block with one lexsort."""
 
-    def merge(group: pa.Table) -> pa.Table:
-        ids = group[id_col].to_numpy(zero_copy_only=False)
-        s = group["score"].to_numpy(zero_copy_only=False)
-        qid = group["query_id"][0].as_py()
-        order = np.lexsort((ids, -s))[:k]
-        return pa.table(
-            {
-                "query_id": pa.array([qid] * len(order), pa.int64()),
-                "rank": pa.array(np.arange(1, len(order) + 1)),
-                id_col: pa.array(ids[order]),
-                "score": pa.array(s[order]),
-            }
-        )
+    def merge_topk(t: pa.Table) -> pa.Table:
+        q = t["query_id"].to_numpy()
+        ids = t[id_col].to_numpy()
+        s = t["score"].to_numpy()
+        order = np.lexsort((ids, -s, q))
+        q, ids, s = q[order], ids[order], s[order]
+        first = np.flatnonzero(np.r_[True, q[1:] != q[:-1]])
+        rank = np.arange(len(q)) - np.repeat(first, np.diff(np.r_[first, len(q)]))
+        keep = rank < k
+        return pa.table({"query_id": q[keep], "rank": rank[keep] + 1,
+                         id_col: ids[keep], "score": s[keep]})
 
-    return merge
+    return map_partitions(local, "query_id", merge_topk,
+                          batch_format="pyarrow")
 
 
 class SignLSHIndexer:
@@ -187,7 +187,7 @@ def ivf_topk(ds, queries: np.ndarray, k: int = 10,
        is in that query's ``nprobe`` closest centroids (mask, no
        per-query re-scan).
     3. The per-block partial top-ks merge through the same
-       groupby(query) reducer as the exact path.
+       top-k merge as the exact path.
 
     ``nprobe == n_centroids`` degrades to exactly ``cosine_topk``
     (pinned in tests); recall at lower nprobe depends on how well the
@@ -241,8 +241,7 @@ def ivf_topk(ds, queries: np.ndarray, k: int = 10,
         )
 
     local = ds.map_batches(local_topk, batch_format="pyarrow")
-    return local.groupby("query_id").map_groups(
-        _merge_topk(k, id_col), batch_format="pyarrow")
+    return _merge_topk(local, k, id_col)
 
 
 class BandSigner:
@@ -369,9 +368,7 @@ def embedding_near_dups(
         return pa.table({"a": pa.array(ids[ai[keep]]),
                          "b": pa.array(ids[bi[keep]])})
 
-    cand = sig.groupby("bucket_key").map_groups(
-        pairs, batch_format="pyarrow"
-    )
+    cand = map_keys(sig, "bucket_key", pairs)
 
     # Arrow's hash join rejects list-typed payload columns — ship the
     # vectors through the join as fixed-size binary (zero-copy pack)
@@ -545,8 +542,7 @@ def pq_topk(ds, queries: np.ndarray, k: int = 10, m: int = 8,
         })
 
     local = ds.map_batches(local_topk, batch_format="pyarrow")
-    return local.groupby("query_id").map_groups(
-        _merge_topk(k, id_col), batch_format="pyarrow")
+    return _merge_topk(local, k, id_col)
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +709,6 @@ def semdedup(ds, k: int = 8, threshold: float = 0.95, iters: int = 5,
       construction); with no oversized cluster the result is
       identical to the uncapped path. Set ``max_cluster_size=None``
       to disable."""
-    import pandas as pd
     import ray
 
     cents, _ = kmeans_dataset(ds, k, iters=iters, seed=seed,
@@ -775,12 +770,11 @@ def semdedup(ds, k: int = 8, threshold: float = 0.95, iters: int = 5,
             assigned = assigned.map_batches(rekey, batch_format="pyarrow")
             group_col = "__pg"
 
-    def prune(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(id_col, kind="mergesort").reset_index(drop=True)
-        v = np.vstack(g["__vec"].to_numpy())
+    def prune(t: pa.Table) -> pa.Table:
+        t = t.sort_by(id_col)
+        v = _stack_embeddings(t, "__vec")
         keep = _greedy_prune_tiled(v, threshold, prune_tile)
-        drop = ["__vec"] + (["__pg"] if "__pg" in g.columns else [])
-        return g[keep].drop(columns=drop)
+        return t.filter(keep).drop_columns(
+            [c for c in ("__vec", "__pg") if c in t.column_names])
 
-    return assigned.groupby(group_col).map_groups(
-        prune, batch_format="pandas")
+    return map_keys(assigned, group_col, prune)

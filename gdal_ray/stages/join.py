@@ -36,6 +36,7 @@ import ray
 
 from gdal_ray.geom.index import GridPolygonIndex
 from gdal_ray.stages.cache import resolve_broadcast, worker_cached
+from gdal_ray.stages.partition import map_keys
 
 
 class PIPJoiner:
@@ -119,8 +120,9 @@ def cell_partitioned_pip(
       (replication factor = the cost knob, SURVEY.md §7.4);
     - points key by their own tile (exactly one), so each (point,
       polygon) pair is tested exactly once — no dedupe pass;
-    - per-group probe builds a GridPolygonIndex over the group's
-      polygons only (bounded by the cell) inside ``map_groups``.
+    - per-cell probe builds a GridPolygonIndex over the cell's
+      polygons only (bounded by the cell), one ``map_keys`` call per
+      cell.
 
     ``polygons``: a Dataset with geometry + id columns.
     """
@@ -235,9 +237,7 @@ def cell_partitioned_pip(
                 out[c] = group[c].take(pa.array(pt_rows[pi]))
         return pa.table(out)
 
-    return both.groupby("cell").map_groups(
-        probe, batch_format="pyarrow"
-    )
+    return map_keys(both, "cell", probe)
 
 
 def broadcast_hash_join(left, small: pa.Table, left_on, right_on=None,

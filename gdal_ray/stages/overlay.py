@@ -26,6 +26,7 @@ import ray
 from gdal_ray.geom import ops as gops
 from gdal_ray.geom import wkb as gwkb
 from gdal_ray.stages.cache import resolve_broadcast, worker_cached
+from gdal_ray.stages.partition import map_keys
 
 
 class ConvexOverlay:
@@ -342,6 +343,4 @@ def cell_partitioned_overlay(
             )
         return pa.Table.from_pylist(out)
 
-    return both.groupby("cell").map_groups(
-        probe, batch_format="pyarrow"
-    )
+    return map_keys(both, "cell", probe)

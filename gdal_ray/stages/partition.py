@@ -1,49 +1,55 @@
 """The engine's one hash-partitioned group primitive.
 
 ``map_partitions(ds, keys, fn)`` shuffles once on
-``hash(keys) % PARTITIONS`` and calls ``fn`` on whole partitions.
+``hash(keys) % PARTITIONS`` and calls ``fn`` on whole reducer blocks;
+``map_keys(ds, keys, fn)`` is the same shuffle with ``fn`` called once
+per key. Every per-key callback of the engine runs through one of
+them: ``join_partitions`` (the one equi join), the top-k merges of
+the embedding searches, and the per-key reductions (overview levels,
+VRT mosaics, focal halos, MVT tiles, cell-partitioned PIP and
+overlay, LSH bucket pairs, ``stats_agg`` and
+``state.lineage.write_partitioned``).
 
-Why coarse partitions, not per-key groups: ``GroupedData.map_groups``
-fires its callback once per distinct value of the group key. Grouped
-on the raw key (a user, a paragraph, a way, a customer) that is one
-~1 ms pandas call per key: thousands at sf0.1 and ~10⁹ at planet
-scale, which was the dominant cost of every stage that now calls
-this function (as-of join at sf0.1 3.5 → 1.3 s; OSM way assembly
-19.4 → 0.83 s at 8 CPUs). Here the callback fires once per reducer
-block, which holds one or more whole hash partitions, and does the
-per-key work vectorized over it (a sort plus a pandas groupby,
-``merge_asof(by=...)``, a lexsort split, an Arrow group_by, an Arrow
-join). Every row of a key still lands in one partition, so per-key
-semantics are unchanged; small keys batch together, and a hot key
-spreads no worse than under the raw-key groupby.
+``map_partitions``' callback gets one reducer block, which holds one or
+more whole hash partitions, and does its per-key work vectorized over
+it (a sort plus a pandas groupby, ``merge_asof(by=...)``, a lexsort
+split, an Arrow group_by, an Arrow join). Every row of a key lands in
+one partition, so per-key semantics hold; small keys batch together,
+and a hot key spreads no worse than under a raw-key groupby. Its
+callback must therefore treat its input as MANY keys, never assume
+one. A reducer that receives no rows emits an empty block with no
+columns, which Ray 2.49's ``map_batches`` passes on without calling
+``fn``; so when every partition is empty the result has no columns.
 
-The callback must therefore treat its input as MANY keys, never
-assume one. A reducer that receives no rows emits an empty block with
-no columns, which Ray 2.49's ``map_batches`` passes on without calling
-``fn``; so when every partition is empty the result has no columns. ``join_partitions``, the engine's one equi join,
-and ``state.lineage.write_partitioned`` are built on this primitive.
+``map_keys`` is for callbacks whose body is one key's work. It sorts
+each reducer block once on ``keys`` and calls ``fn`` on each key's
+zero-copy slice, then concatenates the outputs. A key is a key as
+``sketch.hash_any`` partitions it: in every key column all nulls are
+one key, all NaNs are one key, and −0.0 is 0.0. Ray 2.49's own
+``groupby`` callbacks agree on one int or float key column, not
+beyond: they split a NaN or null key of a multi-column group, merge a
+float column's nulls, NaNs and +inf, and fail on null strings.
 
 Reducer count: ``R = min(PARTITIONS, CPUs of the cluster)``, fixed in
 the driver when the plan is built, not by the input's block count.
-Not ``groupby``: Ray 2.49's ``groupby`` (like a ``sort`` left to
-sample its boundaries) runs one mapper and one reducer per input
-block, so its reducer count follows the input split, and above
-``PARTITIONS`` blocks some reducers get no rows. At ``R == 1`` the
-shuffle is ``repartition(1)``, the path Ray's own ``map_groups`` takes
-for a keyless group: no sort, no sample, one callback. Above it,
-``sort("__part", boundaries=...)`` cuts the ``PARTITIONS`` part ids
-into ``R`` contiguous ranges, so there are ``R`` reducers whatever the
-mapper count. The boundary list is never empty: Ray treats ``[]`` like
-``None`` and samples. Ray hands each reducer's output to ``fn`` as one
-block (``batch_size=None``), even under a small
-``target_max_block_size``.
+Ray 2.49's ``groupby`` (like a ``sort`` left to sample its
+boundaries) runs one mapper and one reducer per input block, so its
+reducer count would follow the input split. At ``R == 1`` the
+shuffle is ``repartition(1)``: no sort, no sample, one callback.
+Above it, ``sort("__part", boundaries=...)`` cuts the ``PARTITIONS``
+part ids into ``R`` contiguous ranges, so there are ``R`` reducers
+whatever the mapper count. The boundary list is never empty: Ray
+treats ``[]`` like ``None`` and samples. Ray hands each reducer's
+output to ``fn`` as one block (``batch_size=None``), even under a
+small ``target_max_block_size``.
 
-The cost is memory: a callback holds about 1/``R`` of the input (at
-1 CPU, all of it), where a callback per hash partition would hold
-about 1/``PARTITIONS``. Nothing caps it yet. The hash-tagging map runs with
-``batch_size=BATCH_ROWS``, so Ray gathers the reader's ~1 MiB blocks
-into blocks of at least ``BATCH_ROWS`` rows, and the sort has at most
-⌈rows / ``BATCH_ROWS``⌉ mappers.
+The cost is memory, for both functions and every site above: a
+reducer block holds about 1/``R`` of the input (at 1 CPU, all of it),
+where a callback per hash partition would hold about 1/``PARTITIONS``
+and one per key only that key's rows. Nothing caps it yet. The
+hash-tagging map runs with ``batch_size=BATCH_ROWS``, so Ray gathers
+the reader's ~1 MiB blocks into blocks of at least ``BATCH_ROWS``
+rows, and the sort has at most ⌈rows / ``BATCH_ROWS``⌉ mappers.
 """
 
 from __future__ import annotations
@@ -102,6 +108,37 @@ def map_partitions(ds, keys, fn, batch_format: str = "pandas"):
             -(-i * PARTITIONS // r) for i in range(1, r)])
     return shuffled.map_batches(apply, batch_format=batch_format,
                                 batch_size=None)
+
+
+def _run_ends(t: pa.Table, keys) -> np.ndarray:
+    """End offsets of the key runs of ``t``, sorted on ``keys``: a new
+    run starts wherever any key column changes value."""
+    ends = [t.num_rows]
+    for k in keys:
+        a = t[k].combine_chunks()
+        if pa.types.is_floating(a.type):  # one NaN; -0.0 + 0.0 is 0.0
+            a = pc.if_else(pc.is_nan(a), np.nan, pc.add(a, 0.0))
+        ends.extend(pc.run_end_encode(a).run_ends.to_numpy())
+    return np.unique(ends)
+
+
+def map_keys(ds, keys, fn):
+    """Co-locate the rows of each ``keys`` value (a column name or a
+    list of them) and return the outputs of ``fn`` called once per key
+    on an Arrow table of that key's rows, each call returning an Arrow
+    table. A reducer block makes one sort and one concatenation."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
+
+    def per_key(t: pa.Table) -> pa.Table:
+        t = t.sort_by([(k, "ascending") for k in keys])
+        ends = _run_ends(t, keys)
+        starts = np.concatenate([[0], ends[:-1]])
+        return pa.concat_tables(
+            [fn(t.slice(s, e - s)) for s, e in zip(starts, ends)],
+            promote_options="permissive")
+
+    per_key.__name__ = fn.__name__
+    return map_partitions(ds, keys, per_key, batch_format="pyarrow")
 
 
 def _shared_type(t: pa.DataType) -> pa.DataType:

@@ -5,9 +5,8 @@ The reference's resume story is file-existence checks
 gdal2tiles.py:1497) and tile-index manifests (gdaltindex_lib.cpp:160).
 Here it is transactional and content-addressed:
 
-- ``write_partitioned`` runs one ``stages.partition.map_partitions``
-  shuffle on the partition column; each reducer block is split by
-  key with one Arrow sort, so a callback commits many keys;
+- ``write_partitioned`` runs one ``stages.partition.map_keys``
+  shuffle on the partition column and commits each key's rows;
 - every completed partition writes ``<out>/part=<key>/data.parquet``
   ATOMICALLY (tmp + rename) plus one manifest record
   ``<out>/_manifest/<key>.json`` carrying lineage: partition key, row
@@ -43,7 +42,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from gdal_ray.stages.partition import map_partitions
+from gdal_ray.stages.partition import map_keys
 
 
 class ManifestStore:
@@ -265,36 +264,24 @@ def write_partitioned(
     partition_col: str,
     lineage: dict | None = None,
 ) -> list[dict]:
-    """Resumable partitioned write: one ``map_partitions`` shuffle on
+    """Resumable partitioned write: one ``map_keys`` shuffle on
     ``partition_col``, then one atomic commit per key, SKIPPING keys
     already in the manifest. Returns the manifest records of the
     output directory.
 
-    Each callback gets one reducer block: one or more whole hash
-    partitions holding many keys (at 1 CPU, every row of ``ds``). One
-    Arrow sort on ``partition_col`` puts each key's rows in one run;
-    every run not yet committed is written as
-    ``part=<key>/data.parquet`` through ``ManifestStore.commit``. The
-    content hash does not depend on the row order the sort leaves."""
+    Each key's rows are written as ``part=<key>/data.parquet`` through
+    ``ManifestStore.commit``. The content hash does not depend on the
+    row order the shuffle leaves."""
     store = ManifestStore(out_dir)
     done = store.completed_keys()
 
     def commit_part(t: pa.Table) -> pa.Table:
-        t = t.sort_by(partition_col)
-        runs = pc.run_end_encode(t[partition_col].combine_chunks())
-        ends = runs.run_ends.to_pylist()
-        keys, rows = [], []
-        for key, start, end in zip(runs.values.to_pylist(), [0] + ends, ends):
-            if key in done:
-                continue
-            rec = store.commit(key, t.slice(start, end - start), lineage)
-            keys.append(key)
-            rows.append(rec["rows"])
-        return pa.table({"partition": pa.array(keys, t[partition_col].type),
+        key = t[partition_col][0].as_py()
+        rows = [] if key in done else [store.commit(key, t, lineage)["rows"]]
+        return pa.table({"partition": t[partition_col].slice(0, len(rows)),
                          "rows": pa.array(rows, pa.int64())})
 
-    map_partitions(ds, partition_col, commit_part,
-                   batch_format="pyarrow").materialize()
+    map_keys(ds, partition_col, commit_part).materialize()
     return store.records()
 
 

@@ -179,20 +179,25 @@ class TestEmbed:
             }
         )
         queries = rng.standard_normal((3, d))
-        out = (
-            embed.cosine_topk(rd.from_arrow(t), queries, k=7)
-            .to_pandas()
-            .sort_values(["query_id", "rank"])
-        )
         # brute force
         vn = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
         qn = queries / np.linalg.norm(queries, axis=1, keepdims=True)
         scores = vn.astype(np.float64) @ qn.T
-        for qi in range(3):
-            s = scores[:, qi]
-            order = np.lexsort((np.arange(n), -s))[:7]
-            got = out[out["query_id"] == qi]["vec_id"].tolist()
-            assert got == order.tolist()
+        # in 5 blocks the merge ranks 5 partial top-ks per query
+        for blocks in (1, 5):
+            out = (
+                embed.cosine_topk(rd.from_arrow(
+                    [t.slice(i, n // blocks) for i in range(0, n, n // blocks)]),
+                    queries, k=7)
+                .to_pandas()
+                .sort_values(["query_id", "rank"])
+            )
+            for qi in range(3):
+                s = scores[:, qi]
+                order = np.lexsort((np.arange(n), -s))[:7]
+                got = out[out["query_id"] == qi]
+                assert got["vec_id"].tolist() == order.tolist()
+                assert got["rank"].tolist() == list(range(1, 8))
 
     def test_embedding_near_dups_recall_one_vs_bruteforce(self, ray_session):
         """The banded-LSH + exact-verify path returns EXACTLY the

@@ -1,7 +1,6 @@
 """Mosaic tests."""
 
 import numpy as np
-import pyarrow as pa
 
 from gdal_ray.raster import mosaic
 
@@ -27,27 +26,3 @@ class TestMosaic:
                                    init=-1.0)
         assert (out[:, :4] == 5.0).all()
         assert (out[:, 4:] == 7.0).all()
-
-    def test_distributed_compositor(self, ray_session):
-        import ray.data as rd
-
-        from gdal_ray.raster import model
-
-        gt = (0.0, 1.0, 0.0, 8.0, 0.0, -1.0)
-        rows = []
-        for sidx, fill in ((0, 1.0), (1, 2.0)):
-            t = model.from_array(
-                np.full((8, 8), fill), "EPSG:3857", gt, tile_size=8
-            )
-            t = t.append_column("source_idx", pa.array([sidx], pa.int32()))
-            t = t.append_column("dst_bx", pa.array([0], pa.int32()))
-            t = t.append_column("dst_by", pa.array([0], pa.int32()))
-            rows.append(t)
-        ds = rd.from_arrow(pa.concat_tables(rows))
-        comp = mosaic.MosaicCompositor(gt, tile_size=8)
-        out = ds.groupby(["dst_bx", "dst_by"]).map_groups(
-            lambda g: comp(g), batch_format="pyarrow"
-        ).to_pandas()
-        assert len(out) == 1
-        arr = np.frombuffer(out.iloc[0]["data"], dtype=np.float64).reshape(8, 8)
-        assert (arr == 2.0).all()  # last source wins

@@ -67,6 +67,31 @@ def test_every_top_level_def_is_named():
     assert not found, "top-level defs that nothing names:\n" + "\n".join(found)
 
 
+def map_groups_calls(path: Path) -> list[int]:
+    """Lines of the ``.map_groups(...)`` attribute calls in ``path``."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text(
+        encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "map_groups"]
+
+
+def test_no_map_groups_under_gdal_ray(tmp_path):
+    """Every per-key callback of the engine runs through
+    ``stages.partition``; Ray's ``map_groups`` is not called."""
+    found = [f"{p.relative_to(ROOT)}:{n}"
+             for p in sorted((ROOT / "gdal_ray").rglob("*.py"))
+             for n in map_groups_calls(p)]
+    assert not found, "map_groups calls:\n" + "\n".join(found)
+    probe = tmp_path / "probe.py"
+    probe.write_text('"""map_groups( in a docstring"""\n'
+                     "map_groups = 1  # map_groups(\n"
+                     "f(map_groups)\n"
+                     "ds.groupby('k').map_groups(fn)\n"
+                     "x.map_groups\n")
+    assert map_groups_calls(probe) == [4]
+
+
 # --- every module is reached by a role -------------------------------
 
 PACKAGE = "gdal_ray"

@@ -2,12 +2,14 @@
 
 The shared session fixture starts Ray with 4 logical CPUs, which hides
 any stage that only makes progress with a spare CPU. This test runs
-the webtext curation, a chained SQL JOIN and the worker-cached
-stateful stages (PIP join, kNN join, IDW) in a fresh process whose
-Ray has ``num_cpus=1``, under a hard timeout, and checks each against
-the same calls in this process. The child also checks that
-``map_partitions`` runs one reducer there, and keeps each key in one
-callback under 4 KiB target blocks."""
+the webtext curation, a chained SQL JOIN, the worker-cached stateful
+stages (PIP join, kNN join, IDW), a top-k merge (a ``map_partitions``
+callback over many keys) and an overview level (a ``map_keys``
+callback per key) in a fresh process whose Ray has ``num_cpus=1``,
+under a hard timeout, and checks each against the same calls in this
+process. The child also checks that ``map_partitions`` runs one
+reducer there and keeps each key in one callback under 4 KiB target
+blocks, and that ``map_keys`` groups as Ray's ``map_groups`` does."""
 
 import os
 import signal
@@ -24,7 +26,7 @@ import pyarrow.feather as feather
 SF = "/root/testdata/sf0.001"
 REPO = Path(__file__).resolve().parents[1]
 
-NAMES = ("curated", "joined", "pip", "knn", "idw")
+NAMES = ("curated", "joined", "pip", "knn", "idw", "topk", "overview")
 
 SQL = """
 SELECT o.o_orderkey, c.c_name, n.n_name
@@ -34,12 +36,14 @@ JOIN nation n ON c.c_nationkey = n.n_nationkey
 
 
 def _run(sf):
-    """(curated corpus, chained join, PIP join, kNN join, IDW) as sorted
-    DataFrames."""
+    """(curated corpus, chained join, PIP join, kNN join, IDW, cosine
+    top-k, overview level) as sorted DataFrames."""
     import ray.data as rd
 
     from gdal_ray import fixtures, ogrsql
+    from gdal_ray.pipelines.tilepyramid import TILE_SIZE, overview_level
     from gdal_ray.pipelines.webtext import curate
+    from gdal_ray.stages.embed import cosine_topk
     from gdal_ray.stages.join import pip_join
     from gdal_ray.stages.knn import idw_estimate, knn_join
 
@@ -59,7 +63,21 @@ def _run(sf):
         knn_join(pts, ref, k=3),
         idw_estimate(pts, ref, k=3),
     )
-    return [_sorted(d.to_pandas()) for d in (ds, joined, *stateful)]
+    vecs = rd.from_arrow(pa.table({
+        "vec_id": pa.array(np.arange(300, dtype=np.int64)),
+        "embedding": pa.array(list(rng.standard_normal((300, 8))),
+                              pa.list_(pa.float32())),
+    })).repartition(4)
+    topk = cosine_topk(vecs, rng.standard_normal((5, 8)), k=4)
+    # six z=3 tiles under three parents, one of them with a single child
+    tiles = rd.from_items([
+        {"z": 3, "x": x, "y": y, "width": TILE_SIZE, "height": TILE_SIZE,
+         "dtype": "float32",
+         "data": rng.uniform(0, 1, (TILE_SIZE, TILE_SIZE))
+         .astype(np.float32).tobytes()}
+        for x, y in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (5, 5))])
+    return [_sorted(d.to_pandas()) for d in (ds, joined, *stateful, topk,
+                                             overview_level(tiles))]
 
 
 def _sorted(df: pd.DataFrame) -> pd.DataFrame:
@@ -80,12 +98,14 @@ ray.init(address="local", num_cpus=1, object_store_memory=300 << 20,
          include_dashboard=False, logging_level="ERROR")
 DataContext.get_current().enable_progress_bars = False
 from test_one_cpu import NAMES, _run
-from test_partition import (_blocks_out, _check_small_blocks_keep_keys_whole,
+from test_partition import (_blocks_out, _check_map_keys_matches_map_groups,
+                            _check_small_blocks_keep_keys_whole,
                             _inputs_filling_every_part)
 
 # one CPU, one reducer: no sort, one block whatever the input split
 assert [_blocks_out(t) for t in _inputs_filling_every_part()] == [1, 1]
 _check_small_blocks_keep_keys_whole()
+_check_map_keys_matches_map_groups()
 for name, df in zip(NAMES, _run({sf!r})):
     feather.write_feather(pa.Table.from_pandas(df, preserve_index=False),
                           {out!r} + "/" + name + ".arrow")
@@ -111,6 +131,7 @@ def test_curate_and_chained_join_at_one_cpu(ray_session, tmp_path):
     want = _run(SF)
     assert len(want[0]) == 75
     assert len(want[2]) > 0 and len(want[3]) == 3 * 400
+    assert len(want[5]) == 5 * 4 and len(want[6]) == 3
     for name, w in zip(NAMES, want):
         got = feather.read_table(tmp_path / f"{name}.arrow").to_pandas()
         assert len(got) == len(w), name

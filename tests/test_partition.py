@@ -5,7 +5,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pytest
 
-from gdal_ray.stages.partition import BATCH_ROWS, PARTITIONS, map_partitions
+from gdal_ray.stages.partition import (BATCH_ROWS, PARTITIONS, map_keys,
+                                      map_partitions)
 
 
 def _blocks():
@@ -133,6 +134,105 @@ def test_one_key_output_writes_through_the_registry(ray_session, tmp_path,
     rows = resolve_vector_source(path)().take_all()
     assert sorted((r["k"], r["v"], bytes(r["geometry"])) for r in rows) == \
         sorted(zip([7] * n, range(n), t["geometry"].to_pylist()))
+
+
+def _norm_key(i, f, s) -> str:
+    """An (int, float, string) key as ``hash_any`` sees it: one NaN,
+    -0.0 as 0.0. Callbacks copy this: workers do not import this file."""
+    return repr((i, f + 0.0 if f is not None and f == f else f, s))
+
+
+def _check_map_keys_matches_map_groups(keys=("i", "f", "s"),
+                                       one_key: bool = False):
+    """``map_keys`` against Ray's ``groupby(keys).map_groups`` in 20
+    input blocks under 4 KiB target blocks. The int key "i", float key
+    "f" (always with ±0.0) and string key "s" hold nulls and NaN only
+    when grouped alone: Ray 2.49 splits a NaN or null key of a multi-column
+    group across reducers. ``one_key`` leaves every reducer but one
+    without rows. Each call must see one key, and each key one call."""
+    import ray.data as rd
+    from ray.data import DataContext
+
+    keys = list(keys)
+
+    def summary(g: pa.Table) -> pa.Table:
+        # nested, so that workers need not import this file
+        vals = zip(*(g[k].to_pylist() for k in keys))
+        seen = {repr(tuple(v + 0.0 if isinstance(v, float) and v == v
+                           else v for v in row)) for row in vals}
+        return pa.table({"key": [min(seen)], "nkeys": [len(seen)],
+                         "n": [g.num_rows], "v": [pc.sum(g["v"]).as_py()]})
+
+    rng = np.random.default_rng(19)
+    pick = (lambda vals: [vals[0]] * 250) if one_key else \
+        (lambda vals: [vals[j] for j in rng.integers(0, len(vals), 250)])
+    alone = len(keys) == 1
+    tables = [pa.table({
+        "i": pa.array(pick([7, 0, -3, None if alone else 2]), pa.int64()),
+        "f": pa.array(pick([-0.0, 0.0, 1.5, float("nan") if alone else 2.5]),
+                      pa.float64()),
+        "s": pa.array(pick(["a", "b", ""]), pa.string()),
+        "v": pa.array(rng.integers(0, 1000, 250)),
+        "pad": pa.array(["x" * 40] * 250),
+    }) for _ in range(20)]
+    ctx = DataContext.get_current()
+    old = ctx.target_max_block_size
+    ctx.target_max_block_size = 4096
+    try:
+        got = map_keys(rd.from_arrow(tables), keys, summary).to_pandas()
+        want = rd.from_arrow(tables).groupby(keys).map_groups(
+            summary, batch_format="pyarrow").to_pandas()
+    finally:
+        ctx.target_max_block_size = old
+    assert (got["nkeys"] == 1).all()
+    assert not got["key"].duplicated().any()
+    assert got["n"].sum() == 20 * 250
+    assert len(got) == (1 if one_key else
+                        {"i": 4, "f": 3, "s": 3}[keys[0]] if alone else 36)
+    assert got.sort_values("key").to_dict("records") == \
+        want.sort_values("key").to_dict("records")
+
+
+@pytest.mark.parametrize("keys,one_key", [
+    (("i", "f", "s"), False), (("i",), False), (("f",), False),
+    (("s",), False), (("i", "f", "s"), True)],
+    ids=["i,f,s", "i", "f", "s", "one key"])
+def test_map_keys_matches_map_groups(ray_session, keys, one_key):
+    _check_map_keys_matches_map_groups(keys, one_key)
+
+
+def test_map_keys_where_map_groups_is_no_oracle(ray_session):
+    """Null strings, null ints, and a float column's nulls, NaNs and
+    +inf, in any key position, each form one key, as ``hash_any``
+    partitions them. Ray 2.49's ``map_groups`` cannot check this: its
+    sampled sort fails on None strings across blocks, it splits a NaN
+    or null key of a multi-column group (across reducers, and one
+    group per row where that column does not lead the sort), and it
+    merges a float column's nulls, NaNs and +inf into one group when a
+    sorted block ends in NaN or null."""
+    import ray.data as rd
+
+    nan, inf = float("nan"), float("inf")
+    s = ["a", None, None, "a", "b", None, None, "a", "a"] * 4
+    f = [inf, None, nan, inf, None, nan, -nan, 1.0, -0.0, 0.0] * 3 + [nan] * 6
+    i = [1, None, None] * 12
+    t = pa.table({"s": pa.array(s), "f": pa.array(f, pa.float64()),
+                  "i": pa.array(i, pa.int64())})
+
+    def count(g: pa.Table) -> pa.Table:
+        keys = {repr((i, f + 0.0 if f is not None and f == f else f, s))
+                for i, f, s in zip(g["i"].to_pylist(), g["f"].to_pylist(),
+                                   g["s"].to_pylist())}
+        return pa.table({"key": [min(keys)], "nkeys": [len(keys)],
+                         "n": [g.num_rows]})
+
+    got = map_keys(rd.from_arrow([t.slice(0, 13), t.slice(13)]),
+                   ["s", "f", "i"], count).to_pandas()
+    assert (got["nkeys"] == 1).all()
+    want = {}
+    for k in map(_norm_key, i, f, s):
+        want[k] = want.get(k, 0) + 1
+    assert dict(zip(got["key"], got["n"])) == want
 
 
 def test_distinct_with_nulls_in_some_batches(ray_session):

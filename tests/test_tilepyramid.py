@@ -73,3 +73,61 @@ def test_pyramid_and_sample_agreement(ray_session):
         & (df["y"] // 2 == r3["y"])
     ]
     assert len(kids) >= 1
+
+
+def _seeded_tiles(z, xys, seed=5):
+    """Float32 tile rows at zoom ``z`` for the (x, y) in ``xys``, and
+    the NaN-filled mosaic of the 4x4 tiles from (4, 4) that they cover."""
+    import pyarrow as pa
+
+    ts = tilepyramid.TILE_SIZE
+    rng = np.random.default_rng(seed)
+    big = np.full((4 * ts, 4 * ts), np.nan, np.float32)
+    rows = []
+    for x, y in xys:
+        arr = rng.uniform(-100, 100, (ts, ts)).astype(np.float32)
+        big[(y - 4) * ts:(y - 3) * ts, (x - 4) * ts:(x - 3) * ts] = arr
+        rows.append({"z": z, "x": x, "y": y, "width": ts, "height": ts,
+                     "dtype": "float32", "data": arr.tobytes()})
+    return pa.Table.from_pylist(rows), big
+
+
+def _tile(df, x, y):
+    ts = tilepyramid.TILE_SIZE
+    r = df[(df["x"] == x) & (df["y"] == y)]
+    assert len(r) == 1, (x, y)
+    return np.frombuffer(r.iloc[0]["data"], np.float32).reshape(ts, ts)
+
+
+@pytest.mark.parametrize("method", ["average", "nearest"])
+def test_overview_level_equals_whole_array_reduce(ray_session, method):
+    """Each z-1 tile is ``reduce_2x2`` of its assembled children, a
+    missing child reading as NaN, and two steps chain like two
+    whole-array reduces."""
+    import ray.data as rd
+
+    from gdal_ray.raster import overview
+
+    ts = tilepyramid.TILE_SIZE
+    # parent (3, 3) keeps only its child (6, 6); the other three are full
+    xys = [(x, y) for x in range(4, 8) for y in range(4, 8)
+           if (x, y) not in ((7, 6), (6, 7), (7, 7))]
+    t, big = _seeded_tiles(5, xys)
+    ds = rd.from_arrow([t.slice(i, 3) for i in range(0, t.num_rows, 3)])
+
+    lvl4 = tilepyramid.overview_level(ds, method)
+    df4 = lvl4.to_pandas()
+    want4 = overview.reduce_2x2(big, method).astype(np.float32)
+    assert sorted(zip(df4["x"], df4["y"])) == [(2, 2), (2, 3), (3, 2), (3, 3)]
+    assert (df4["z"] == 4).all()
+    for px, py in zip(df4["x"], df4["y"]):
+        np.testing.assert_array_equal(
+            _tile(df4, px, py),
+            want4[(py - 2) * ts:(py - 1) * ts, (px - 2) * ts:(px - 1) * ts])
+    assert np.isnan(_tile(df4, 3, 3)[ts // 2:, :]).all()
+
+    df3 = tilepyramid.overview_level(lvl4, method).to_pandas()
+    assert list(zip(df3["z"], df3["x"], df3["y"])) == [(3, 1, 1)]
+    np.testing.assert_array_equal(
+        _tile(df3, 1, 1),
+        overview.reduce_2x2(want4, method).astype(np.float32))
