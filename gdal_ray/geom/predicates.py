@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
-# (probe, edge) elements per kernel call — GridKNN._block_knn's bound
+# (probe, edge) elements per kernel call: each float64 temporary of a
+# call stays at 2 MB
 CHUNK = 1 << 18
 
 

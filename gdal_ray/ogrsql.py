@@ -1454,8 +1454,7 @@ def _compile(sel: Select, tables: dict):
         hidden = []
     if sel.group_by or has_agg:
         # input columns: group keys + one temp column per agg argument
-        aggs = []
-        out_names = []
+        aggs = []  # (SQL aggregate, input column or None for COUNT(*), name)
         prep_exprs = []  # (tmp_name, expr)
         proj = []  # final projection entries: ("key", name) | ("agg", name)
         k = 0
@@ -1470,26 +1469,14 @@ def _compile(sel: Select, tables: dict):
                     "non-aggregate select column must be a GROUP BY key"
                 )
             if e.name == "COUNT" and e.star and sel.group_by:
-                aggs.append(Count(alias_name=name))
-            elif e.name == "COUNT":
+                aggs.append((e.name, None, name))
+            else:
                 # ray 2.49: the bare global Count() returns 0 — count
-                # through a column instead (ones for COUNT(*), the
-                # argument for COUNT(x) non-null semantics)
+                # a column of ones for a global COUNT(*) instead
                 tmp = f"__agg_in_{k}"
                 prep_exprs.append((tmp, Lit(1) if e.star else e.args[0]))
-                aggs.append(Count(tmp, alias_name=name))
-            else:
-                tmp = f"__agg_in_{k}"
-                prep_exprs.append((tmp, e.args[0]))
-                if e.name in ("STDDEV_POP", "STDDEV_SAMP"):
-                    aggs.append(Std(tmp, ddof=0 if e.name.endswith("POP")
-                                    else 1, alias_name=name))
-                else:
-                    cls = {"SUM": Sum, "MIN": Min, "MAX": Max,
-                           "AVG": Mean}[e.name]
-                    aggs.append(cls(tmp, alias_name=name))
+                aggs.append((e.name, tmp, name))
             proj.append(("agg", name, name))
-            out_names.append(name)
 
         if prep_exprs:
             def prep(batch: pa.Table) -> pa.Table:
@@ -1502,10 +1489,23 @@ def _compile(sel: Select, tables: dict):
 
             ds = ds.map_batches(prep, batch_format="pyarrow")
         if sel.group_by:
-            ds = ds.groupby(sel.group_by).aggregate(*aggs)
+            # one aggregate per block of whole groups, not ray's
+            # groupby().aggregate, whose Arrow grouping splits the null
+            # groups of some multi-column keys (see _key_groups)
+            ds = map_partitions(ds, sel.group_by,
+                                _group_aggregate(sel.group_by, aggs),
+                                batch_format="pyarrow")
         else:
-            row = ds.aggregate(*aggs)
-            ds = _row_to_ds(row)
+            ray_aggs = []
+            for f, col, name in aggs:
+                if f.startswith("STDDEV"):
+                    ray_aggs.append(Std(col, ddof=_ARROW_AGGS[f][1],
+                                        alias_name=name))
+                    continue
+                cls = {"COUNT": Count, "SUM": Sum, "MIN": Min, "MAX": Max,
+                       "AVG": Mean}[f]
+                ray_aggs.append(cls(col, ignore_nulls=True, alias_name=name))
+            ds = _row_to_ds(ds.aggregate(*ray_aggs))
 
         def post(batch: pa.Table) -> pa.Table:
             cols = {}
@@ -1834,18 +1834,32 @@ def _compile_setop(u: SetOp, tables: dict):
     return ds
 
 
+def _key_groups(t: pa.Table, keys: list):
+    """(first row of each distinct ``keys`` value, group number of each
+    row), groups in code order; nulls are equal. The rows group on
+    per-column dictionary codes: Arrow 16's multi-column hash
+    ``group_by`` splits a null's group when the key has a string column
+    before it."""
+    codes = np.stack([
+        pc.dictionary_encode(t[k].combine_chunks(), null_encoding="encode")
+        .indices.to_numpy() for k in keys], axis=1)
+    _, first, group = np.unique(codes, axis=0, return_index=True,
+                                return_inverse=True)
+    return first, group.reshape(-1)
+
+
 def _distinct_flagged(ds, names: list):
     """distinct(rows with __dd) ∪all (rows without): per-batch local
-    Arrow group_by dedup of the flagged subset, a row-hash partition
-    shuffle (``stages.partition``), one Arrow group_by per partition.
-    Arrow group_by treats nulls as equal (SQL DISTINCT semantics);
-    output dtypes never round-trip through pandas."""
+    dedup of the flagged subset (``_key_groups``), a row-hash partition
+    shuffle (``stages.partition``), one dedup per partition. Nulls are
+    equal (SQL DISTINCT semantics); output dtypes never round-trip
+    through pandas."""
 
     def local(t: pa.Table) -> pa.Table:
         mask = t["__dd"].combine_chunks() if isinstance(
             t["__dd"], pa.ChunkedArray) else t["__dd"]
         ft = t.filter(mask).select(names)
-        ft = ft.group_by(names).aggregate([]).select(names)
+        ft = ft.take(_key_groups(ft, names)[0])
         ft = ft.append_column("__dd", pa.array(
             np.full(ft.num_rows, True)))
         rest = t.filter(pc.invert(mask)).select(names)
@@ -1862,17 +1876,47 @@ def _distinct_flagged(ds, names: list):
 
 
 def _distinct_rows(ds):
-    """Distinct over all output columns — per-batch local Arrow
-    group_by dedup, a row-hash partition shuffle
-    (``stages.partition``), one Arrow group_by per partition (no
-    driver set)."""
+    """Distinct over all output columns — per-batch local dedup
+    (``_key_groups``), a row-hash partition shuffle
+    (``stages.partition``), one dedup per partition (no driver set)."""
     names = ds.schema().names
 
     def dedup(t: pa.Table) -> pa.Table:
-        return t.select(names).group_by(names).aggregate([]).select(names)
+        return t.select(names).take(_key_groups(t, names)[0])
 
     return map_partitions(ds.map_batches(dedup, batch_format="pyarrow"),
                           names, dedup, batch_format="pyarrow")
+
+
+# SQL aggregate → (Arrow hash aggregate, ddof)
+_ARROW_AGGS = {"COUNT": ("count", None), "SUM": ("sum", None),
+               "MIN": ("min", None), "MAX": ("max", None),
+               "AVG": ("mean", None), "STDDEV_POP": ("stddev", 0),
+               "STDDEV_SAMP": ("stddev", 1)}
+
+
+def _group_aggregate(keys, aggs):
+    """Block → one row per ``keys`` group with the (SQL aggregate,
+    input column, name) ``aggs``: COUNT(*) counts rows, every other
+    aggregate skips nulls (SQL semantics)."""
+    keys = list(keys)
+    names = [n for _f, _c, n in aggs] + keys
+
+    def group_aggregate(t: pa.Table) -> pa.Table:
+        spec = []  # built here: Arrow's options objects do not pickle
+        for f, col, _n in aggs:
+            fn, ddof = _ARROW_AGGS[f]
+            spec.append(([], "count_all") if col is None else
+                        (col, fn) if ddof is None else
+                        (col, fn, pc.VarianceOptions(ddof=ddof)))
+        first, group = _key_groups(t, keys)
+        out = (t.append_column("__group", pa.array(group))
+               .group_by("__group", use_threads=False).aggregate(spec)
+               .sort_by("__group").drop_columns(["__group"]))
+        cols = out.columns + t.select(keys).take(first).columns
+        return pa.table(cols, names=names)
+
+    return group_aggregate
 
 
 def _row_to_ds(row: dict):

@@ -9,15 +9,19 @@ oracle).
 
 Ray mapping (SURVEY.md §2.3): the reference set is broadcast once
 (``ray.put`` → ``stages.cache.worker_cached``), indexed once per
-worker by ``GridKNN`` (a cell-sorted CSR grid) and searched locally per
-batch with an exact two-pass block search, vectorized in numpy. At
+worker by ``GridKNN`` (a cell-sorted CSR grid plus a per-cell table
+of k seed refs) and searched locally per batch with one exact block
+search per query, vectorized in numpy: the seeds of the query's cell
+bound its kth distance, and that bound sizes the block. At
 100 TB the scale path is cell-partitioned kNN — partition queries by
 cell, replicate reference points to each cell + its neighbor halo,
 search within the group (same output, shuffle-local; see pipelines
 docstring).
 
 Determinism: ties broken by (distance², point_id) lexicographic order
-so ranks are reproducible across engines and parallelism levels.
+(then reference position) so ranks are reproducible across engines
+and parallelism levels; a query with a tie at the kth place is
+ordered by a full lexsort over its candidates.
 """
 
 from __future__ import annotations
@@ -88,21 +92,25 @@ class GridKNN:
     Build: sort the reference points by cell of a uniform grid sized
     for ``target_per_cell`` refs/cell (CSR layout), so the refs of
     column ``c``, rows ``y0..y1`` are the one slice
-    ``starts[c*ny+y0] : starts[c*ny+y1+1]``.
+    ``starts[c*ny+y0] : starts[c*ny+y1+1]``. Then a seed table: for
+    each cell, k refs near its centre, the nearest ones within the 3×3
+    cell block around it (widened until it holds k refs).
 
-    Query, two passes over ragged per-query candidate slices:
-    pass 1 searches the 3×3 cell block around the query's clamped cell
-    (widened until it holds k refs), which bounds the kth distance² by
-    ``dk``; pass 2 searches, for the queries that need it, the block of
-    cells covering ``[qx-w, qx+w] × [qy-h, qy+h]`` with
-    ``w = √(dk - oy²)``, ``h = √(dk - ox²)`` (``ox``/``oy`` the gaps
-    to the reference bbox). Cell assignment is monotone, so that block
-    holds every ref within √dk and pass 2 is the last: results are
-    always exact, inside or outside the bbox. Non-finite queries tie
+    Query, one block search: the seeds of the query's clamped cell are
+    k distinct refs, so the largest of their d² to the query, ``dk``,
+    bounds its kth d² from above (exact for any seeds; good seeds only
+    make the block small). The block of cells covering
+    ``[qx-w, qx+w] × [qy-h, qy+h]`` with ``w = √(dk - oy²)``,
+    ``h = √(dk - ox²)`` (``ox``/``oy`` the gaps to the reference bbox)
+    holds every ref within √dk, since cell assignment is monotone, so
+    one search over it is exact inside or outside the bbox. It
+    argsorts each query's padded candidate row; a row whose (k+1)-th
+    sorted d² equals its kth (a tie at the kth place) takes a full
+    (d², point_id, position) lexsort instead. Non-finite queries tie
     with every ref and get the k smallest point_ids.
     """
 
-    def __init__(self, rx, ry, rid, k: int = 5, target_per_cell: float = 8.0):
+    def __init__(self, rx, ry, rid, k: int = 5, target_per_cell: float = 1.0):
         self.rx = np.asarray(rx, dtype=np.float64)
         self.ry = np.asarray(ry, dtype=np.float64)
         self.rid = np.asarray(rid, dtype=np.int64)
@@ -123,12 +131,31 @@ class GridKNN:
         counts = np.bincount(cx * self.ny + cy, minlength=self.nx * self.ny)
         self._order = np.argsort(cx * self.ny + cy, kind="stable")
         self._starts = np.concatenate(([0], np.cumsum(counts)))
-        # summed-area table of the counts: refs in any cell block in O(1)
-        self._sat = np.zeros((self.nx + 1, self.ny + 1), dtype=np.int64)
-        self._sat[1:, 1:] = counts.reshape(self.nx, self.ny).cumsum(0).cumsum(1)
         self._sx = self.rx[self._order]
         self._sy = self.ry[self._order]
         self._sid = self.rid[self._order]
+        # seed table: the k refs nearest each cell centre within the
+        # 3×3 block around the cell, doubled until it holds k refs (a
+        # summed-area table of the counts gives a block's refs in O(1))
+        k = min(k, len(self.rx))
+        sat = np.zeros((self.nx + 1, self.ny + 1), dtype=np.int64)
+        sat[1:, 1:] = counts.reshape(self.nx, self.ny).cumsum(0).cumsum(1)
+        cx, cy = np.divmod(np.arange(self.nx * self.ny), self.ny)
+        r = np.ones(len(cx), dtype=np.int64)
+        while True:
+            x0, x1 = np.maximum(cx - r, 0), np.minimum(cx + r, self.nx - 1)
+            y0, y1 = np.maximum(cy - r, 0), np.minimum(cy + r, self.ny - 1)
+            held = (
+                sat[x1 + 1, y1 + 1] - sat[x0, y1 + 1] - sat[x1 + 1, y0] + sat[x0, y0]
+            )
+            short = held < k
+            if not short.any():
+                break
+            r[short] *= 2
+        self._seed = self._block_knn(
+            self.minx + (cx + 0.5) * self.s, self.miny + (cy + 0.5) * self.s,
+            x0, x1, y0, y1, k,
+        )[1]
 
     def _cell(self, x, y):
         """Clamped cell indices; monotone in x and in y."""
@@ -153,24 +180,13 @@ class GridKNN:
             d2_bad = (qx[bad] - self.rx[0]) ** 2 + (qy[bad] - self.ry[0]) ** 2
             pd2[bad] = d2_bad[:, None]
         qx, qy = qx[finite], qy[finite]
-        # pass 1: 3×3 block around the clamped cell, doubled until it
-        # holds k refs
+        # the cell's k seeds bound the kth d², padded for rounding
         cx, cy = self._cell(qx, qy)
-        r = np.ones(len(qx), dtype=np.int64)
-        sat = self._sat
-        while True:
-            x0, x1 = np.maximum(cx - r, 0), np.minimum(cx + r, self.nx - 1)
-            y0, y1 = np.maximum(cy - r, 0), np.minimum(cy + r, self.ny - 1)
-            held = (
-                sat[x1 + 1, y1 + 1] - sat[x0, y1 + 1] - sat[x1 + 1, y0] + sat[x0, y0]
-            )
-            short = held < k
-            if not short.any():
-                break
-            r[short] *= 2
-        d2, pos = self._block_knn(qx, qy, x0, x1, y0, y1, k)
-        # pass 2: every ref within √dk, with dk padded for rounding
-        dk = d2[:, k - 1] * (1 + 1e-6)
+        seed = self._seed[cx * self.ny + cy]
+        dx = qx[:, None] - self._sx[seed]
+        dy = qy[:, None] - self._sy[seed]
+        dk = (dx * dx + dy * dy).max(axis=1) * (1 + 1e-6)
+        # the cell block that holds every ref within √dk
         ox = np.maximum(np.maximum(self.minx - qx, qx - self.maxx), 0.0)
         oy = np.maximum(np.maximum(self.miny - qy, qy - self.maxy), 0.0)
         mag = max(abs(self.minx), abs(self.maxx), abs(self.miny), abs(self.maxy))
@@ -178,13 +194,9 @@ class GridKNN:
         w = np.sqrt(np.fmax(dk - oy * oy, 0.0)) + eps
         h = np.sqrt(np.fmax(dk - ox * ox, 0.0)) + eps
         w[~np.isfinite(dk)] = h[~np.isfinite(dk)] = np.inf  # d² overflowed
-        bx0, by0 = self._cell(qx - w, qy - h)
-        bx1, by1 = self._cell(qx + w, qy + h)
-        redo = np.flatnonzero((bx0 < x0) | (bx1 > x1) | (by0 < y0) | (by1 > y1))
-        if len(redo):
-            d2[redo], pos[redo] = self._block_knn(
-                qx[redo], qy[redo], bx0[redo], bx1[redo], by0[redo], by1[redo], k
-            )
+        x0, y0 = self._cell(qx - w, qy - h)
+        x1, y1 = self._cell(qx + w, qy + h)
+        d2, pos = self._block_knn(qx, qy, x0, x1, y0, y1, k)
         pd2[finite] = d2
         pidx[finite] = self._order[pos]
         return self.rid[pidx], pd2, pidx
@@ -206,13 +218,15 @@ class GridKNN:
         d2 = np.empty((len(qx), k), dtype=np.float64)
         pos = np.empty((len(qx), k), dtype=np.int64)
         # padded (rows × width) chunks of queries sorted by candidate
-        # count, ≤ 2**18 distances each
+        # count: a chunk ends where the count passes twice its first
+        # row's + 8, or at 2**18 distances
         by_cnt = np.argsort(cnt, kind="stable")
+        sc = cnt[by_cnt]
         i = 0
         while i < len(qx):
-            rows = by_cnt[i:]
-            fits = np.arange(1, len(rows) + 1) * cnt[rows] <= 1 << 18
-            rows = rows[: max(1, int(fits.sum()))]
+            j = np.searchsorted(sc, 2 * sc[i] + 8, side="right")
+            fits = np.arange(1, j - i + 1) * sc[i:j] <= 1 << 18
+            rows = by_cnt[i : i + max(1, int(fits.sum()))]
             i += len(rows)
             width = np.arange(cnt[rows[-1]])
             valid = width < cnt[rows, None]
@@ -221,11 +235,13 @@ class GridKNN:
             dy = qy[rows, None] - self._sy[p]
             d = dx * dx + dy * dy
             d[~valid] = np.inf
-            sel = np.argpartition(d, k - 1, axis=1)[:, :k]
-            kd = np.take_along_axis(d, sel, axis=1)
-            # a tie at the kth d² that argpartition may have cut
-            # arbitrarily: order those rows fully
-            tie = np.flatnonzero((d <= kd.max(axis=1)[:, None]).sum(axis=1) > k)
+            srt = np.argsort(d, axis=1)[:, : k + 1]
+            sd = np.take_along_axis(d, srt, axis=1)
+            sel, kd = srt[:, :k], sd[:, :k]
+            # a tie at the kth d² (the (k+1)-th sorted is no larger),
+            # which the sort may have cut arbitrarily: order those rows
+            # fully
+            tie = np.flatnonzero(sd[:, k] <= sd[:, k - 1]) if len(width) > k else []
             if len(tie):
                 ids = np.where(valid[tie], self._sid[p[tie]], np.iinfo(np.int64).max)
                 sel[tie] = np.lexsort((self._order[p[tie]], ids, d[tie]), axis=1)[:, :k]

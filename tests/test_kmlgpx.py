@@ -4,26 +4,23 @@ degenerate-geometry cascade)."""
 
 from __future__ import annotations
 
-import os
+from pathlib import Path
 
-import pytest
-
+from conftest import ref_path
 from gdal_ray import kmlgpx
 from gdal_ray.geom import wkb as W
 
-KML_DATA = "/root/reference/autotest/ogr/data/kml"
-GPX_DATA = "/root/reference/autotest/ogr/data/gpx"
-
-ref = pytest.mark.skipif(
-    not os.path.isdir(KML_DATA), reason="reference data absent")
+KML_DATA = "autotest/ogr/data/kml"
+GPX_DATA = "autotest/ogr/data/gpx"
+ROOT = Path(__file__).resolve().parents[1]  # this repository's checkout
 
 
-@ref
 class TestKML:
     def test_geometries_cascade(self):
         """geometries.kml: empty Polygons parse to NULL geometry, the
         populated ones to valid WKB (reference NULL-geometry rule)."""
-        t = kmlgpx.parse_kml(open(f"{KML_DATA}/geometries.kml", "rb").read())
+        t = kmlgpx.parse_kml(
+            open(ref_path(f"{KML_DATA}/geometries.kml"), "rb").read())
         geoms = t["geometry"].to_pylist()
         assert len(geoms) > 8
         # first four Placemarks are structurally empty polygons
@@ -35,7 +32,7 @@ class TestKML:
 
     def test_placemark_fields(self):
         t = kmlgpx.parse_kml(
-            open(f"{KML_DATA}/ID_simple_field.kml", "rb").read())
+            open(ref_path(f"{KML_DATA}/ID_simple_field.kml"), "rb").read())
         assert "Name" in t.column_names
         assert t.num_rows >= 1
 
@@ -70,11 +67,10 @@ class TestKML:
         assert gj[2]["type"] == "Polygon"
 
 
-@ref
 class TestGPX:
     def _wpt(self):
         return kmlgpx.parse_gpx(
-            open(f"{GPX_DATA}/test.gpx", "rb").read(), "waypoints")
+            open(ref_path(f"{GPX_DATA}/test.gpx"), "rb").read(), "waypoints")
 
     def test_waypoints_parity(self):
         """test_ogr_gpx_1: ele [2, None], name ['waypoint name', None],
@@ -93,7 +89,7 @@ class TestGPX:
         assert g["coordinates"][:2] == [1.0, 0.0]  # wpt lat=0 lon=1
 
     def test_five_layers(self):
-        data = open(f"{GPX_DATA}/test.gpx", "rb").read()
+        data = open(ref_path(f"{GPX_DATA}/test.gpx"), "rb").read()
         rows = {
             layer: kmlgpx.parse_gpx(data, layer).num_rows
             for layer in kmlgpx.GPX_LAYERS
@@ -105,14 +101,15 @@ class TestGPX:
         assert rows["track_points"] >= 1
 
     def test_track_point_ids(self):
-        data = open(f"{GPX_DATA}/test.gpx", "rb").read()
+        data = open(ref_path(f"{GPX_DATA}/test.gpx"), "rb").read()
         t = kmlgpx.parse_gpx(data, "track_points")
         assert t["track_fid"][0].as_py() == 0
         assert t["track_seg_id"][0].as_py() == 0
         assert t["track_seg_point_id"][0].as_py() == 0
 
     def test_dataset_read(self, ray_session):
-        df = kmlgpx.read_gpx(f"{GPX_DATA}/test.gpx", "waypoints").to_pandas()
+        df = kmlgpx.read_gpx(
+            ref_path(f"{GPX_DATA}/test.gpx"), "waypoints").to_pandas()
         assert len(df) == 2
 
     def test_corpus_robustness(self):
@@ -120,19 +117,18 @@ class TestGPX:
         either parses or raises cleanly (no hangs/crashes)."""
         import glob
 
-        for f in glob.glob(f"{GPX_DATA}/*.gpx"):
+        for f in glob.glob(ref_path(f"{GPX_DATA}/*.gpx")):
             try:
                 kmlgpx.parse_gpx(open(f, "rb").read(), "waypoints")
             except Exception:
                 pass
-        for f in glob.glob(f"{KML_DATA}/*.kml"):
+        for f in glob.glob(ref_path(f"{KML_DATA}/*.kml")):
             try:
                 kmlgpx.parse_kml(open(f, "rb").read())
             except Exception:
                 pass
 
 
-@ref
 class TestInfoCLI:
     def test_vector_info(self):
         import subprocess
@@ -140,8 +136,8 @@ class TestInfoCLI:
 
         out = subprocess.run(
             [sys.executable, "-m", "gdal_ray.cli", "vector", "info",
-             "/root/reference/autotest/ogr/data/poly.shp"],
-            capture_output=True, text=True, cwd="/root/repo", timeout=200,
+             ref_path("autotest/ogr/data/poly.shp")],
+            capture_output=True, text=True, cwd=ROOT, timeout=200,
         )
         assert out.returncode == 0
         assert "Feature Count: 10" in out.stdout
@@ -154,8 +150,8 @@ class TestInfoCLI:
 
         out = subprocess.run(
             [sys.executable, "-m", "gdal_ray.cli", "raster", "info",
-             "/root/reference/autotest/gcore/data/byte.tif"],
-            capture_output=True, text=True, cwd="/root/repo", timeout=200,
+             ref_path("autotest/gcore/data/byte.tif")],
+            capture_output=True, text=True, cwd=ROOT, timeout=200,
         )
         assert out.returncode == 0
         assert "Size is 20, 20" in out.stdout
@@ -167,11 +163,11 @@ class TestInfoCLI:
 
         out_kml = tmp_path / "out.kml"
         spec = (
-            f"read {KML_DATA}/geometries.kml ! write {out_kml}"
+            f"read {ref_path(f'{KML_DATA}/geometries.kml')} ! write {out_kml}"
         )
         out = subprocess.run(
             [sys.executable, "-m", "gdal_ray.cli", "vector", "pipeline", spec],
-            capture_output=True, text=True, cwd="/root/repo", timeout=200,
+            capture_output=True, text=True, cwd=ROOT, timeout=200,
         )
         assert out.returncode == 0, out.stderr[-500:]
         assert out_kml.exists()

@@ -1,6 +1,7 @@
 """kNN stage tests vs a brute-force oracle."""
 
 import time
+from unittest import mock
 
 import numpy as np
 import pyarrow as pa
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from gdal_ray import fixtures
 from gdal_ray.stages.knn import GridKNN
+from test_pip_probe import _continuous_points
 
 
 def _bruteforce_knn(qx, qy, rx, ry, rid, k):
@@ -66,8 +68,17 @@ def _knn_case(draw):
     qx = np.append(qx, [rx.min() - 200, rx.max() + 200, np.nan, 1.0, np.inf])
     qy = np.append(qy, [ry.min() - 200, ry.max() + 200, 1.0, np.nan, -np.inf])
     k = draw(st.integers(1, 12)) if draw(st.booleans()) else n + draw(st.integers(0, 3))
-    tpc = draw(st.sampled_from([1.0, 8.0]))
-    return GridKNN(rx, ry, rid, k=k, target_per_cell=tpc), qx, qy
+    tpc = draw(st.sampled_from([None, 2.0, 8.0]))  # None: the default
+    opts = {} if tpc is None else {"target_per_cell": tpc}
+    index = GridKNN(rx, ry, rid, k=k, **opts)
+    # queries exactly on cell centres and on cell lines, the seeds'
+    # own points and the edges of the search blocks
+    ix = rng.integers(-1, index.nx + 2, 12)
+    iy = rng.integers(-1, index.ny + 2, 12)
+    half = rng.integers(0, 2, (2, 12)) * 0.5
+    qx = np.append(qx, index.minx + (ix + half[0]) * index.s)
+    qy = np.append(qy, index.miny + (iy + half[1]) * index.s)
+    return index, qx, qy
 
 
 @settings(
@@ -81,6 +92,34 @@ def test_gridknn_matches_lexsort(case):
     refs, bit for bit, on adversarial layouts (no Ray)."""
     index, qx, qy = case
     _assert_exact(index, qx, qy)
+
+
+def test_gridknn_one_block_search_per_query():
+    """One ``query`` is one ``_block_knn`` call, over at most 32
+    candidate refs per query on the mean, on the continuous corpus's
+    layout (three-quarters of it outside the reference bbox)."""
+    ref = fixtures.gen_ref_points(5000)
+    index = GridKNN(
+        ref["lon"].to_numpy(), ref["lat"].to_numpy(), ref["point_id"].to_numpy()
+    )
+    counts = np.diff(index._starts).reshape(index.nx, index.ny)
+    sat = np.zeros((index.nx + 1, index.ny + 1), dtype=np.int64)
+    sat[1:, 1:] = counts.cumsum(0).cumsum(1)
+    held = []
+    real = index._block_knn
+
+    def counted(qx, qy, x0, x1, y0, y1, k):
+        held.append(
+            sat[x1 + 1, y1 + 1] - sat[x0, y1 + 1] - sat[x1 + 1, y0] + sat[x0, y0]
+        )
+        return real(qx, qy, x0, x1, y0, y1, k)
+
+    qx, qy = _continuous_points(11)
+    with mock.patch.object(index, "_block_knn", counted):
+        index.query(qx, qy)
+    assert len(held) == 1
+    assert held[0].mean() <= 32
+    _assert_exact(index, qx[::10], qy[::10])
 
 
 def test_gridknn_ties_at_kth_resolve_by_point_id():

@@ -7,6 +7,7 @@ doq1,doq2,ndf,nsidcbin,cpg,mff2,bt,kro,ace2}.py.
 import numpy as np
 import pytest
 
+from conftest import ref_path
 from gdal_ray.raster.checksum import checksum_array
 from gdal_ray.raster.rawzoo import (
     decode_bt,
@@ -29,13 +30,13 @@ from gdal_ray.raster.rawzoo import (
     read_snodas,
 )
 
-D = "/root/reference/autotest/gdrivers/data/"
+D = "autotest/gdrivers/data/"
 
 
 class TestGSC:
     def test_fakegsc_pin(self):
         # gdrivers/gsc.py test_gsc_1: band 1 checksum 0
-        d = read_gsc(D + "gsc/fakegsc.gsc")
+        d = read_gsc(ref_path(D + "gsc/fakegsc.gsc"))
         assert d["bands"][0].shape == (1, 1)
         assert checksum_array(d["bands"][0]) == 0
         assert d["nodata"] == pytest.approx(-1.0000000150474662199e+30)
@@ -50,20 +51,21 @@ class TestGSC:
 class TestNOAAB:
     def test_big_endian_pin(self):
         # gdrivers/noaa_b.py: checksum 3, gt (1.75,0.5,0,49.25,0,-0.5)
-        d = read_noaa_b(D + "noaa_b/test.b")
+        d = read_noaa_b(ref_path(D + "noaa_b/test.b"))
         assert checksum_array(d["bands"][0]) == 3
         assert d["geotransform"] == pytest.approx(
             (1.75, 0.5, 0.0, 49.25, 0.0, -0.5))
 
     def test_little_endian_pin(self):
-        d = read_noaa_b(D + "noaa_b/test_little_endian.b")
+        d = read_noaa_b(ref_path(D + "noaa_b/test_little_endian.b"))
         assert checksum_array(d["bands"][0]) == 3
         assert d["geotransform"] == pytest.approx(
             (1.75, 0.5, 0.0, 49.25, 0.0, -0.5))
 
     def test_values_match_between_endiannesses(self):
-        a = read_noaa_b(D + "noaa_b/test.b")["bands"][0]
-        b = read_noaa_b(D + "noaa_b/test_little_endian.b")["bands"][0]
+        a = read_noaa_b(ref_path(D + "noaa_b/test.b"))["bands"][0]
+        b = read_noaa_b(
+            ref_path(D + "noaa_b/test_little_endian.b"))["bands"][0]
         assert np.array_equal(a, b)
 
     def test_rejects_garbage(self):
@@ -74,7 +76,7 @@ class TestNOAAB:
 class TestSNODAS:
     def test_fake_snodas_pin(self):
         # gdrivers/snodas.py: gt + WGS84 + nodata/min/max
-        d = read_snodas(D + "snodas/fake_snodas.hdr")
+        d = read_snodas(ref_path(D + "snodas/fake_snodas.hdr"))
         assert d["geotransform"] == pytest.approx(
             (-124.733749999995, 0.0083333333333330643, 0.0,
              52.874583333331302, 0.0, -0.0083333333333330054))
@@ -89,7 +91,7 @@ class TestSNODAS:
 class TestDOQ:
     def test_doq2_truncated_pin(self):
         # gdrivers/doq2.py: per-band first-line checksums + gt + metadata
-        d = read_doq2(D + "doq2/C3607614_truncated.NWS")
+        d = read_doq2(ref_path(D + "doq2/C3607614_truncated.NWS"))
         assert checksum_array(d["bands"][0][0:1, 0:500]) == 4201
         assert checksum_array(d["bands"][1][0:1, 0:500]) == 4010
         assert checksum_array(d["bands"][2][0:1, 0:500]) == 5820
@@ -100,13 +102,13 @@ class TestDOQ:
     def test_doq1_fake_rejected(self):
         # gdrivers/doq1.py test_doq1_1: open must FAIL on the fake file
         with pytest.raises(ValueError):
-            read_doq1(D + "doq1/fakedoq1.doq")
+            read_doq1(ref_path(D + "doq1/fakedoq1.doq"))
 
 
 class TestNDF:
     def test_ndf_pin(self):
         # gdrivers/ndf.py: checksum 6510 over the first line + gt + UTM 46
-        d = read_ndf(D + "ndf/LE7134052000500350.H3")
+        d = read_ndf(ref_path(D + "ndf/LE7134052000500350.H3"))
         assert d["bands"][0].shape == (14680, 15620)
         assert checksum_array(d["bands"][0][0:1, :]) == 6510
         assert d["geotransform"] == pytest.approx(
@@ -117,7 +119,7 @@ class TestNDF:
 class TestNSIDCbin:
     def test_antarctic_pin(self):
         # gdrivers/nsidcbin.py: 316 cols, uint8, pixel (60,44) == 27
-        d = read_nsidcbin(D + "nsidcbin/nt_20220409_f18_nrt_s.bin")
+        d = read_nsidcbin(ref_path(D + "nsidcbin/nt_20220409_f18_nrt_s.bin"))
         assert d["bands"][0].shape[1] == 316
         assert d["bands"][0].dtype == np.uint8
         assert int(d["bands"][0][44, 60]) == 27
@@ -134,7 +136,7 @@ class TestNSIDCbin:
 class TestCPG:
     def test_sirc_pin(self):
         # gdrivers/cpg.py test_cpg_1: band 1 checksum 0 on the 1x1 file
-        d = read_cpg_sirc(D + "cpg/fakecpgSIRC.hdr")
+        d = read_cpg_sirc(ref_path(D + "cpg/fakecpgSIRC.hdr"))
         assert len(d["bands"]) == 4
         assert d["bands"][0].shape == (1, 1)
         assert d["bands"][0].dtype == np.complex64
@@ -146,10 +148,10 @@ class TestCPG:
         # scale = sqrt((b1/254 + 1.5) * 2**b0) / 127
         import struct as _s
 
-        raw = open(D + "cpg/fakecpgSIRC.img", "rb").read()
+        raw = open(ref_path(D + "cpg/fakecpgSIRC.img"), "rb").read()
         b = _s.unpack("10b", raw)
         want = np.sqrt((b[1] / 254 + 1.5) * 2.0 ** b[0]) / 127.0
-        d = read_cpg_sirc(D + "cpg/fakecpgSIRC.img")
+        d = read_cpg_sirc(ref_path(D + "cpg/fakecpgSIRC.img"))
         got = d["bands"][0][0, 0]
         assert got.real == pytest.approx(b[2] * want, rel=1e-6)
         assert got.imag == pytest.approx(b[3] * want, rel=1e-6)
@@ -162,7 +164,7 @@ class TestCPG:
 class TestMFF2:
     def test_bytemff2_pin(self):
         # gdrivers/mff2.py test_mff2_1: checksum 4672 (the byte.tif grid)
-        d = read_mff2(D + "mff2/bytemff2")
+        d = read_mff2(ref_path(D + "mff2/bytemff2"))
         assert d["bands"][0].shape == (20, 20)
         assert d["bands"][0].dtype == np.uint8
         assert checksum_array(d["bands"][0]) == 4672
@@ -185,7 +187,7 @@ class TestBT:
         from gdal_ray.raster.gtiff import decode_geotiff
 
         src = decode_geotiff(open(
-            "/root/reference/autotest/gcore/data/byte.tif", "rb").read())
+            ref_path("autotest/gcore/data/byte.tif"), "rb").read())
         arr = src["bands"][0].astype(np.int16)
         assert checksum_array(arr) == 4672
         p = tmp_path / "t.bt"
@@ -219,7 +221,7 @@ class TestKRO:
         from gdal_ray.raster.gtiff import decode_geotiff
 
         src = decode_geotiff(open(
-            "/root/reference/autotest/gcore/data/byte.tif", "rb").read())
+            ref_path("autotest/gcore/data/byte.tif"), "rb").read())
         p = tmp_path / "t.kro"
         p.write_bytes(encode_kro([src["bands"][0]]))
         assert checksum_array(read_kro(str(p))["bands"][0]) == 4672
@@ -270,7 +272,7 @@ class TestDispatch:
         from gdal_ray.drivers import load_raster
 
         for rel, shape in self.CASES:
-            d = load_raster(D + rel)
+            d = load_raster(ref_path(D + rel))
             assert d["bands"][0].shape == shape, rel
 
     def test_load_raster_bt_kro_ace2(self, tmp_path):
@@ -295,8 +297,7 @@ class TestPCRaster:
         from gdal_ray.raster.checksum import checksum_array
         from gdal_ray.raster.rawzoo import read_pcraster
 
-        d = read_pcraster("/root/reference/autotest/gdrivers/data/"
-                          "pcraster/ldd.map")
+        d = read_pcraster(ref_path(D + "pcraster/ldd.map"))
         assert checksum_array(d["bands"][0]) == 4528
         assert d["geotransform"] == (182140.0, 10.0, 0.0,
                                      327880.0, 0.0, -10.0)
@@ -307,6 +308,5 @@ class TestPCRaster:
         from gdal_ray.drivers import load_raster
         from gdal_ray.raster.checksum import checksum_array
 
-        d = load_raster("/root/reference/autotest/gdrivers/data/"
-                        "pcraster/ldd.map")
+        d = load_raster(ref_path(D + "pcraster/ldd.map"))
         assert checksum_array(d["bands"][0]) == 4528

@@ -1,17 +1,13 @@
 """S-57 ENC reader (iso8211.py + s57.py) vs the reference autotest
 1B5X02NE.000 / bug1526 / bug2147 / fake_s57 literal expectations."""
-import os
 import re
 
-import pytest
-
+from conftest import ref_path
 from gdal_ray import s57
 from gdal_ray.geom import wkt as gwkt
 
-DATA = "/root/reference/autotest/ogr/data/s57"
+DATA = "autotest/ogr/data/s57"
 CELL = f"{DATA}/1B5X02NE.000"
-pytestmark = pytest.mark.skipif(
-    not os.path.isdir(DATA), reason="reference data absent")
 
 _NUM = r"-?\d+\.?\d*"
 
@@ -28,7 +24,7 @@ def assert_wkt(got: str, want: str, tol=1e-8):
 
 def test_layer_list_and_counts():
     """ogr_s57_check_layers: the exact 13-layer inventory."""
-    layers = s57.list_layers(CELL)
+    layers = s57.list_layers(ref_path(CELL))
     expected = {"DSID": 1, "COALNE": 1, "DEPARE": 4, "DEPCNT": 4,
                 "LNDARE": 1, "LNDELV": 2, "SBDARE": 2, "SLCONS": 1,
                 "SLOTOP": 1, "SOUNDG": 2, "M_COVR": 1, "M_NSYS": 1,
@@ -37,11 +33,11 @@ def test_layer_list_and_counts():
     for name, n in expected.items():
         if name == "DSID":
             continue
-        assert len(s57.read_s57_local(CELL, name)) == n, name
+        assert len(s57.read_s57_local(ref_path(CELL), name)) == n, name
 
 
 def test_coalne():
-    t = s57.read_s57_local(CELL, "COALNE")
+    t = s57.read_s57_local(ref_path(CELL), "COALNE")
     assert t["RCID"][0].as_py() == 1
     assert t["LNAM"][0].as_py() == "FFFF7F4F0FB002D3"
     assert t["OBJL"][0].as_py() == 30
@@ -58,7 +54,7 @@ def test_coalne():
 
 
 def test_m_qual():
-    t = s57.read_s57_local(CELL, "M_QUAL")
+    t = s57.read_s57_local(ref_path(CELL), "M_QUAL")
     assert t["RCID"][0].as_py() == 15
     assert t["OBJL"][0].as_py() == 308
     assert t["AGEN"][0].as_py() == 65535
@@ -75,7 +71,7 @@ def test_m_qual():
 
 
 def test_soundg():
-    t = s57.read_s57_local(CELL, "SOUNDG")
+    t = s57.read_s57_local(ref_path(CELL), "SOUNDG")
     assert t["RCID"][0].as_py() == 20
     assert t["OBJL"][0].as_py() == 129
     assert t["AGEN"][0].as_py() == 65535
@@ -89,7 +85,7 @@ def test_soundg():
 
 def test_double_byte_attrs():
     """bug1526: latin1 INFORM + lexical-level-2 UCS-2 NINFOM."""
-    t = s57.read_s57_local(f"{DATA}/bug1526.000", "FOGSIG")
+    t = s57.read_s57_local(ref_path(f"{DATA}/bug1526.000"), "FOGSIG")
     assert t["INFORM"][0].as_py() == \
         ("During South winds nautophone is not always heard in S "
          "direction from lighthouse")
@@ -98,7 +94,7 @@ def test_double_byte_attrs():
 
 def test_multilinestring():
     """bug2147: disconnected edges → 8-part MULTILINESTRING."""
-    t = s57.read_s57_local(f"{DATA}/bug2147_3R7D0889.000", "ROADWY")
+    t = s57.read_s57_local(ref_path(f"{DATA}/bug2147_3R7D0889.000"), "ROADWY")
     w = gwkt.to_wkt(t["geometry"][0].as_py())
     assert w.startswith("MULTILINESTRING ((22.5659615 44.5541942, "
                         "22.5652045 44.5531651")
@@ -107,12 +103,12 @@ def test_multilinestring():
 
 def test_fake_minimal():
     """fake_s57.000: DSID-only cell (ogr_s57_10)."""
-    t = s57.read_s57_local(f"{DATA}/fake_s57.000", "DSID")
+    t = s57.read_s57_local(ref_path(f"{DATA}/fake_s57.000"), "DSID")
     assert t["DSID_EXPP"][0].as_py() == 2
 
 
 def test_ray_dataset(ray_session):
-    ds = s57.read_s57(CELL, "DEPARE")
+    ds = s57.read_s57(ref_path(CELL), "DEPARE")
     assert ds.count() == 4
 
 
@@ -121,9 +117,7 @@ def test_update_dsid():
     DSID patches UPDN/UADT/ISDT on the base cell."""
     from gdal_ray.s57 import S57Cell
 
-    c = S57Cell(
-        "/root/reference/autotest/ogr/data/s57/"
-        "fake_s57_update_dsid.000")
+    c = S57Cell(ref_path(f"{DATA}/fake_s57_update_dsid.000"))
     assert c.dsid["DSID_EDTN"] == "0"
     assert c.dsid["DSID_UPDN"] == "1"
     assert c.dsid["DSID_UADT"] == "20190211"
@@ -137,8 +131,7 @@ class TestFFPTRelationships:
     def test_lnam_refs_resolve(self):
         from gdal_ray.s57 import read_s57_local
 
-        cell = ("/root/reference/autotest/ogr/data/s57/"
-                "bug2147_3R7D0889.000")
+        cell = ref_path(f"{DATA}/bug2147_3R7D0889.000")
         t = read_s57_local(cell, "boywtw")
         assert "LNAM_REFS" in t.schema.names
         assert "FFPT_RIND" in t.schema.names
@@ -163,7 +156,5 @@ class TestFFPTRelationships:
     def test_layers_without_links_unchanged(self):
         from gdal_ray.s57 import read_s57_local
 
-        t = read_s57_local(
-            "/root/reference/autotest/ogr/data/s57/1B5X02NE.000",
-            "COALNE")
+        t = read_s57_local(ref_path(CELL), "COALNE")
         assert "LNAM_REFS" not in t.schema.names

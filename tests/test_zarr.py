@@ -8,15 +8,17 @@ CF-derived geotransform and EPSG code."""
 import numpy as np
 import pytest
 
+from conftest import ref_path
 from gdal_ray.raster import gtiff
 from gdal_ray.raster import zarr as Z
 from gdal_ray.raster.checksum import checksum_array
 
-BASE = "/root/reference/autotest/gdrivers/data/zarr/"
+BASE = "autotest/gdrivers/data/zarr/"
+BYTE_TIF = "autotest/gcore/data/byte.tif"
 
 
 def _one(name):
-    arrs = Z.open_zarr(BASE + name)
+    arrs = Z.open_zarr(ref_path(BASE + name))
     assert len(arrs) == 1, list(arrs)
     return next(iter(arrs.values()))
 
@@ -100,17 +102,17 @@ class TestLayout:
 
 class TestGroups:
     def test_nested_groups(self):
-        arrs = Z.open_zarr(BASE + "group.zarr")
+        arrs = Z.open_zarr(ref_path(BASE + "group.zarr"))
         assert list(arrs) == ["foo/bar/baz"]
         assert arrs["foo/bar/baz"].read().tolist() == [1]
 
     def test_consolidated_zmetadata(self):
-        arrs = Z.open_zarr(BASE + "group_with_zmetadata.zarr")
+        arrs = Z.open_zarr(ref_path(BASE + "group_with_zmetadata.zarr"))
         assert list(arrs) == ["foo/bar/baz"]
         assert arrs["foo/bar/baz"].read().tolist() == [1]
 
     def test_nczarr_layout(self):
-        arrs = Z.open_zarr(BASE + "nczarr_v2.zarr")
+        arrs = Z.open_zarr(ref_path(BASE + "nczarr_v2.zarr"))
         assert "MyGroup/dset1" in arrs
         assert arrs["MyGroup/Group_A/dset3"].read().shape == (2, 2)
 
@@ -122,8 +124,8 @@ class TestV3:
         assert a.read().ravel().tolist() == [1, 2]
 
     def test_byte_cf1_zr3_pixels(self):
-        arrs = Z.open_zarr(BASE + "byte_cf1.zr3")
-        v2 = Z.open_zarr(BASE + "byte_cf1.zarr")
+        arrs = Z.open_zarr(ref_path(BASE + "byte_cf1.zr3"))
+        v2 = Z.open_zarr(ref_path(BASE + "byte_cf1.zarr"))
         assert np.array_equal(arrs["Band1"].read(), v2["Band1"].read())
 
 
@@ -133,9 +135,8 @@ class TestGeoreference:
 
     def test_byte_cf1_full_parity(self):
         byte = gtiff.decode_geotiff(
-            open("/root/reference/autotest/gcore/data/byte.tif",
-                 "rb").read())
-        arrs = Z.open_zarr(BASE + "byte_cf1.zarr")
+            open(ref_path(BYTE_TIF), "rb").read())
+        arrs = Z.open_zarr(ref_path(BASE + "byte_cf1.zarr"))
         gt, crs, flip = Z.georeference(arrs, "Band1")
         band = arrs["Band1"].read()
         if flip:
@@ -148,7 +149,7 @@ class TestGeoreference:
 
 class TestRayRead:
     def test_read_zarr_tile_table(self, ray_session):
-        ds = Z.read_zarr(BASE + "byte_cf1.zarr")
+        ds = Z.read_zarr(ref_path(BASE + "byte_cf1.zarr"))
         rows = ds.take_all()
         assert len(rows) == 1
         r = rows[0]
@@ -160,7 +161,7 @@ class TestRayRead:
                                            3751320.0, 0.0, -60.0]
 
     def test_read_zarr_3d_bands(self, ray_session):
-        ds = Z.read_zarr(BASE + "order_f_u1_3d.zarr")
+        ds = Z.read_zarr(ref_path(BASE + "order_f_u1_3d.zarr"))
         rows = sorted(ds.take_all(), key=lambda r: r["band"])
         assert [r["band"] for r in rows] == [1, 2]
         full = _one("order_f_u1_3d.zarr").read()
@@ -224,8 +225,7 @@ class TestWrite:
     def test_write_roundtrip_byte_tif(self, tmp_path):
         import json
         byte = gtiff.decode_geotiff(
-            open("/root/reference/autotest/gcore/data/byte.tif",
-                 "rb").read())
+            open(ref_path(BYTE_TIF), "rb").read())
         p = str(tmp_path / "byte.zarr")
         Z.write_zarr(p, byte["bands"], crs=byte["crs"],
                      geotransform=byte["geotransform"], chunks=(20, 20))
@@ -238,7 +238,7 @@ class TestWrite:
         assert checksum_array(band) == 4672
         assert gt == byte["geotransform"] and crs == "EPSG:26711"
         mine = json.load(open(tmp_path / "byte.zarr/Band1/.zarray"))
-        ref = json.load(open(BASE + "byte_cf1.zarr/Band1/.zarray"))
+        ref = json.load(open(ref_path(BASE + "byte_cf1.zarr/Band1/.zarray")))
         assert sorted(mine) == sorted(ref)  # same metadata structure
 
     def test_write_multiband_edge_chunks(self, tmp_path):
@@ -262,7 +262,7 @@ class TestWrite:
         """read_geotiff → write_zarr_dataset → read_zarr: the chunk
         files come from TASKS, the metadata from the driver; the
         re-read tile table reproduces the pixels and georeferencing."""
-        src = "/root/reference/autotest/gcore/data/byte.tif"
+        src = ref_path(BYTE_TIF)
         ds = gtiff.read_geotiff([src], tile_size=20)
         p = str(tmp_path / "sink.zarr")
         n = Z.write_zarr_dataset(ds, p)
